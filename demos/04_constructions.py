@@ -10,6 +10,7 @@ from dynachrome import (
     balanced_subset_coloring,
     bound_report,
     check_dynamic,
+    chi_witness,
     chromatic_number,
     compose_disjoint_palettes,
     cycle,
@@ -58,7 +59,7 @@ g = random_regular(200, 16, seed=11)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     params = LllParams.for_degree(16, c_prime=7.0, seed=11, clamp_p=True)
-witness = greedy_coloring(g, sorted(range(g.n), key=lambda v: -g.degree(v)))
+witness, _ = chi_witness(g)
 result = balanced_subset_coloring(g, params, witness)
 print(f"\n16-regular n=200: {result.coloring.palette_size} colors "
       f"(bound {result.color_bound}, witness used {witness.palette_size})")

@@ -21,7 +21,9 @@ from .constructions import (
     TriangleCertificate,
     balanced_subset_coloring,
     bound_report,
+    chi_witness,
     compose_disjoint_palettes,
+    hypergraph_2coloring,
     kneser_dynamic_coloring,
     partial_product_coloring,
     product_coloring,
@@ -64,6 +66,7 @@ from .graphs import (
     complete,
     complete_bipartite,
     cycle,
+    dsatur_order,
     from_spec,
     gnp,
     induced_subgraph,

@@ -64,16 +64,6 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
         print("\n".join(text_lines))
 
 
-def _chi_witness(g: Graph, budget: Optional[int], exact_limit: int = 28):
-    """Exact chromatic witness when affordable, greedy otherwise."""
-    if g.n <= exact_limit:
-        res = exact.chromatic_number(g, budget)
-        if not res.exhausted:
-            return res.witness
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    return exact.greedy_coloring(g, order)
-
-
 # ----------------------------------------------------------------------
 # Subcommand handlers
 # ----------------------------------------------------------------------
@@ -161,8 +151,9 @@ def _output_coloring(g: Graph, coloring, fmt: str, extra: Optional[dict] = None)
 def _cmd_construct(args) -> int:
     budget = args.budget
     if args.kind == "kneser":
+        given = {} if budget is None else {"budget": budget}
         result = constructions.kneser_dynamic_coloring(
-            KneserSpec(args.m, args.n), seed=args.seed
+            KneserSpec(args.m, args.n), seed=args.seed, **given
         )
         extra = {
             "colors_used": result.colors_used,
@@ -174,21 +165,16 @@ def _cmd_construct(args) -> int:
 
     g = _load_graph(args.graph, args.seed)
     if args.kind == "product":
-        c = _chi_witness(g, budget)
-        h = neighborhood_hypergraph(g)
-        try:
-            f = exact.hypergraph_2color_exact(h, budget)
-            if f is None:
-                print(
-                    "neighborhood hypergraph is not 2-colorable (certified)",
-                    file=sys.stderr,
-                )
-                return _ExitCode.INVALID
-        except exact.SearchBudgetExceeded:
-            f, log = lll.moser_tardos_2color(h, seed=args.seed)
-            if f is None:
-                print("2-coloring search exhausted", file=sys.stderr)
-                return _ExitCode.EXHAUSTED
+        c, _ = constructions.chi_witness(g, budget)
+        f = constructions.hypergraph_2coloring(
+            neighborhood_hypergraph(g), budget, args.seed
+        )
+        if f is None:
+            print(
+                "neighborhood hypergraph is not 2-colorable (certified)",
+                file=sys.stderr,
+            )
+            return _ExitCode.INVALID
         coloring = constructions.product_coloring(g, c, f)
         _output_coloring(g, coloring, args.format)
         return _ExitCode.OK
@@ -209,9 +195,9 @@ def _cmd_construct(args) -> int:
                 return _ExitCode.INVALID
         g_in, _ = induced_subgraph(g, subset)
         g_out, _ = induced_subgraph(g, subset.complement())
-        coloring = constructions.compose_disjoint_palettes(
-            g, subset, _chi_witness(g_in, budget), _chi_witness(g_out, budget)
-        )
+        c_in, _ = constructions.chi_witness(g_in, budget)
+        c_out, _ = constructions.chi_witness(g_out, budget)
+        coloring = constructions.compose_disjoint_palettes(g, subset, c_in, c_out)
         _output_coloring(g, coloring, args.format, {"subset": sorted(subset.members)})
         return _ExitCode.OK
 
@@ -223,8 +209,7 @@ def _cmd_construct(args) -> int:
     params = lll.LllParams.for_degree(
         k, c_prime=args.c_prime, seed=args.seed, clamp_p=args.clamp_p
     )
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    witness = exact.greedy_coloring(g, order)
+    witness, _ = constructions.chi_witness(g, budget)
     result = constructions.balanced_subset_coloring(g, params, witness)
     extra = {
         "subset": sorted(result.subset.members),
@@ -239,6 +224,11 @@ def _cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.seed)
     data = json.loads(Path(args.coloring).read_text())
     coloring = formats.coloring_from_json_dict(data)
+    recorded, loaded = data.get("graph_id"), formats.graph_id(g)
+    if recorded is not None and recorded != loaded:
+        raise formats.FormatError(
+            f"coloring record is for graph_id {recorded}, not {loaded}"
+        )
     checker = check_dynamic if args.check == "dynamic" else check_proper
     violations = checker(g, coloring)
     payload = {"check": args.check, "violations": violations_to_json(violations)}

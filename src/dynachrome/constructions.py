@@ -21,9 +21,11 @@ from .exact import (
 )
 from .graphs import (
     Graph,
+    Hypergraph,
     KneserSpec,
     VertexSubset,
     bipartition,
+    dsatur_order,
     induced_subgraph,
     is_connected,
     neighborhood_hypergraph,
@@ -46,6 +48,8 @@ __all__ = [
     "compose_disjoint_palettes",
     "product_coloring",
     "partial_product_coloring",
+    "chi_witness",
+    "hypergraph_2coloring",
     "kneser_dynamic_coloring",
     "KneserColoringResult",
     "balanced_subset_coloring",
@@ -199,6 +203,27 @@ def partial_product_coloring(
 # ======================================================================
 
 
+def hypergraph_2coloring(
+    h: Hypergraph, budget: Optional[int] = None, seed: int = 0
+) -> Optional[Coloring]:
+    """A 2-coloring of ``h`` with no monochromatic edge.
+
+    Exact search runs first; when its budget runs out, Moser-Tardos
+    resampling takes over.  None means the exact search certified that no
+    such coloring exists; ConstructionError means both gave up.
+    """
+    try:
+        return hypergraph_2color_exact(h, budget)
+    except SearchBudgetExceeded:
+        f, log = moser_tardos_2color(h, seed=seed)
+    if f is None:
+        raise ConstructionError(
+            f"hypergraph 2-coloring: exact search over budget and resampling "
+            f"exhausted after {log.resample_count} resamples"
+        )
+    return f
+
+
 @dataclass(frozen=True)
 class KneserColoringResult:
     """Certified dynamic coloring of a triangle-free Kneser-type graph."""
@@ -227,8 +252,7 @@ def kneser_dynamic_coloring(
     inside {t+1..m}, so a BFS 2-coloring shows it bipartite (checked at
     runtime, not assumed).  Outside T the minimum element, shifted to
     0-based, is a proper t-coloring.  The T-restricted neighborhood
-    hypergraph is 2-colored by exact search first, with a resampling
-    fallback if the search budget runs out.
+    hypergraph is 2-colored by :func:`hypergraph_2coloring`.
     """
     t = spec.t
     if not 1 <= t < spec.n:
@@ -249,20 +273,11 @@ def kneser_dynamic_coloring(
     c_out = Coloring.total(
         [min(subsets[old]) - 1 for old in comp.sorted_members()], t
     )
-    h_t = neighborhood_hypergraph(g, target=tail)
-    try:
-        f = hypergraph_2color_exact(h_t, budget)
-        if f is None:
-            raise CertificationError(
-                "T-restricted neighborhood hypergraph is not 2-colorable"
-            )
-    except SearchBudgetExceeded:
-        f, _ = moser_tardos_2color(h_t, seed=seed)
-        if f is None:
-            raise ConstructionError(
-                "2-coloring of the restricted neighborhood hypergraph: exact "
-                "search over budget and resampling exhausted"
-            ) from None
+    f = hypergraph_2coloring(neighborhood_hypergraph(g, target=tail), budget, seed)
+    if f is None:
+        raise CertificationError(
+            "T-restricted neighborhood hypergraph is not 2-colorable"
+        )
     coloring = partial_product_coloring(g, tail, c_t, f, c_out)
     return KneserColoringResult(
         spec=spec,
@@ -416,20 +431,20 @@ class BoundReport:
         }
 
 
-def _chi_estimate(
-    g: Graph,
-    known: Optional[int],
-    budget: Optional[int],
-    exact_limit: int,
-) -> tuple[int, str]:
-    if known is not None:
-        return known, "exact"
+def chi_witness(
+    g: Graph, budget: Optional[int] = None, exact_limit: int = 28
+) -> tuple[Coloring, str]:
+    """A proper coloring of ``g`` and how it was obtained.
+
+    Up to ``exact_limit`` vertices an exact solve that decides within
+    ``budget`` gives a coloring on chi(g) colors ("exact"); otherwise the
+    DSATUR greedy coloring stands in ("greedy", an over-estimate of chi).
+    """
     if g.n <= exact_limit:
         res = chromatic_number(g, budget)
         if not res.exhausted:
-            return res.value, "exact"
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    return greedy_coloring(g, order).palette_size, "greedy"
+            return res.witness, "exact"
+    return greedy_coloring(g, dsatur_order(g)), "greedy"
 
 
 def bound_report(
@@ -483,8 +498,11 @@ def bound_report(
 
     chi = None
     chi_basis = None
-    if doubling_ok:
-        chi, chi_basis = _chi_estimate(g, ctx.chi, budget, exact_limit)
+    if doubling_ok and ctx.chi is not None:
+        chi, chi_basis = ctx.chi, "exact"
+    elif doubling_ok:
+        witness, chi_basis = chi_witness(g, budget, exact_limit)
+        chi = witness.palette_size
     records.append(
         BoundRecord(
             "neighborhood_two_coloring",
@@ -498,13 +516,13 @@ def bound_report(
     if ctx.double_total is not None and not check_domination(g, ctx.double_total):
         g_in, _ = induced_subgraph(g, ctx.double_total)
         g_out, _ = induced_subgraph(g, ctx.double_total.complement())
-        chi_in, b_in = _chi_estimate(g_in, None, budget, exact_limit)
-        chi_out, b_out = _chi_estimate(g_out, None, budget, exact_limit)
+        c_in, b_in = chi_witness(g_in, budget, exact_limit)
+        c_out, b_out = chi_witness(g_out, budget, exact_limit)
         records.append(
             BoundRecord(
                 "double_total_split",
                 True,
-                chi_out + chi_in,
+                c_out.palette_size + c_in.palette_size,
                 "χ(G[V−T]) + χ(G[T]) for a double total dominating T",
                 f"{b_out}/{b_in}",
             )
@@ -527,13 +545,13 @@ def bound_report(
     if total_ok:
         g_in, _ = induced_subgraph(g, ctx.total)
         g_out, _ = induced_subgraph(g, ctx.total.complement())
-        chi_in, b_in = _chi_estimate(g_in, None, budget, exact_limit)
-        chi_out, b_out = _chi_estimate(g_out, None, budget, exact_limit)
+        c_in, b_in = chi_witness(g_in, budget, exact_limit)
+        c_out, b_out = chi_witness(g_out, budget, exact_limit)
         records.append(
             BoundRecord(
                 "total_split_doubled",
                 True,
-                chi_out + 2 * chi_in,
+                c_out.palette_size + 2 * c_in.palette_size,
                 "χ(G[V−T]) + 2χ(G[T]) for a total dominating T under e·Δ² ≤ 2^(δ−1)",
                 f"{b_out}/{b_in}",
             )

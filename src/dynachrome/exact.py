@@ -1,20 +1,25 @@
 """Exhaustive branch-and-bound solvers: the ground truth for small instances.
 
-Searches assign vertices in descending-degree order (ties by id) with
-color-symmetry breaking, so runs are deterministic.  Budgets are explored
-node counts, not wall-clock, again for reproducibility.  A solver that
-exhausts its budget reports that distinctly from a certified "none": the
-two outcomes must never be conflated, because these functions serve as
-oracles for the randomized modules.
+Every search is one depth-first backtracker that keeps its branch state in
+explicit arrays rather than on the Python call stack, so it runs on inputs
+of any size.  Graph searches color vertices in DSATUR order (most distinct
+neighbor colors first, ties by degree and then id) with color-symmetry
+breaking; the hypergraph search keeps descending hypergraph degree (ties
+by id).  Runs are deterministic, and budgets are explored node counts,
+not wall-clock, again for reproducibility.  A solver that exhausts its
+budget reports that distinctly from a certified "none": the two outcomes
+must never be conflated, because these functions serve as oracles for the
+randomized modules.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, VertexSubset, bipartition, induced_subgraph
-from .graphs import is_connected, neighborhood_hypergraph
+from .graphs import Graph, Hypergraph, VertexSubset, bipartition, dsatur_order
+from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
 from .verify import Coloring, ListAssignment
 
 __all__ = [
@@ -66,10 +71,6 @@ class SolveResult:
         return out
 
 
-def _degree_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-
-
 def greedy_coloring(g: Graph, order: Optional[list[int]] = None) -> Coloring:
     """First-fit coloring in the given order (ascending ids by default)."""
     if order is None:
@@ -86,72 +87,102 @@ def greedy_coloring(g: Graph, order: Optional[list[int]] = None) -> Coloring:
     return Coloring(tuple(color), max(top, 1) if g.n else 0)
 
 
-class _Budget:
-    __slots__ = ("limit", "nodes")
+def _search(
+    order: Sequence[int],
+    palettes: Sequence[Sequence[int]],
+    adj: Sequence[Sequence[int]],
+    groups: Sequence[Collection[int]],
+    break_symmetry: bool,
+    budget: Optional[int],
+    nodes: int = 0,
+) -> tuple[Optional[list[int]], int]:
+    """Depth-first search for colors from ascending per-vertex palettes.
 
-    def __init__(self, limit: Optional[int], already: int = 0):
-        self.limit = limit
-        self.nodes = already
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise SearchBudgetExceeded("node budget exceeded", self.nodes)
-
-
-def _exists_k_coloring(
-    g: Graph, k: int, budget: _Budget, dynamic: bool
-) -> Optional[list[int]]:
-    """Backtracking search for a proper (optionally dynamic) k-coloring.
-
-    A branch dies as soon as some vertex of degree >= 2 has its whole
-    neighborhood colored in a single color (dynamic mode only).  Symmetry
-    breaking: a vertex may use at most one more color than the maximum
-    used so far.
+    Vertices are colored in ``order``.  A vertex skips colors already on a
+    colored neighbor in ``adj``, and a branch dies as soon as one of
+    ``groups`` is fully colored in a single color.  With
+    ``break_symmetry`` (all palettes alike), a vertex may take at most one
+    color above the largest used so far.  Every color tried is one node,
+    counted on from ``nodes`` against ``budget``.  Returns the colors by
+    vertex (None when no branch survives) and the node total, or raises
+    SearchBudgetExceeded.  The branch state lives in per-depth arrays, not
+    on the Python call stack, so no input is too deep to search.
     """
-    n = g.n
-    order = _degree_order(g)
-    adj = g.adjacency
-    deg = [len(a) for a in adj]
-    color = [-1] * n
-    uncolored_nbrs = deg[:]
-
-    def neighborhood_bichromatic(v: int) -> bool:
-        first = color[adj[v][0]]
-        return any(color[u] != first for u in adj[v][1:])
-
-    def rec(i: int, max_used: int) -> bool:
-        if i == n:
-            return True
+    color = [-1] * len(palettes)
+    incident: list[list[int]] = [[] for _ in palettes]
+    for gi, grp in enumerate(groups):
+        for v in grp:
+            incident[v].append(gi)
+    remaining = [len(grp) for grp in groups]
+    limit = float("inf") if budget is None else budget
+    depth = len(order)
+    top = [-1] * (depth + 1)  # top[i]: largest color among order[:i]
+    used_at: list[set[int]] = [set()] * depth  # neighbor colors at entry
+    i = 0
+    while 0 <= i < depth:
         v = order[i]
-        used = {color[u] for u in adj[v] if color[u] >= 0}
-        cap = min(k - 1, max_used + 1)
-        for c in range(cap + 1):
+        inc = incident[v]
+        palette = palettes[v]
+        if color[v] < 0:  # first visit at this depth
+            j = 0
+            used = used_at[i] = {color[u] for u in adj[v]}
+        else:  # back from a dead subtree: uncolor v, resume past its color
+            j = bisect_right(palette, color[v])
+            for gi in inc:
+                remaining[gi] += 1
+            color[v] = -1
+            used = used_at[i]
+        end = bisect_right(palette, top[i] + 1) if break_symmetry else len(palette)
+        while j < end:
+            c = palette[j]
+            j += 1
             if c in used:
                 continue
-            budget.tick()
+            nodes += 1
+            if nodes > limit:
+                raise SearchBudgetExceeded("node budget exceeded", nodes)
             color[v] = c
-            ok = True
-            if dynamic:
-                for u in adj[v]:
-                    uncolored_nbrs[u] -= 1
-                for u in adj[v]:
-                    if (
-                        uncolored_nbrs[u] == 0
-                        and deg[u] >= 2
-                        and not neighborhood_bichromatic(u)
-                    ):
-                        ok = False
-                        break
-            if ok and rec(i + 1, max(max_used, c)):
-                return True
-            if dynamic:
-                for u in adj[v]:
-                    uncolored_nbrs[u] += 1
+            dead = False
+            for gi in inc:
+                remaining[gi] -= 1
+                if not remaining[gi] and not dead:
+                    for u in groups[gi]:
+                        if color[u] != c:
+                            break
+                    else:  # the group is fully colored in c alone
+                        dead = True
+            if not dead:
+                break
+            for gi in inc:
+                remaining[gi] += 1
             color[v] = -1
-        return False
+        if color[v] < 0:
+            i -= 1
+        else:
+            top[i + 1] = top[i] if top[i] > color[v] else color[v]
+            i += 1
+    return (color if i == depth else None), nodes
 
-    return color[:] if rec(0, -1) else None
+
+def _min_palette(
+    g: Graph, order: list[int], upper: int, budget: Optional[int], groups: Sequence
+) -> SolveResult:
+    """Try palettes 3, 4, ... until one admits a coloring; ``upper`` is the
+    upper bound reported if the budget runs out first."""
+    nodes = 0
+    k = 3
+    while True:
+        try:
+            found, nodes = _search(
+                order, [range(k)] * g.n, g.adjacency, groups, True, budget, nodes
+            )
+        except SearchBudgetExceeded as exc:
+            return SolveResult(
+                None, None, exc.nodes_explored, exhausted=True, bounds=(k, upper)
+            )
+        if found is not None:
+            return SolveResult(k, Coloring.total(found, k), nodes)
+        k += 1
 
 
 def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
@@ -168,19 +199,9 @@ def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
     bip = bipartition(g)
     if bip is not None:
         return SolveResult(2, Coloring.total(bip, 2), 0)
-    tracker = _Budget(budget)
-    upper = greedy_coloring(g, _degree_order(g)).palette_size
-    k = 3
-    while True:
-        try:
-            found = _exists_k_coloring(g, k, tracker, dynamic=False)
-        except SearchBudgetExceeded:
-            return SolveResult(
-                None, None, tracker.nodes, exhausted=True, bounds=(k, upper)
-            )
-        if found is not None:
-            return SolveResult(k, Coloring.total(found, k), tracker.nodes)
-        k += 1
+    order = dsatur_order(g)
+    upper = greedy_coloring(g, order).palette_size
+    return _min_palette(g, order, upper, budget, [])
 
 
 def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
@@ -198,18 +219,8 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
         if g.edge_count == 0:
             return SolveResult(1, Coloring((0,) * g.n, 1), 0)
         return SolveResult(2, Coloring.total(bipartition(g), 2), 0)
-    tracker = _Budget(budget)
-    k = 3
-    while True:
-        try:
-            found = _exists_k_coloring(g, k, tracker, dynamic=True)
-        except SearchBudgetExceeded:
-            return SolveResult(
-                None, None, tracker.nodes, exhausted=True, bounds=(k, g.n)
-            )
-        if found is not None:
-            return SolveResult(k, Coloring.total(found, k), tracker.nodes)
-        k += 1
+    groups = neighborhood_hypergraph(g).edges
+    return _min_palette(g, dsatur_order(g), g.n, budget, groups)
 
 
 def list_dynamic_coloring(
@@ -223,51 +234,13 @@ def list_dynamic_coloring(
     """
     if len(lists) != g.n:
         raise ValueError("list assignment must cover all vertices")
-    n = g.n
-    order = _degree_order(g)
-    adj = g.adjacency
-    deg = [len(a) for a in adj]
-    color = [-1] * n
-    uncolored_nbrs = deg[:]
-    tracker = _Budget(budget)
-    allowed = [tuple(sorted(lists[v])) for v in range(n)]
-
-    def neighborhood_bichromatic(v: int) -> bool:
-        first = color[adj[v][0]]
-        return any(color[u] != first for u in adj[v][1:])
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        used = {color[u] for u in adj[v] if color[u] >= 0}
-        for c in allowed[v]:
-            if c in used:
-                continue
-            tracker.tick()
-            color[v] = c
-            ok = True
-            for u in adj[v]:
-                uncolored_nbrs[u] -= 1
-            for u in adj[v]:
-                if (
-                    uncolored_nbrs[u] == 0
-                    and deg[u] >= 2
-                    and not neighborhood_bichromatic(u)
-                ):
-                    ok = False
-                    break
-            if ok and rec(i + 1):
-                return True
-            for u in adj[v]:
-                uncolored_nbrs[u] += 1
-            color[v] = -1
-        return False
-
-    if not rec(0):
+    allowed = [sorted(lists[v]) for v in range(g.n)]
+    groups = neighborhood_hypergraph(g).edges
+    found, _ = _search(dsatur_order(g), allowed, g.adjacency, groups, False, budget)
+    if found is None:
         return None
     palette = max((max(l, default=0) for l in allowed), default=0) + 1
-    return Coloring.total(color, palette)
+    return Coloring.total(found, palette)
 
 
 def hypergraph_2color_exact(
@@ -275,46 +248,17 @@ def hypergraph_2color_exact(
 ) -> Optional[Coloring]:
     """A 2-coloring with no monochromatic hyperedge, or a certified None.
 
-    Search fixes the color of the first vertex (swapping the two colors is
-    an automorphism of the constraint) and prunes a branch the moment an
-    edge is fully colored in one color.
+    Vertices are taken by descending hypergraph degree (ties by id), and a
+    branch dies the moment an edge is fully colored in one color.  Symmetry
+    breaking pins the first vertex to color 0: swapping the two colors is
+    an automorphism of the constraint.
     """
-    n = h.n
     if h.edge_count == 0:
-        return Coloring((0,) * n, 2)
+        return Coloring((0,) * h.n, 2)
     hdeg = h.vertex_degrees()
-    order = sorted(range(n), key=lambda v: (-hdeg[v], v))
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, f in enumerate(h.edges):
-        for v in f:
-            incident[v].append(i)
-    remaining = [len(f) for f in h.edges]
-    color = [-1] * n
-    tracker = _Budget(budget)
-    edges = h.edges
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for c in (0,) if i == 0 else (0, 1):
-            tracker.tick()
-            color[v] = c
-            for ei in incident[v]:
-                remaining[ei] -= 1
-            ok = True
-            for ei in incident[v]:
-                if remaining[ei] == 0 and len({color[u] for u in edges[ei]}) == 1:
-                    ok = False
-                    break
-            if ok and rec(i + 1):
-                return True
-            for ei in incident[v]:
-                remaining[ei] += 1
-            color[v] = -1
-        return False
-
-    return Coloring.total(color, 2) if rec(0) else None
+    order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
+    found, _ = _search(order, [(0, 1)] * h.n, [()] * h.n, h.edges, True, budget)
+    return Coloring.total(found, 2) if found is not None else None
 
 
 def is_k_critical(g: Graph, budget: Optional[int] = None) -> bool:

@@ -99,15 +99,25 @@ def write_dimacs(g: Graph) -> str:
 def read_edge_list(text: str) -> Graph:
     """Parse a plain 0-based edge list, one ``u v`` pair per line.
 
-    Blank lines and ``#`` comments are skipped; the vertex count is the
-    largest id seen plus one.
+    Blank lines and ``#`` comments are skipped.  One ``# vertices N``
+    comment, before the first edge, fixes the vertex count (so isolated
+    vertices survive) and any id >= N is rejected; without it the vertex
+    count is the largest id seen plus one.
     """
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     max_id = -1
+    declared: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            words = line[1:].split()
+            if len(words) == 2 and words[0] == "vertices" and words[1].isdecimal():
+                if edges or declared is not None:
+                    raise FormatError("vertex count must precede the edges", lineno)
+                declared = int(words[1])
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -118,6 +128,8 @@ def read_edge_list(text: str) -> Graph:
             raise FormatError(f"expected 'u v', got {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise FormatError(f"negative vertex id in {line!r}", lineno)
+        if declared is not None and max(u, v) >= declared:
+            raise FormatError(f"vertex id out of range in {line!r}", lineno)
         if u == v:
             raise FormatError(f"self-loop at vertex {u}", lineno)
         key = (min(u, v), max(u, v))
@@ -126,11 +138,11 @@ def read_edge_list(text: str) -> Graph:
         seen.add(key)
         edges.append(key)
         max_id = max(max_id, u, v)
-    return Graph.from_edges(max_id + 1, edges)
+    return Graph.from_edges(max_id + 1 if declared is None else declared, edges)
 
 
 def write_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
+    return f"# vertices {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 def read_graph_text(text: str) -> Graph:

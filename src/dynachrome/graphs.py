@@ -7,6 +7,7 @@ so identical calls always rebuild identical objects.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections import defaultdict, deque
@@ -32,6 +33,7 @@ __all__ = [
     "vertices_in_triangles",
     "is_connected",
     "bipartition",
+    "dsatur_order",
 ]
 
 
@@ -536,3 +538,33 @@ def bipartition(g: Graph) -> Optional[list[int]]:
                 elif color[u] == color[v]:
                     return None
     return color
+
+
+def dsatur_order(g: Graph) -> list[int]:
+    """The order in which DSATUR (Brélaz, CACM 1979) colors the vertices.
+
+    Each step takes the uncolored vertex whose colored neighbors show the
+    most distinct colors, ties by higher degree and then lower id, and
+    gives it the smallest color its neighbors lack.  First-fit greedy in
+    this order therefore reproduces the DSATUR coloring.
+    """
+    adj = g.adjacency
+    color = [-1] * g.n
+    seen: list[set[int]] = [set() for _ in range(g.n)]
+    heap = [(0, -len(adj[v]), v) for v in range(g.n)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        neg_sat, neg_deg, v = heapq.heappop(heap)
+        if color[v] >= 0 or -neg_sat != len(seen[v]):
+            continue  # stale entry: v was colored or has gained saturation
+        c = 0
+        while c in seen[v]:
+            c += 1
+        color[v] = c
+        order.append(v)
+        for u in adj[v]:
+            if color[u] < 0 and c not in seen[u]:
+                seen[u].add(c)
+                heapq.heappush(heap, (-len(seen[u]), -len(adj[u]), u))
+    return order

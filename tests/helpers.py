@@ -55,6 +55,42 @@ def naive_dynamic_chromatic(g: Graph, kmax=None) -> int:
     return _naive_min_palette(adjacency(g), valid_dynamic, kmax)
 
 
+def naive_dsatur_order(g: Graph) -> list[int]:
+    """DSATUR by rescanning every uncolored vertex at each step: most
+    distinct neighbor colors, then highest degree, then lowest id."""
+    color: dict[int, int] = {}
+    order = []
+    while len(order) < g.n:
+        def seen(v):
+            return {color[u] for u in g.adjacency[v] if u in color}
+
+        v = min((v for v in range(g.n) if v not in color),
+                key=lambda v: (-len(seen(v)), -g.degree(v), v))
+        c = 0
+        while c in seen(v):
+            c += 1
+        color[v] = c
+        order.append(v)
+    return order
+
+
+def naive_list_dynamic(g: Graph, lists) -> tuple[int, ...] | None:
+    """The first dynamic coloring in the product of the lists, or None."""
+    adj = adjacency(g)
+    for colors in itertools.product(*(sorted(lists[v]) for v in range(g.n))):
+        if valid_dynamic(adj, colors):
+            return colors
+    return None
+
+
+def brute_force_hypergraph_2colorable(h: Hypergraph) -> bool:
+    """Whether some one of the 2^n colorings leaves no hyperedge monochromatic."""
+    for colors in itertools.product((0, 1), repeat=h.n):
+        if all(len({colors[v] for v in f}) == 2 for f in h.edges):
+            return True
+    return False
+
+
 def brute_force_triangle_vertices(g: Graph) -> set[int]:
     """Triangle membership by scanning all vertex triples."""
     out: set[int] = set()

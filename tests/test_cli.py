@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dynachrome import Coloring, coloring_to_json_dict, cycle, read_dimacs
+from dynachrome import Coloring, Graph, coloring_to_json_dict, cycle, read_dimacs
 from dynachrome.cli import main
 
 
@@ -25,7 +25,9 @@ def test_gen_to_file_edgelist(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "kneser:5,2", "-o", str(target),
                      "--output-format", "edgelist")
     assert code == 0
-    assert len(target.read_text().strip().splitlines()) == 15
+    lines = target.read_text().strip().splitlines()
+    assert lines[0] == "# vertices 10"
+    assert len(lines[1:]) == 15
 
 
 def test_gen_invalid_spec_exits_1(capsys):
@@ -52,6 +54,13 @@ def test_solve_double_total_none(capsys):
     code, out, _ = run(capsys, "solve", "double-total", "--graph", "cycle:6")
     assert code == 0
     assert "no double total dominating set" in out
+
+
+def test_solve_chi_large_cubic_graph_exits_0(capsys):
+    code, out, _ = run(capsys, "solve", "chi", "--graph", "random_regular:3000,3",
+                       "--budget", "100000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == 3
 
 
 def test_solve_budget_exhausted_exits_2(capsys):
@@ -94,6 +103,23 @@ def test_construct_kneser(capsys):
     assert data["palette_size"] <= 5
     assert data["certificates"] == [{"check": "dynamic", "violations": 0}]
     assert data["gap"] <= 2
+
+
+def test_construct_kneser_passes_budget(capsys, monkeypatch):
+    from dynachrome import cli as cli_module
+
+    seen = {}
+    real = cli_module.constructions.kneser_dynamic_coloring
+
+    def spy(spec, **kwargs):
+        seen.update(kwargs)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(cli_module.constructions, "kneser_dynamic_coloring", spy)
+    code, _, _ = run(capsys, "construct", "kneser", "--m", "7", "--n", "3",
+                     "--budget", "3")
+    assert code == 0
+    assert seen["budget"] == 3
 
 
 def test_construct_compose(capsys):
@@ -162,6 +188,27 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert {v["kind"] for v in data["violations"]} == {"monochromatic_neighborhood"}
+
+
+def test_verify_rejects_a_record_for_another_graph(tmp_path, capsys):
+    gpath = tmp_path / "c5.col"
+    run(capsys, "gen", "cycle:5", "-o", str(gpath))
+    record = coloring_to_json_dict(Graph.from_edges(5, [(0, 1)]),
+                                   Coloring.total([0, 1, 2, 3, 4], 5))
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps(record))
+    code, _, err = run(capsys, "verify", "--graph", str(gpath),
+                       "--coloring", str(foreign))
+    assert code == 1
+    assert "graph_id" in err
+
+    del record["graph_id"]
+    anonymous = tmp_path / "anonymous.json"
+    anonymous.write_text(json.dumps(record))
+    code, out, _ = run(capsys, "verify", "--graph", str(gpath),
+                       "--coloring", str(anonymous), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["violations"] == []
 
 
 def test_experiment_gnp_csv(capsys):

@@ -7,6 +7,7 @@ import pytest
 from dynachrome import (
     BoundContext,
     Coloring,
+    ConstructionError,
     DegenerateParamsError,
     KneserSpec,
     LllParams,
@@ -15,6 +16,9 @@ from dynachrome import (
     balanced_subset_coloring,
     bound_report,
     check_dynamic,
+    check_hypergraph_2coloring,
+    check_proper,
+    chi_witness,
     chromatic_number,
     complete,
     complete_bipartite,
@@ -24,6 +28,7 @@ from dynachrome import (
     gnp,
     greedy_coloring,
     hypergraph_2color_exact,
+    hypergraph_2coloring,
     kneser,
     kneser_dynamic_coloring,
     neighborhood_hypergraph,
@@ -33,6 +38,7 @@ from dynachrome import (
     triangle_certificate,
     vertices_in_triangles,
 )
+from helpers import fano_plane
 
 
 def two_coloring(*cs):
@@ -144,6 +150,25 @@ def test_product_rejects_bad_f():
 # ----------------------------------------------------------------------
 # partial product
 # ----------------------------------------------------------------------
+
+
+def test_hypergraph_2coloring_outcomes():
+    h = neighborhood_hypergraph(cycle(8))
+    f = hypergraph_2coloring(h, budget=1)  # exact search exhausts, resampling succeeds
+    assert f is not None and check_hypergraph_2coloring(h, f) == []
+    assert hypergraph_2coloring(neighborhood_hypergraph(cycle(6))) is None
+    with pytest.raises(ConstructionError):
+        hypergraph_2coloring(fano_plane(), budget=3)
+
+
+def test_chi_witness_exact_then_greedy():
+    g = kneser(7, 2)  # 21 vertices, chi = 5
+    for kwargs, basis in [({}, "exact"), ({"exact_limit": 20}, "greedy"),
+                          ({"budget": 1}, "greedy")]:
+        c, got = chi_witness(g, **kwargs)
+        assert got == basis
+        assert check_proper(g, c) == []
+        assert (c.palette_size == 5) if basis == "exact" else (c.palette_size >= 5)
 
 
 def test_partial_product_k4():

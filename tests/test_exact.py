@@ -18,12 +18,14 @@ from dynachrome import (
     cycle,
     dynamic_chromatic_number,
     exact_double_total_dominating,
+    from_spec,
     gnp,
     greedy_coloring,
     hypergraph_2color_exact,
     is_k_critical,
     kneser,
     list_dynamic_coloring,
+    neighborhood_hypergraph,
     random_regular,
 )
 from helpers import (
@@ -287,3 +289,111 @@ def test_determinism():
     a = dynamic_chromatic_number(kneser(5, 2))
     b = dynamic_chromatic_number(kneser(5, 2))
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# pinned outputs: the hypergraph search keeps its order, so its witnesses,
+# members and node counts are fixed; graph searches may change witnesses
+# and node counts but never values
+# ----------------------------------------------------------------------
+
+
+PINNED_2COLORINGS = {
+    "rr12": (
+        random_regular(12, 3, 0),
+        [0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0],
+        [4, 7, 8, 9, 10],
+    ),
+    "rr30": (
+        random_regular(30, 4, 0),
+        [0] * 15 + [1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1],
+        [15, 16, 20, 21, 23, 25, 26, 27, 28, 29],
+    ),
+    "c9": (cycle(9), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_2COLORINGS))
+def test_pinned_hypergraph_witness_and_members(name):
+    g, colors, members = PINNED_2COLORINGS[name]
+    found = hypergraph_2color_exact(neighborhood_hypergraph(g))
+    assert (None if found is None else list(found.colors)) == colors
+    subset = exact_double_total_dominating(g)
+    assert (None if subset is None else sorted(subset.members)) == members
+
+
+def test_pinned_hypergraph_exhaustion_node_count():
+    h = neighborhood_hypergraph(random_regular(200, 3, 0))
+    with pytest.raises(SearchBudgetExceeded) as err:
+        hypergraph_2color_exact(h, budget=20000)
+    assert err.value.nodes_explored == 20001
+    with pytest.raises(SearchBudgetExceeded) as err:
+        exact_double_total_dominating(random_regular(200, 3, 0), budget=20000)
+    assert err.value.nodes_explored == 20001
+
+
+# (chi, chi_d) for seeds 0, 1, 2 of each random family; seed 0 alone for
+# the deterministic ones.
+PINNED_VALUES = {
+    "gnp:5,0.3": [(2, 2), (2, 3), (2, 3)],
+    "gnp:5,0.5": [(2, 4), (2, 4), (2, 3)],
+    "gnp:5,0.7": [(3, 3), (3, 3), (3, 3)],
+    "gnp:7,0.3": [(2, 3), (3, 3), (2, 3)],
+    "gnp:7,0.5": [(3, 3), (3, 3), (3, 3)],
+    "gnp:7,0.7": [(3, 3), (3, 3), (4, 4)],
+    "gnp:9,0.3": [(2, 3), (3, 4), (3, 3)],
+    "gnp:9,0.5": [(3, 4), (5, 5), (3, 3)],
+    "gnp:9,0.7": [(4, 4), (5, 5), (5, 5)],
+    "gnp:11,0.3": [(2, 3), (3, 3), (3, 4)],
+    "gnp:11,0.5": [(4, 4), (4, 4), (4, 4)],
+    "gnp:11,0.7": [(5, 5), (5, 5), (5, 5)],
+    "random_regular:8,3": [(3, 3), (3, 3), (3, 3)],
+    "random_regular:10,3": [(3, 4), (3, 3), (3, 4)],
+    "random_regular:12,3": [(3, 4), (3, 3), (3, 3)],
+    "random_regular:14,3": [(3, 3), (3, 4), (3, 3)],
+    "random_regular:9,4": [(3, 3), (3, 3), (3, 3)],
+    "random_regular:11,4": [(3, 3), (3, 3), (3, 3)],
+    "kneser:7,2": [(5, 5)],
+    "cycle:7": [(3, 4)],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_VALUES))
+def test_pinned_chi_and_chid_values(spec):
+    for seed, (chi, chid) in enumerate(PINNED_VALUES[spec]):
+        g = from_spec(spec, seed)
+        assert chromatic_number(g).value == chi
+        assert dynamic_chromatic_number(g).value == chid
+
+
+# ----------------------------------------------------------------------
+# large inputs: the searches keep no per-vertex Python stack frames, so a
+# budgeted search either decides or reports exhaustion at any size
+# ----------------------------------------------------------------------
+
+
+def test_chi_of_large_cubic_graph_is_decided():
+    res = chromatic_number(random_regular(3000, 3, 0), 100000)
+    assert res.value == 3
+    assert check_proper(random_regular(3000, 3, 0), res.witness) == []
+
+
+def test_list_dynamic_coloring_of_long_cycle_decides_or_exhausts():
+    g = cycle(3000)
+    lists = ListAssignment.uniform(3000, {0, 1, 2})
+    try:
+        c = list_dynamic_coloring(g, lists, budget=100000)
+    except SearchBudgetExceeded:
+        return
+    assert c is not None
+    assert check_dynamic(g, c) == []
+
+
+def test_hypergraph_search_on_large_cubic_graph_decides_or_exhausts():
+    h = neighborhood_hypergraph(random_regular(3000, 3, 0))
+    try:
+        c = hypergraph_2color_exact(h, budget=20000)
+    except SearchBudgetExceeded:
+        return
+    if c is not None:
+        assert check_hypergraph_2coloring(h, c) == []

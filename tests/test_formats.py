@@ -5,6 +5,7 @@ import pytest
 from dynachrome import (
     Coloring,
     FormatError,
+    Graph,
     coloring_from_json_dict,
     coloring_to_json_dict,
     complete,
@@ -78,10 +79,27 @@ def test_dimacs_comments_ignored():
 
 def test_edge_list_round_trip():
     for g in (cycle(6), complete(4), gnp(15, 0.4, seed=11)):
-        parsed = read_edge_list(write_edge_list(g))
-        # Isolated tail vertices are not representable in an edge list.
-        if g.min_degree > 0:
-            assert parsed == g
+        assert read_edge_list(write_edge_list(g)) == g
+
+
+def test_edge_list_keeps_trailing_isolated_vertices():
+    g = Graph.from_edges(5, [(0, 1)])
+    text = write_edge_list(g)
+    assert text.splitlines()[0] == "# vertices 5"
+    assert read_edge_list(text) == g
+    assert read_graph_text(text) == g
+    assert read_edge_list(write_edge_list(Graph.from_edges(3, []))).n == 3
+
+
+def test_edge_list_header_bounds_ids():
+    with pytest.raises(FormatError) as err:
+        read_edge_list("# vertices 3\n0 1\n1 3\n")
+    assert err.value.line == 3
+    with pytest.raises(FormatError):
+        read_edge_list("0 1\n# vertices 3\n")
+    # Without the header the count is still the largest id plus one.
+    assert read_edge_list("0 1\n1 3\n").n == 4
+    assert read_edge_list("# vertices of a path\n0 1\n1 3\n").n == 4
 
 
 def test_edge_list_rejects():
