@@ -1,10 +1,17 @@
 """Constructive avoidance of bad events by targeted resampling.
 
-Each routine starts from an independent random state, repeatedly picks the
-lowest-indexed violated event, and re-randomizes exactly that event's
-variables until no event is violated or a resample cap is hit.  Runs are
-deterministic given the seed; non-convergence within the cap is reported
-as "exhausted", never treated as a proof that no solution exists.
+The four samplers share one engine in the style of Moser and Tardos (J. ACM
+2010).  A routine supplies its events (each event's variables, in redraw
+order), a violation test and a per-variable draw.  The engine draws every
+variable once, then re-draws the variables of the lowest-indexed violated
+event until none is violated or a resample cap is hit.  A full scan seeds a
+min-heap of violated events; after a resample only the events that share a
+variable with it are re-tested, and stale heap entries are dropped when
+they surface.  The RNG is drawn in the order that a full rescan after every
+resample would draw it, so outputs and logs are exactly those of that
+simpler loop, deterministic given the seed.  "success" is reported only
+after a final full scan finds no violated event; non-convergence within the
+cap is reported as "exhausted", never as a proof that no solution exists.
 
 The two condition evaluators are exact arithmetic checks of when this
 scheme is guaranteed to work (small event probability, few dependencies);
@@ -13,10 +20,12 @@ the samplers themselves run regardless and simply report what happened.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import warnings
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,6 +131,7 @@ class LllParams:
             raise ValueError("c_prime must exceed 6")
         if k < 2:
             raise ValueError("need degree k >= 2")
+        _cap(max_resamples, 0)  # raises on a negative cap
         raw_p = c_prime * math.log(k) / k
         clamped = False
         p = raw_p
@@ -192,9 +202,59 @@ class ResampleLog:
 
 
 def _cap(max_resamples: Optional[int], n_events: int) -> int:
-    if max_resamples is not None:
-        return max_resamples
-    return DEFAULT_CAP_PER_EVENT * max(n_events, 1)
+    if max_resamples is None:
+        return DEFAULT_CAP_PER_EVENT * max(n_events, 1)
+    if max_resamples < 0:
+        raise ValueError(f"max_resamples must be >= 0, got {max_resamples}")
+    return max_resamples
+
+
+def _resample(
+    event_vars: Sequence[Sequence[int]], var_events: Sequence[Sequence[int]],
+    draw: Callable[[int], object], violated: Callable[[list, int], bool],
+    max_resamples: Optional[int], seed: int, snapshot: Callable[[list], object],
+    params: Optional[dict] = None,
+) -> ResampleLog:
+    """Draw ``state[v] = draw(v)`` for every variable, then resample until
+    ``violated(state, i)`` holds for no event i or the cap is spent.
+
+    ``event_vars[i]`` lists event i's variables in redraw order and
+    ``var_events[v]`` the events containing variable v.  ``heap`` holds
+    every violated event (``queued`` marks its entries) plus stale ones.
+    """
+    n = len(event_vars)
+    cap = _cap(max_resamples, n)
+    state = [draw(v) for v in range(len(var_events))]
+    triggers: Counter[int] = Counter()
+    count = 0
+    heap: list[int] = []
+    while True:
+        if not heap:  # full scan: seeds the heap, or confirms success
+            queued = [violated(state, i) for i in range(n)]
+            heap = [i for i in range(n) if queued[i]]
+            if not heap:
+                break
+        bad = heap[0]
+        if not violated(state, bad):
+            heapq.heappop(heap)
+            queued[bad] = False
+            continue
+        if count >= cap:
+            break
+        count += 1
+        triggers[bad] += 1
+        for v in event_vars[bad]:
+            state[v] = draw(v)
+        for j in {j for v in event_vars[bad] for j in var_events[v]}:
+            if not queued[j] and violated(state, j):
+                queued[j] = True
+                heapq.heappush(heap, j)
+    outcome = "exhausted" if heap else "success"
+    return ResampleLog(outcome, count, dict(triggers), snapshot(state), seed, cap, params)
+
+
+def _members(in_t: list[bool]) -> list[int]:
+    return [v for v, inside in enumerate(in_t) if inside]
 
 
 def moser_tardos_2color(
@@ -206,29 +266,20 @@ def moser_tardos_2color(
     the vertices of the lowest-indexed monochromatic edge.  The default
     cap is 1000 per edge.
     """
-    cap = _cap(max_resamples, h.edge_count)
     rng = random.Random(seed)
-    color = [rng.randrange(2) for _ in range(h.n)]
     edge_vertices = [tuple(sorted(f)) for f in h.edges]
-    triggers: Counter[int] = Counter()
-    count = 0
-    while True:
-        violated = None
-        for i, vs in enumerate(edge_vertices):
-            first = color[vs[0]]
-            if all(color[v] == first for v in vs[1:]):
-                violated = i
-                break
-        if violated is None:
-            log = ResampleLog("success", count, dict(triggers), color[:], seed, cap)
-            return Coloring.total(color, 2) if h.n else Coloring((), 2), log
-        if count >= cap:
-            log = ResampleLog("exhausted", count, dict(triggers), color[:], seed, cap)
-            return None, log
-        count += 1
-        triggers[violated] += 1
-        for v in edge_vertices[violated]:
-            color[v] = rng.randrange(2)
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, vs in enumerate(edge_vertices):
+        for v in vs:
+            incident[v].append(i)
+
+    def monochromatic(color: list[int], i: int) -> bool:
+        first, *rest = edge_vertices[i]
+        return all(color[v] == color[first] for v in rest)
+
+    log = _resample(edge_vertices, incident, lambda v: rng.randrange(2), monochromatic,
+                    max_resamples, seed, list.copy)
+    return (Coloring.total(log.final_state, 2) if log.success else None), log
 
 
 def find_double_total_dominating(
@@ -247,30 +298,15 @@ def find_double_total_dominating(
                 f"vertex {v} has degree {g.degree(v)}; its neighborhood cannot "
                 "meet both the subset and its complement"
             )
-    cap = _cap(max_resamples, g.n)
     rng = random.Random(seed)
-    in_t = [rng.randrange(2) == 1 for _ in range(g.n)]
-    triggers: Counter[int] = Counter()
-    count = 0
 
-    def violated_at(v: int) -> bool:
+    def one_sided(in_t: list[bool], v: int) -> bool:
         inside = sum(1 for u in g.adjacency[v] if in_t[u])
         return inside == 0 or inside == g.degree(v)
 
-    while True:
-        bad = next((v for v in range(g.n) if violated_at(v)), None)
-        if bad is None:
-            members = frozenset(v for v in range(g.n) if in_t[v])
-            log = ResampleLog("success", count, dict(triggers), sorted(members), seed, cap)
-            return VertexSubset(members, g.n), log
-        if count >= cap:
-            state = sorted(v for v in range(g.n) if in_t[v])
-            log = ResampleLog("exhausted", count, dict(triggers), state, seed, cap)
-            return None, log
-        count += 1
-        triggers[bad] += 1
-        for u in g.adjacency[bad]:
-            in_t[u] = rng.randrange(2) == 1
+    log = _resample(g.adjacency, g.adjacency, lambda v: rng.randrange(2) == 1, one_sided,
+                    max_resamples, seed, _members)
+    return (VertexSubset(frozenset(log.final_state), g.n) if log.success else None), log
 
 
 def find_balanced_subset(
@@ -297,37 +333,15 @@ def find_balanced_subset(
             "rebuild params with clamp_p=True to run a clamped experiment"
         )
     upper = 2.0 * params.c_prime * math.log(k)
-    cap = _cap(params.max_resamples, g.n)
     rng = random.Random(params.seed)
-    p = params.p
-    in_t = [rng.random() < p for _ in range(g.n)]
-    triggers: Counter[int] = Counter()
-    count = 0
 
-    def violated_at(v: int) -> bool:
+    def unbalanced(in_t: list[bool], v: int) -> bool:
         d = sum(1 for u in g.adjacency[v] if in_t[u])
         return d == 0 or d >= upper or d == k
 
-    while True:
-        bad = next((v for v in range(g.n) if violated_at(v)), None)
-        if bad is None:
-            members = frozenset(v for v in range(g.n) if in_t[v])
-            log = ResampleLog(
-                "success", count, dict(triggers), sorted(members), params.seed, cap,
-                params=params.to_json_dict(),
-            )
-            return VertexSubset(members, g.n), log
-        if count >= cap:
-            state = sorted(v for v in range(g.n) if in_t[v])
-            log = ResampleLog(
-                "exhausted", count, dict(triggers), state, params.seed, cap,
-                params=params.to_json_dict(),
-            )
-            return None, log
-        count += 1
-        triggers[bad] += 1
-        for u in g.adjacency[bad]:
-            in_t[u] = rng.random() < p
+    log = _resample(g.adjacency, g.adjacency, lambda v: rng.random() < params.p, unbalanced,
+                    params.max_resamples, params.seed, _members, params.to_json_dict())
+    return (VertexSubset(frozenset(log.final_state), g.n) if log.success else None), log
 
 
 def select_sublists(
@@ -356,13 +370,9 @@ def select_sublists(
     if not 1 <= l <= m:
         raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
     pool = [tuple(sorted(lists[v])) for v in range(g.n)]
-    cap = _cap(max_resamples, g.n)
     rng = random.Random(seed)
-    sub = [frozenset(rng.sample(pool[v], l)) for v in range(g.n)]
-    triggers: Counter[int] = Counter()
-    count = 0
 
-    def violated_at(v: int) -> bool:
+    def shared_color(sub: list[frozenset[int]], v: int) -> bool:
         nbrs = g.adjacency[v]
         inter = set(sub[nbrs[0]])
         for u in nbrs[1:]:
@@ -371,18 +381,6 @@ def select_sublists(
                 return False
         return bool(inter)
 
-    while True:
-        bad = next((v for v in range(g.n) if violated_at(v)), None)
-        if bad is None:
-            result = ListAssignment(tuple(sub))
-            state = [sorted(s) for s in sub]
-            log = ResampleLog("success", count, dict(triggers), state, seed, cap)
-            return result, log
-        if count >= cap:
-            state = [sorted(s) for s in sub]
-            log = ResampleLog("exhausted", count, dict(triggers), state, seed, cap)
-            return None, log
-        count += 1
-        triggers[bad] += 1
-        for u in g.adjacency[bad]:
-            sub[u] = frozenset(rng.sample(pool[u], l))
+    log = _resample(g.adjacency, g.adjacency, lambda v: frozenset(rng.sample(pool[v], l)),
+                    shared_color, max_resamples, seed, lambda sub: [sorted(s) for s in sub])
+    return (ListAssignment.of(log.final_state) if log.success else None), log

@@ -4,7 +4,9 @@ The naive solvers here deliberately avoid the package's search code: they
 enumerate colorings outright (with only the first vertex's color pinned,
 which is sound because permuting colors preserves validity) and check
 validity with direct loops.  They exist to cross-examine the solvers, so
-they must stay independent of them.
+they must stay independent of them.  ``naive_resample`` is the same kind
+of oracle for the resampling routines: it rescans every event after every
+resample.
 """
 
 from __future__ import annotations
@@ -116,6 +118,32 @@ def brute_force_double_total_sets(g: Graph) -> list[frozenset[int]]:
         if ok:
             out.append(frozenset(t))
     return out
+
+
+def naive_resample(event_vars, violated, redraw, cap=None):
+    """Resample the lowest-indexed violated event until none is violated or
+    ``cap`` resamples are spent, rescanning all events after each resample.
+
+    ``event_vars[i]`` lists event i's variables in redraw order; ``violated(i)``
+    tests event i on the caller's state and ``redraw(v)`` re-draws variable v
+    in it.  A cap of None means 1000 per event.  Returns the outcome
+    ("success" or "exhausted"), the resample count, the per-event resample
+    counts and the cap.
+    """
+    if cap is None:
+        cap = 1000 * max(len(event_vars), 1)
+    triggers: dict[int, int] = {}
+    count = 0
+    while True:
+        bad = next((i for i in range(len(event_vars)) if violated(i)), None)
+        if bad is None:
+            return "success", count, triggers, cap
+        if count >= cap:
+            return "exhausted", count, triggers, cap
+        count += 1
+        triggers[bad] = triggers.get(bad, 0) + 1
+        for v in event_vars[bad]:
+            redraw(v)
 
 
 # Seven points, seven 3-element lines, every two lines meeting: the

@@ -1,5 +1,6 @@
 """Condition evaluators and resampling runs, cross-checked by the verifiers."""
 
+import dataclasses
 import math
 
 import pytest
@@ -118,6 +119,27 @@ def test_params_validation():
         LllParams.for_degree(16, c_prime=6.0)
     with pytest.raises(ValueError):
         LllParams.for_degree(1)
+
+
+@pytest.mark.parametrize("cap", [-1, -7])
+def test_negative_resample_cap_rejected(cap):
+    # A single edge 2-colors on the first draw for seed 4, so a negative cap
+    # must be refused up front, not only once a resample is due.
+    with pytest.raises(ValueError):
+        moser_tardos_2color(Hypergraph.from_edges(2, [(0, 1)]), seed=4, max_resamples=cap)
+    with pytest.raises(ValueError):
+        moser_tardos_2color(triangle_hypergraph(), seed=0, max_resamples=cap)
+    with pytest.raises(ValueError):
+        find_double_total_dominating(cycle(8), seed=0, max_resamples=cap)
+    with pytest.raises(ValueError):
+        select_sublists(cycle(4), ListAssignment.uniform(4, range(4)), 1, max_resamples=cap)
+    with pytest.raises(ValueError):
+        LllParams.for_degree(16, clamp_p=True, max_resamples=cap)
+    with pytest.warns(UserWarning):
+        params = LllParams.for_degree(16, clamp_p=True)
+    with pytest.raises(ValueError):
+        find_balanced_subset(random_regular(40, 16, seed=0),
+                             dataclasses.replace(params, max_resamples=cap))
 
 
 # ----------------------------------------------------------------------
