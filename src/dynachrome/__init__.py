@@ -23,8 +23,10 @@ from .constructions import (
     bound_report,
     chi_witness,
     compose_disjoint_palettes,
+    double_total_coloring,
     hypergraph_2coloring,
     kneser_dynamic_coloring,
+    neighborhood_product_coloring,
     partial_product_coloring,
     product_coloring,
     triangle_certificate,

@@ -15,13 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import constructions, exact, experiments, formats, lll
-from .graphs import (
-    Graph,
-    KneserSpec,
-    from_spec,
-    induced_subgraph,
-    neighborhood_hypergraph,
-)
+from .graphs import Graph, KneserSpec, from_spec
 from .verify import (
     check_dynamic,
     check_proper,
@@ -54,7 +48,12 @@ def _load_graph(value: str, seed: int) -> Graph:
 
 def _default_budget() -> Optional[int]:
     raw = os.environ.get(ENV_BUDGET)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
@@ -90,11 +89,7 @@ def _cmd_solve(args) -> int:
     elif args.problem == "chid":
         res = exact.dynamic_chromatic_number(g, args.budget)
     else:  # double-total
-        try:
-            subset = exact.exact_double_total_dominating(g, args.budget)
-        except exact.SearchBudgetExceeded as exc:
-            print(f"budget exhausted: {exc}", file=sys.stderr)
-            return _ExitCode.EXHAUSTED
+        subset = exact.exact_double_total_dominating(g, args.budget)
         payload = {
             "found": subset is not None,
             "members": sorted(subset.members) if subset is not None else None,
@@ -165,39 +160,12 @@ def _cmd_construct(args) -> int:
 
     g = _load_graph(args.graph, args.seed)
     if args.kind == "product":
-        c, _ = constructions.chi_witness(g, budget)
-        f = constructions.hypergraph_2coloring(
-            neighborhood_hypergraph(g), budget, args.seed
-        )
-        if f is None:
-            print(
-                "neighborhood hypergraph is not 2-colorable (certified)",
-                file=sys.stderr,
-            )
-            return _ExitCode.INVALID
-        coloring = constructions.product_coloring(g, c, f)
+        coloring = constructions.neighborhood_product_coloring(g, budget, args.seed)
         _output_coloring(g, coloring, args.format)
         return _ExitCode.OK
 
     if args.kind == "compose":
-        try:
-            subset, log = lll.find_double_total_dominating(g, seed=args.seed)
-        except lll.InfeasibleStructureError as exc:
-            print(f"invalid input: {exc}", file=sys.stderr)
-            return _ExitCode.INVALID
-        if subset is None:
-            subset = exact.exact_double_total_dominating(g, budget)
-            if subset is None:
-                print(
-                    "no double total dominating set exists (certified)",
-                    file=sys.stderr,
-                )
-                return _ExitCode.INVALID
-        g_in, _ = induced_subgraph(g, subset)
-        g_out, _ = induced_subgraph(g, subset.complement())
-        c_in, _ = constructions.chi_witness(g_in, budget)
-        c_out, _ = constructions.chi_witness(g_out, budget)
-        coloring = constructions.compose_disjoint_palettes(g, subset, c_in, c_out)
+        coloring, subset = constructions.double_total_coloring(g, budget, args.seed)
         _output_coloring(g, coloring, args.format, {"subset": sorted(subset.members)})
         return _ExitCode.OK
 
@@ -317,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = kinds.add_parser("kneser", help="t+4 coloring of a disjointness graph")
     pk.add_argument("--m", type=int, required=True)
     pk.add_argument("--n", type=int, required=True)
-    pk.add_argument("--seed", type=int, default=0)
-    pk.add_argument("--budget", type=int, default=_default_budget())
-    pk.add_argument("--format", choices=["json", "text"], default="text")
+    _add_common(pk, graph=False)
     pk.set_defaults(handler=_cmd_construct)
 
     for kind, help_text in [
@@ -367,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         # Covers malformed files, bad specs, and failed preconditions.

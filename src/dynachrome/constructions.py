@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .exact import (
     SearchBudgetExceeded,
     chromatic_number,
+    exact_double_total_dominating,
     greedy_coloring,
     hypergraph_2color_exact,
     is_k_critical,
@@ -31,7 +32,13 @@ from .graphs import (
     neighborhood_hypergraph,
     vertices_in_triangles,
 )
-from .lll import LllParams, ResampleLog, find_balanced_subset, moser_tardos_2color
+from .lll import (
+    LllParams,
+    ResampleLog,
+    find_balanced_subset,
+    find_double_total_dominating,
+    moser_tardos_2color,
+)
 from .verify import (
     Coloring,
     Violation,
@@ -52,6 +59,8 @@ __all__ = [
     "hypergraph_2coloring",
     "kneser_dynamic_coloring",
     "KneserColoringResult",
+    "neighborhood_product_coloring",
+    "double_total_coloring",
     "balanced_subset_coloring",
     "BalancedColoringResult",
     "triangle_certificate",
@@ -93,6 +102,28 @@ def _certify_dynamic(g: Graph, c: Coloring, what: str) -> Coloring:
     return c
 
 
+def _check_sides(g: Graph, t: VertexSubset, inside: Coloring, outside: Coloring) -> None:
+    """Require ``inside`` proper on G[T] and ``outside`` on G[V - T]."""
+    bad = check_proper(induced_subgraph(g, t)[0], inside)
+    if bad:
+        raise PreconditionError("inside coloring is not proper on G[T]", bad)
+    bad = check_proper(induced_subgraph(g, t.complement())[0], outside)
+    if bad:
+        raise PreconditionError("outside coloring is not proper on G[V - T]", bad)
+
+
+def _glue(t: VertexSubset, inside: Coloring, outside: Coloring) -> Coloring:
+    """Give T's members, in ascending id order, the colors of ``inside``
+    and every other vertex, likewise, the colors of ``outside`` shifted
+    past the inside palette.  Ascending id order is how induced_subgraph
+    numbers G[T] and G[V - T]."""
+    shift = inside.palette_size
+    members = t.members
+    ins, outs = iter(inside.colors), iter(outside.colors)
+    colors = tuple(next(ins) if v in members else shift + next(outs) for v in range(t.n))
+    return Coloring(colors, shift + outside.palette_size)
+
+
 # ======================================================================
 # Palette compositions
 # ======================================================================
@@ -114,22 +145,8 @@ def compose_disjoint_palettes(
     dom = check_domination(g, t, "double_total")
     if dom:
         raise PreconditionError("subset is not double total dominating", dom)
-    g_in, map_in = induced_subgraph(g, t)
-    g_out, map_out = induced_subgraph(g, t.complement())
-    bad = check_proper(g_in, c_in)
-    if bad:
-        raise PreconditionError("inside coloring is not proper on G[T]", bad)
-    bad = check_proper(g_out, c_out)
-    if bad:
-        raise PreconditionError("outside coloring is not proper on G[V - T]", bad)
-    shift = c_in.palette_size
-    colors: list[Optional[int]] = [None] * g.n
-    for new, old in enumerate(map_in):
-        colors[old] = c_in[new]
-    for new, old in enumerate(map_out):
-        colors[old] = shift + c_out[new]
-    combined = Coloring(tuple(colors), shift + c_out.palette_size)
-    return _certify_dynamic(g, combined, "disjoint-palette composition")
+    _check_sides(g, t, c_in, c_out)
+    return _certify_dynamic(g, _glue(t, c_in, c_out), "disjoint-palette composition")
 
 
 def product_coloring(g: Graph, c: Coloring, f: Coloring) -> Coloring:
@@ -173,14 +190,7 @@ def partial_product_coloring(
     dom = check_domination(g, t, "total")
     if dom:
         raise PreconditionError("subset is not total dominating", dom)
-    g_t, map_t = induced_subgraph(g, t)
-    g_out, map_out = induced_subgraph(g, t.complement())
-    bad = check_proper(g_t, c_t)
-    if bad:
-        raise PreconditionError("inside coloring is not proper on G[T]", bad)
-    bad = check_proper(g_out, c_out)
-    if bad:
-        raise PreconditionError("outside coloring is not proper on G[V - T]", bad)
+    _check_sides(g, t, c_t, c_out)
     h_t = neighborhood_hypergraph(g, target=t)
     bad = check_hypergraph_2coloring(h_t, f)
     if bad:
@@ -188,14 +198,10 @@ def partial_product_coloring(
             "f is not a valid 2-coloring of the T-restricted neighborhood hypergraph",
             bad,
         )
-    pair_palette = 2 * c_t.palette_size
-    colors: list[Optional[int]] = [None] * g.n
-    for i, old in enumerate(map_t):
-        colors[old] = 2 * c_t[i] + f[i]
-    for j, old in enumerate(map_out):
-        colors[old] = pair_palette + c_out[j]
-    combined = Coloring(tuple(colors), pair_palette + c_out.palette_size)
-    return _certify_dynamic(g, combined, "partial product coloring")
+    pairs = Coloring(
+        tuple(2 * a + b for a, b in zip(c_t.colors, f.colors)), 2 * c_t.palette_size
+    )
+    return _certify_dynamic(g, _glue(t, pairs, c_out), "partial product coloring")
 
 
 # ======================================================================
@@ -262,7 +268,7 @@ def kneser_dynamic_coloring(
     tail = VertexSubset(
         frozenset(i for i, a in enumerate(subsets) if min(a) > t), g.n
     )
-    g_tail, map_tail = induced_subgraph(g, tail)
+    g_tail, _ = induced_subgraph(g, tail)
     two = bipartition(g_tail)
     if two is None:
         raise CertificationError(
@@ -288,6 +294,45 @@ def kneser_dynamic_coloring(
         max_colors=t + 4,
         chromatic_number=t + 2,
     )
+
+
+def neighborhood_product_coloring(
+    g: Graph, budget: Optional[int] = None, seed: int = 0
+) -> Coloring:
+    """Dynamic coloring on twice a chi witness's palette.
+
+    A :func:`chi_witness` of ``g`` is paired by :func:`product_coloring`
+    with a 2-coloring of the neighborhood hypergraph from
+    :func:`hypergraph_2coloring`.  PreconditionError means that hypergraph
+    is certified not 2-colorable; ConstructionError means its search and
+    resampling both gave up.
+    """
+    c, _ = chi_witness(g, budget)
+    f = hypergraph_2coloring(neighborhood_hypergraph(g), budget, seed)
+    if f is None:
+        raise PreconditionError("neighborhood hypergraph is not 2-colorable (certified)")
+    return product_coloring(g, c, f)
+
+
+def double_total_coloring(
+    g: Graph, budget: Optional[int] = None, seed: int = 0
+) -> tuple[Coloring, VertexSubset]:
+    """Dynamic coloring on chi witnesses of G[T] and G[V - T], and its T.
+
+    The double total dominating T comes from resampling, or from exact
+    search when resampling exhausts its cap; :func:`chi_witness` colorings
+    of both sides are glued by :func:`compose_disjoint_palettes`.  A vertex
+    of degree <= 1 raises InfeasibleStructureError (a ValueError), a
+    certified absence of T PreconditionError, and an exact search over
+    budget SearchBudgetExceeded.
+    """
+    subset, _ = find_double_total_dominating(g, seed=seed)
+    if subset is None:
+        subset = exact_double_total_dominating(g, budget)
+        if subset is None:
+            raise PreconditionError("no double total dominating set exists (certified)")
+    (c_in, _), (c_out, _) = _split_witnesses(g, subset, budget)
+    return compose_disjoint_palettes(g, subset, c_in, c_out), subset
 
 
 @dataclass(frozen=True)
@@ -320,16 +365,11 @@ def balanced_subset_coloring(
             f"balanced subset unavailable: resampling exhausted after "
             f"{log.resample_count} resamples (seed {log.seed})"
         )
-    g_t, map_t = induced_subgraph(g, subset)
-    c_t = greedy_coloring(g_t)
-    shift = c_t.palette_size
-    colors: list[Optional[int]] = [None] * g.n
-    for i, old in enumerate(map_t):
-        colors[old] = c_t[i]
-    for v in range(g.n):
-        if colors[v] is None:
-            colors[v] = shift + chi_witness[v]
-    combined = Coloring(tuple(colors), shift + chi_witness.palette_size)
+    g_t, _ = induced_subgraph(g, subset)
+    rest = Coloring(
+        tuple(chi_witness[v] for v in subset.complement()), chi_witness.palette_size
+    )
+    combined = _glue(subset, greedy_coloring(g_t), rest)
     _certify_dynamic(g, combined, "balanced subset coloring")
     k = params.k
     bound = chi_witness.palette_size + math.floor(2 * params.c_prime * math.log(k)) + 1
@@ -361,20 +401,19 @@ def triangle_certificate(g: Graph, c: Coloring) -> TriangleCertificate:
     adjacent, hence differently colored under any proper coloring.  The
     implication is still re-verified by running the dynamic check on ``c``.
     """
-    bad = check_proper(g, c)
-    if bad:
-        raise PreconditionError("coloring is not proper", bad)
+    violations = check_dynamic(g, c)
+    improper = [v for v in violations if v.kind == "improper_edge"]
+    if improper:
+        raise PreconditionError("coloring is not proper", improper)
     covered = vertices_in_triangles(g)
     uncovered = tuple(v for v in range(g.n) if v not in covered)
     certified = not uncovered
-    if certified:
-        violations = check_dynamic(g, c)
-        if violations:
-            raise CertificationError(
-                "every vertex lies in a triangle yet the proper coloring "
-                "failed the dynamic check",
-                violations,
-            )
+    if certified and violations:
+        raise CertificationError(
+            "every vertex lies in a triangle yet the proper coloring "
+            "failed the dynamic check",
+            violations,
+        )
     return TriangleCertificate(certified, uncovered)
 
 
@@ -447,6 +486,23 @@ def chi_witness(
     return greedy_coloring(g, dsatur_order(g)), "greedy"
 
 
+def _split_witnesses(
+    g: Graph, t: VertexSubset, budget: Optional[int], exact_limit: int = 28
+) -> tuple[tuple[Coloring, str], tuple[Coloring, str]]:
+    """:func:`chi_witness` of G[T] and of G[V - T], in that order."""
+    inside, _ = induced_subgraph(g, t)
+    outside, _ = induced_subgraph(g, t.complement())
+    return chi_witness(inside, budget, exact_limit), chi_witness(outside, budget, exact_limit)
+
+
+def _record(name: str, source: str, ok: bool, evaluate, *args) -> BoundRecord:
+    """One bound record; ``evaluate(*args) -> (value, basis)`` runs only
+    when the hypothesis holds, since a failed hypothesis claims no value
+    and no basis."""
+    value, basis = evaluate(*args) if ok else (None, None)
+    return BoundRecord(name, ok, value, source, basis)
+
+
 def bound_report(
     g: Graph,
     context: Optional[BoundContext] = None,
@@ -468,113 +524,59 @@ def bound_report(
     is_c5 = g.n == 5 and g.edge_count == 5 and g.regular_degree() == 2 and connected
     doubling_ok = g.n > 0 and math.e * delta * delta <= 2.0 ** (g.min_degree - 1)
 
-    records: list[BoundRecord] = []
-    high = connected and delta >= 4
-    records.append(
-        BoundRecord(
+    def doubled_chi():
+        if ctx.chi is not None:
+            return 2 * ctx.chi, "exact"
+        witness, basis = chi_witness(g, budget, exact_limit)
+        return 2 * witness.palette_size, basis
+
+    def split(t: VertexSubset, inside_weight: int):
+        (c_in, b_in), (c_out, b_out) = _split_witnesses(g, t, budget, exact_limit)
+        return c_out.palette_size + inside_weight * c_in.palette_size, f"{b_out}/{b_in}"
+
+    double_total, total, spec = ctx.double_total, ctx.total, ctx.kneser
+    records = [
+        _record(
             "max_degree_plus_one",
-            high,
-            delta + 1 if high else None,
             "Δ+1 for connected graphs with Δ ≥ 4",
-        )
-    )
-    low = connected and g.n > 0 and delta <= 3 and not is_c5
-    records.append(
-        BoundRecord(
+            connected and delta >= 4,
+            lambda: (delta + 1, None),
+        ),
+        _record(
             "low_max_degree",
-            low,
-            4 if low else None,
             "4 for connected graphs with Δ ≤ 3, the 5-cycle excepted",
-        )
-    )
-    records.append(
-        BoundRecord(
-            "five_cycle_exact",
-            is_c5,
-            5 if is_c5 else None,
-            "the 5-cycle needs exactly 5 colors",
-        )
-    )
-
-    chi = None
-    chi_basis = None
-    if doubling_ok and ctx.chi is not None:
-        chi, chi_basis = ctx.chi, "exact"
-    elif doubling_ok:
-        witness, chi_basis = chi_witness(g, budget, exact_limit)
-        chi = witness.palette_size
-    records.append(
-        BoundRecord(
-            "neighborhood_two_coloring",
-            doubling_ok,
-            2 * chi if doubling_ok else None,
-            "2χ when e·Δ² ≤ 2^(δ−1)",
-            chi_basis,
-        )
-    )
-
-    if ctx.double_total is not None and not check_domination(g, ctx.double_total):
-        g_in, _ = induced_subgraph(g, ctx.double_total)
-        g_out, _ = induced_subgraph(g, ctx.double_total.complement())
-        c_in, b_in = chi_witness(g_in, budget, exact_limit)
-        c_out, b_out = chi_witness(g_out, budget, exact_limit)
-        records.append(
-            BoundRecord(
-                "double_total_split",
-                True,
-                c_out.palette_size + c_in.palette_size,
-                "χ(G[V−T]) + χ(G[T]) for a double total dominating T",
-                f"{b_out}/{b_in}",
-            )
-        )
-    else:
-        records.append(
-            BoundRecord(
-                "double_total_split",
-                False,
-                None,
-                "χ(G[V−T]) + χ(G[T]) for a double total dominating T",
-            )
-        )
-
-    total_ok = (
-        ctx.total is not None
-        and doubling_ok
-        and not check_domination(g, ctx.total, "total")
-    )
-    if total_ok:
-        g_in, _ = induced_subgraph(g, ctx.total)
-        g_out, _ = induced_subgraph(g, ctx.total.complement())
-        c_in, b_in = chi_witness(g_in, budget, exact_limit)
-        c_out, b_out = chi_witness(g_out, budget, exact_limit)
-        records.append(
-            BoundRecord(
-                "total_split_doubled",
-                True,
-                c_out.palette_size + 2 * c_in.palette_size,
-                "χ(G[V−T]) + 2χ(G[T]) for a total dominating T under e·Δ² ≤ 2^(δ−1)",
-                f"{b_out}/{b_in}",
-            )
-        )
-    else:
-        records.append(
-            BoundRecord(
-                "total_split_doubled",
-                False,
-                None,
-                "χ(G[V−T]) + 2χ(G[T]) for a total dominating T under e·Δ² ≤ 2^(δ−1)",
-            )
-        )
-
-    kneser_ok = ctx.kneser is not None and 1 <= ctx.kneser.t < ctx.kneser.n
-    records.append(
-        BoundRecord(
+            connected and g.n > 0 and delta <= 3 and not is_c5,
+            lambda: (4, None),
+        ),
+        _record(
+            "five_cycle_exact", "the 5-cycle needs exactly 5 colors", is_c5, lambda: (5, None)
+        ),
+        _record(
+            "neighborhood_two_coloring", "2χ when e·Δ² ≤ 2^(δ−1)", doubling_ok, doubled_chi
+        ),
+        _record(
+            "double_total_split",
+            "χ(G[V−T]) + χ(G[T]) for a double total dominating T",
+            double_total is not None and not check_domination(g, double_total),
+            split,
+            double_total,
+            1,
+        ),
+        _record(
+            "total_split_doubled",
+            "χ(G[V−T]) + 2χ(G[T]) for a total dominating T under e·Δ² ≤ 2^(δ−1)",
+            total is not None and doubling_ok and not check_domination(g, total, "total"),
+            split,
+            total,
+            2,
+        ),
+        _record(
             "kneser_partition",
-            kneser_ok,
-            ctx.kneser.t + 4 if kneser_ok else None,
             "t+4 for the disjointness graph with 2n < m < 3n",
-        )
-    )
+            spec is not None and 1 <= spec.t < spec.n,
+            lambda: (spec.t + 4, None),
+        ),
+    ]
 
     critical_k = ctx.critical_k
     critical_basis = "context" if critical_k is not None else None
@@ -585,14 +587,12 @@ def bound_report(
                 critical_basis = "computed"
         except SearchBudgetExceeded:
             critical_k = None
-    crit_ok = critical_k is not None and doubling_ok and critical_k >= 2
     records.append(
-        BoundRecord(
+        _record(
             "critical_doubling",
-            crit_ok,
-            2 * critical_k - 2 if crit_ok else None,
             "2k−2 for k-critical graphs under e·Δ² ≤ 2^(δ−1)",
-            critical_basis if crit_ok else None,
+            critical_k is not None and doubling_ok and critical_k >= 2,
+            lambda: (2 * critical_k - 2, critical_basis),
         )
     )
 

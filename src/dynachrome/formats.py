@@ -177,11 +177,23 @@ def coloring_to_json_dict(
     }
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def coloring_from_json_dict(data: dict) -> Coloring:
+    """Read a coloring record: ``assignment`` must be a list of JSON
+    integers or nulls (uncolored) and ``palette_size`` an integer; a float,
+    boolean or string is rejected rather than truncated."""
     try:
         assignment = data["assignment"]
-        palette = int(data["palette_size"])
-    except (KeyError, TypeError, ValueError) as exc:
+        palette = data["palette_size"]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed coloring record: {exc}") from None
-    colors = tuple(None if c is None else int(c) for c in assignment)
-    return Coloring(colors, palette)
+    if not isinstance(assignment, list) or not all(
+        c is None or _is_json_int(c) for c in assignment
+    ):
+        raise FormatError("assignment must be a list of integers or nulls")
+    if not _is_json_int(palette):
+        raise FormatError(f"palette_size must be an integer, got {palette!r}")
+    return Coloring(tuple(assignment), palette)

@@ -77,6 +77,14 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 2
 
 
+def test_non_integer_budget_env_var_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("DYNACHROME_BUDGET", "abc")
+    code, out, err = run(capsys, "solve", "chi", "--graph", "cycle:5")
+    assert code == 1
+    assert out == ""
+    assert "invalid input" in err and "DYNACHROME_BUDGET" in err
+
+
 def test_solve_reads_graph_file(tmp_path, capsys):
     path = tmp_path / "c5.col"
     run(capsys, "gen", "cycle:5", "-o", str(path))
@@ -209,6 +217,18 @@ def test_verify_rejects_a_record_for_another_graph(tmp_path, capsys):
                        "--coloring", str(anonymous), "--format", "json")
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+@pytest.mark.parametrize("assignment", [[0, 1.7, 0, 1, 2], [0, True, 0, 1, 2], "01012", 5])
+def test_verify_rejects_non_integer_colors(tmp_path, capsys, assignment):
+    record = coloring_to_json_dict(cycle(5), Coloring.total([0, 1, 0, 1, 2], 3))
+    record["assignment"] = assignment
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "verify", "--graph", "cycle:5", "--coloring", str(path))
+    assert code == 1
+    assert out == ""
+    assert "invalid input" in err
 
 
 def test_experiment_gnp_csv(capsys):

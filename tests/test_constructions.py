@@ -9,14 +9,17 @@ from dynachrome import (
     Coloring,
     ConstructionError,
     DegenerateParamsError,
+    InfeasibleStructureError,
     KneserSpec,
     LllParams,
     PreconditionError,
+    SearchBudgetExceeded,
     VertexSubset,
     balanced_subset_coloring,
     bound_report,
     check_dynamic,
     check_hypergraph_2coloring,
+    check_domination,
     check_proper,
     chi_witness,
     chromatic_number,
@@ -24,14 +27,17 @@ from dynachrome import (
     complete_bipartite,
     compose_disjoint_palettes,
     cycle,
+    double_total_coloring,
     dynamic_chromatic_number,
     gnp,
     greedy_coloring,
+    induced_subgraph,
     hypergraph_2color_exact,
     hypergraph_2coloring,
     kneser,
     kneser_dynamic_coloring,
     neighborhood_hypergraph,
+    neighborhood_product_coloring,
     partial_product_coloring,
     product_coloring,
     random_regular,
@@ -169,6 +175,57 @@ def test_chi_witness_exact_then_greedy():
         assert got == basis
         assert check_proper(g, c) == []
         assert (c.palette_size == 5) if basis == "exact" else (c.palette_size >= 5)
+
+
+def test_neighborhood_product_coloring_pairs_witness_with_f():
+    g = cycle(8)
+    c, _ = chi_witness(g)
+    coloring = neighborhood_product_coloring(g, budget=1)  # exact exhausts, resampling succeeds
+    assert check_dynamic(g, coloring) == []
+    assert coloring.palette_size == 2 * c.palette_size
+    assert [x // 2 for x in coloring.colors] == list(c.colors)
+
+
+def test_neighborhood_product_coloring_certified_none_and_exhaustion():
+    with pytest.raises(PreconditionError, match="not 2-colorable"):
+        neighborhood_product_coloring(cycle(6))
+    with pytest.raises(ConstructionError):
+        neighborhood_product_coloring(cycle(6), budget=1)
+
+
+def _assert_glued(g, coloring, subset):
+    assert check_domination(g, subset) == []
+    assert check_dynamic(g, coloring) == []
+    (c_in, _), (c_out, _) = (chi_witness(induced_subgraph(g, side)[0])
+                             for side in (subset, subset.complement()))
+    assert coloring.palette_size == c_in.palette_size + c_out.palette_size
+    assert [coloring[v] for v in subset] == list(c_in.colors)
+    assert [coloring[v] - c_in.palette_size for v in subset.complement()] == list(c_out.colors)
+
+
+def test_double_total_coloring_resampled_subset():
+    g = random_regular(40, 3, seed=2)
+    coloring, subset = double_total_coloring(g, seed=1)
+    _assert_glued(g, coloring, subset)
+
+
+def test_double_total_coloring_exact_fallback(monkeypatch):
+    from dynachrome import constructions
+
+    monkeypatch.setattr(constructions, "find_double_total_dominating",
+                        lambda g, seed: (None, None))
+    g = cycle(8)
+    coloring, subset = double_total_coloring(g)
+    _assert_glued(g, coloring, subset)
+
+
+def test_double_total_coloring_certified_none_exhaustion_and_infeasible():
+    with pytest.raises(PreconditionError, match="certified"):
+        double_total_coloring(cycle(6))
+    with pytest.raises(SearchBudgetExceeded):
+        double_total_coloring(cycle(6), budget=1)
+    with pytest.raises(InfeasibleStructureError):
+        double_total_coloring(complete_bipartite(1, 3))
 
 
 def test_partial_product_k4():

@@ -140,3 +140,23 @@ def test_coloring_json_round_trip():
     assert back == c
     with pytest.raises(FormatError):
         coloring_from_json_dict({"assignment": [0]})
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    ["0,1,0", 5, {"0": 0}, [0, 1.7, 0], [0, 1.0, 0], [0, True, 0], [0, "1", 0], [0, [1], 0]],
+)
+def test_coloring_record_rejects_non_integer_colors(assignment):
+    with pytest.raises(FormatError):
+        coloring_from_json_dict({"assignment": assignment, "palette_size": 3})
+
+
+@pytest.mark.parametrize("palette", ["3", 3.5, 3.0, True, None])
+def test_coloring_record_rejects_non_integer_palette(palette):
+    with pytest.raises(FormatError):
+        coloring_from_json_dict({"assignment": [0, 1, 0], "palette_size": palette})
+
+
+def test_coloring_record_keeps_uncolored_vertices():
+    back = coloring_from_json_dict({"assignment": [0, None, 2], "palette_size": 3})
+    assert back.colors == (0, None, 2)
