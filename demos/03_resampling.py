@@ -2,7 +2,6 @@
 converge to violation-free ones after a handful of targeted re-draws."""
 
 import math
-import warnings
 
 from dynachrome import (
     Hypergraph,
@@ -54,9 +53,7 @@ print(f"C6: {log.outcome} (exact solver: "
 # Balanced subsets of a 16-regular graph.  The bias p = c' ln(k)/k exceeds
 # 1 at k = 16, so the params must be clamped to run the experiment.
 g = random_regular(200, 16, seed=5)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    params = LllParams.for_degree(16, c_prime=7.0, seed=5, clamp_p=True)
+params = LllParams.for_degree(16, c_prime=7.0, seed=5, clamp_p=True)
 print(f"\nk=16: raw p would be {7.0 * math.log(16) / 16:.2f}, "
       f"clamped to {params.p}; deviation window nonempty: {params.window_nonempty}")
 t, log = find_balanced_subset(g, params)

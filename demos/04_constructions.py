@@ -1,7 +1,5 @@
 """Building certified dynamic colorings from partitions and products."""
 
-import warnings
-
 from dynachrome import (
     BoundContext,
     KneserSpec,
@@ -56,9 +54,7 @@ for m, n in [(7, 3), (8, 3), (9, 4)]:
 # Balanced-subset coloring: greedy on the low-degree inside part, the
 # original witness (shifted) outside.
 g = random_regular(200, 16, seed=11)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    params = LllParams.for_degree(16, c_prime=7.0, seed=11, clamp_p=True)
+params = LllParams.for_degree(16, c_prime=7.0, seed=11, clamp_p=True)
 witness, _ = chi_witness(g)
 result = balanced_subset_coloring(g, params, witness)
 print(f"\n16-regular n=200: {result.coloring.palette_size} colors "

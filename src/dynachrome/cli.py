@@ -172,11 +172,15 @@ def _cmd_construct(args) -> int:
     # balanced
     k = g.regular_degree()
     if k is None:
-        print("balanced construction needs a regular graph", file=sys.stderr)
-        return _ExitCode.INVALID
+        raise ValueError("balanced construction needs a regular graph")
     params = lll.LllParams.for_degree(
         k, c_prime=args.c_prime, seed=args.seed, clamp_p=args.clamp_p
     )
+    if params.p_clamped:
+        print(
+            f"note: membership probability c' ln(k)/k >= 1 at k={k}; clamped to 0.5",
+            file=sys.stderr,
+        )
     witness, _ = constructions.chi_witness(g, budget)
     result = constructions.balanced_subset_coloring(g, params, witness)
     extra = {

@@ -10,6 +10,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import sys
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from math import comb
@@ -295,13 +297,45 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does, drawing in bulk.
+
+    ``Random.shuffle`` picks the partner of position i = len-1 .. 1 with
+    ``getrandbits(k)``, k = (i+1).bit_length(), redrawing while the result
+    exceeds i.  For k <= 32 (lists shorter than 2**32) each such draw is the
+    top k bits of one 32-bit Mersenne Twister output, and
+    ``getrandbits(32 * m)`` returns m consecutive outputs, least significant
+    first.  Every position still open takes at least one output, so drawing
+    one output per open position never runs ahead of ``shuffle``: the
+    permutation and the generator's state afterwards are the same.
+    """
+    i = len(x) - 1
+    while i > 0:
+        words = array("I", rng.getrandbits(32 * i).to_bytes(4 * i, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        k = (i + 1).bit_length()
+        shift = 32 - k
+        low = (1 << (k - 1)) - 1  # below this, i + 1 needs one bit fewer
+        for w in words:
+            j = w >> shift
+            if j <= i:
+                x[i], x[j] = x[j], x[i]
+                i -= 1
+                if i < low:
+                    shift += 1
+                    low >>= 1
+
+
 def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
     """Random simple k-regular graph via the pairing model with repair.
 
     Stubs are matched in shuffled rounds; pairs that would create a loop or
     a duplicate edge are thrown back and rematched in the next round.  A
     round that gets stuck (every remaining pair is unusable) restarts the
-    pairing from scratch, up to ``max_retries`` restarts.
+    pairing from scratch, up to ``max_retries`` restarts.  The shuffles
+    replay ``random.Random(seed).shuffle`` from bulk draws, so the graph
+    for a given seed is the one ``shuffle`` would give.
     """
     if k < 0 or k >= max(n, 1):
         raise ValueError("need 0 <= k < n")
@@ -311,40 +345,42 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
     if k == 0:
         return Graph.from_edges(n, [])
 
-    def suitable(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+    def suitable(higher: list[set[int]], leftover: dict[int, int]) -> bool:
         if not leftover:
             return True
         nodes = sorted(leftover)
         for i, s1 in enumerate(nodes):
             for s2 in nodes[i + 1:]:
-                if (s1, s2) not in edges:
+                if s2 not in higher[s1]:
                     return True
         return False
 
-    def try_once() -> Optional[set[tuple[int, int]]]:
-        edges: set[tuple[int, int]] = set()
+    def try_once() -> Optional[list[set[int]]]:
+        # Edge {u, v} with u < v is recorded as v in higher[u].
+        higher: list[set[int]] = [set() for _ in range(n)]
         stubs = list(range(n)) * k
         while stubs:
             leftover: dict[int, int] = defaultdict(int)
-            rng.shuffle(stubs)
+            _shuffle(rng, stubs)
             it = iter(stubs)
             for s1, s2 in zip(it, it):
                 if s1 > s2:
                     s1, s2 = s2, s1
-                if s1 != s2 and (s1, s2) not in edges:
-                    edges.add((s1, s2))
+                h = higher[s1]
+                if s1 != s2 and s2 not in h:
+                    h.add(s2)
                 else:
                     leftover[s1] += 1
                     leftover[s2] += 1
-            if not suitable(edges, leftover):
+            if not suitable(higher, leftover):
                 return None
             stubs = [v for v, c in leftover.items() for _ in range(c)]
-        return edges
+        return higher
 
     for _ in range(max_retries):
-        edges = try_once()
-        if edges is not None:
-            return Graph.from_edges(n, edges)
+        higher = try_once()
+        if higher is not None:
+            return Graph.from_edges(n, ((u, v) for u in range(n) for v in higher[u]))
     raise RuntimeError(f"random_regular({n},{k}) gave up after {max_retries} restarts")
 
 

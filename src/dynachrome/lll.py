@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-import warnings
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -132,16 +131,10 @@ class LllParams:
         if k < 2:
             raise ValueError("need degree k >= 2")
         _cap(max_resamples, 0)  # raises on a negative cap
-        raw_p = c_prime * math.log(k) / k
-        clamped = False
-        p = raw_p
-        if raw_p >= 1.0 and clamp_p:
-            warnings.warn(
-                f"membership probability {raw_p:.3f} >= 1 at k={k}; clamping to 0.5",
-                stacklevel=2,
-            )
+        p = c_prime * math.log(k) / k
+        clamped = bool(clamp_p) and p >= 1.0
+        if clamped:
             p = 0.5
-            clamped = True
         lnk = math.log(k)
         lam_sq = 3 * c_prime * lnk * (1 + math.log(2) + math.log(k * k + 1))
         return cls(

@@ -6,13 +6,17 @@ which is sound because permuting colors preserves validity) and check
 validity with direct loops.  They exist to cross-examine the solvers, so
 they must stay independent of them.  ``naive_resample`` is the same kind
 of oracle for the resampling routines: it rescans every event after every
-resample.
+resample.  ``random_regular_reference`` is the pairing-model generator as it
+was written against ``random.Random.shuffle``; the library generator must
+build the same graph for every seed.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
+from typing import Optional
 
 from dynachrome import Graph, Hypergraph
 
@@ -144,6 +148,56 @@ def naive_resample(event_vars, violated, redraw, cap=None):
         triggers[bad] = triggers.get(bad, 0) + 1
         for v in event_vars[bad]:
             redraw(v)
+
+
+def random_regular_reference(
+    n: int, k: int, seed: int, max_retries: int = 1000
+) -> Graph:
+    """The pairing model with repair, shuffling each round with
+    ``random.Random.shuffle`` itself."""
+    if k < 0 or k >= max(n, 1):
+        raise ValueError("need 0 <= k < n")
+    if (n * k) % 2 != 0:
+        raise ValueError("n * k must be even")
+    rng = random.Random(seed)
+    if k == 0:
+        return Graph.from_edges(n, [])
+
+    def suitable(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+        if not leftover:
+            return True
+        nodes = sorted(leftover)
+        for i, s1 in enumerate(nodes):
+            for s2 in nodes[i + 1:]:
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_once() -> Optional[set[tuple[int, int]]]:
+        edges: set[tuple[int, int]] = set()
+        stubs = list(range(n)) * k
+        while stubs:
+            leftover: dict[int, int] = defaultdict(int)
+            rng.shuffle(stubs)
+            it = iter(stubs)
+            for s1, s2 in zip(it, it):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    leftover[s1] += 1
+                    leftover[s2] += 1
+            if not suitable(edges, leftover):
+                return None
+            stubs = [v for v, c in leftover.items() for _ in range(c)]
+        return edges
+
+    for _ in range(max_retries):
+        edges = try_once()
+        if edges is not None:
+            return Graph.from_edges(n, edges)
+    raise RuntimeError(f"random_regular({n},{k}) gave up after {max_retries} restarts")
 
 
 # Seven points, seven 3-element lines, every two lines meeting: the

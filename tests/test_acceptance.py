@@ -196,7 +196,6 @@ def test_criterion_06_double_total_domination_pipeline():
     )
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_criterion_07_balanced_subset_pipeline():
     start = time.perf_counter()
     k = 16
@@ -205,6 +204,7 @@ def test_criterion_07_balanced_subset_pipeline():
     for seed in range(20):
         g = random_regular(200, k, seed=2000 + seed)
         params = LllParams.for_degree(k, c_prime=7.0, seed=seed, clamp_p=True)
+        assert params.p_clamped
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         witness = greedy_coloring(g, order)
         result = balanced_subset_coloring(g, params, witness)

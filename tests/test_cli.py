@@ -160,6 +160,21 @@ def test_construct_balanced_degenerate_exits_1(capsys):
     assert "clamp" in err
 
 
+def test_construct_balanced_irregular_graph_is_invalid_input(capsys):
+    code, out, err = run(capsys, "construct", "balanced", "--graph",
+                         "complete_bipartite:1,3")
+    assert code == 1 and out == ""
+    assert err == "invalid input: balanced construction needs a regular graph\n"
+
+
+def test_construct_balanced_clamp_note_on_stderr(capsys, recwarn):
+    code, out, err = run(capsys, "construct", "balanced", "--graph", "cycle:8",
+                         "--clamp-p")
+    assert code == 0 and "assignment:" in out
+    assert err == "note: membership probability c' ln(k)/k >= 1 at k=2; clamped to 0.5\n"
+    assert len(recwarn) == 0
+
+
 def test_construct_product(capsys):
     code, out, _ = run(capsys, "construct", "product", "--graph", "cycle:8",
                        "--format", "json")

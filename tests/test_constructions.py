@@ -288,8 +288,8 @@ def test_kneser_out_of_regime():
 
 def test_balanced_coloring_16_regular():
     g = random_regular(200, 16, seed=5)
-    with pytest.warns(UserWarning):
-        params = LllParams.for_degree(16, c_prime=7.0, seed=5, clamp_p=True)
+    params = LllParams.for_degree(16, c_prime=7.0, seed=5, clamp_p=True)
+    assert params.p_clamped
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     witness = greedy_coloring(g, order)
     result = balanced_subset_coloring(g, params, witness)
@@ -301,8 +301,8 @@ def test_balanced_coloring_16_regular():
 
 def test_balanced_coloring_complete_bipartite():
     g = complete_bipartite(16, 16)
-    with pytest.warns(UserWarning):
-        params = LllParams.for_degree(16, c_prime=7.0, seed=2, clamp_p=True)
+    params = LllParams.for_degree(16, c_prime=7.0, seed=2, clamp_p=True)
+    assert params.p_clamped
     witness = Coloring.total([0] * 16 + [1] * 16, 2)
     result = balanced_subset_coloring(g, params, witness)
     assert check_dynamic(g, result.coloring) == []
@@ -319,8 +319,8 @@ def test_balanced_coloring_degenerate_params_propagate():
 
 def test_balanced_coloring_rejects_improper_witness():
     g = random_regular(20, 4, seed=1)
-    with pytest.warns(UserWarning):
-        params = LllParams.for_degree(4, c_prime=7.0, clamp_p=True)
+    params = LllParams.for_degree(4, c_prime=7.0, clamp_p=True)
+    assert params.p_clamped
     with pytest.raises(PreconditionError):
         balanced_subset_coloring(g, params, Coloring((0,) * 20, 1))
 

@@ -1,9 +1,12 @@
 """Generators, structural operations, and their counting oracles."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynachrome import (
     Graph,
@@ -24,7 +27,8 @@ from dynachrome import (
     regularize_hypergraph,
     vertices_in_triangles,
 )
-from helpers import brute_force_triangle_vertices
+from dynachrome.graphs import _shuffle
+from helpers import brute_force_triangle_vertices, random_regular_reference
 
 
 def assert_well_formed(g: Graph):
@@ -125,6 +129,84 @@ def test_random_regular_properties():
         random_regular(5, 3, seed=0)  # odd stub count
     with pytest.raises(ValueError):
         random_regular(5, 5, seed=0)
+
+
+# Lengths on either side of each power of two, where the number of bits
+# drawn per position changes.
+_EDGE_LENGTHS = sorted({v for m in range(12) for v in (2**m - 1, 2**m, 2**m + 1)})
+
+
+@st.composite
+def shuffle_cases(draw):
+    n = draw(st.one_of(st.integers(0, 3000), st.sampled_from(_EDGE_LENGTHS)))
+    distinct = draw(st.integers(1, max(n, 1)))  # fewer than n repeats values
+    return [v % distinct for v in range(n)]
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**64),
+    warmup=st.integers(0, 700),
+    values=shuffle_cases(),
+)
+def test_bulk_shuffle_replays_stdlib_shuffle(seed, warmup, values):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for rng in (ours, theirs):
+        for _ in range(warmup):  # start at any point of the twister's block
+            rng.getrandbits(32)
+    got, want = list(values), list(values)
+    _shuffle(ours, got)
+    theirs.shuffle(want)
+    assert got == want
+    assert ours.getstate() == theirs.getstate()
+
+
+def _outcome(generate, *args, **kwargs):
+    try:
+        return generate(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_as_reference(n, k, seeds, **kwargs):
+    for seed in seeds:
+        got = _outcome(random_regular, n, k, seed, **kwargs)
+        assert got == _outcome(random_regular_reference, n, k, seed, **kwargs), (n, k, seed)
+
+
+@pytest.mark.parametrize(
+    "n,k,seeds",
+    [(102, 50, range(16)), (700, 3, range(6)), (200, 3, [16]), (3000, 3, [1])],
+)
+def test_random_regular_matches_reference_on_bench_sizes(n, k, seeds):
+    _assert_same_as_reference(n, k, seeds)
+
+
+def test_random_regular_matches_reference_on_small_and_edge_cases():
+    for n in range(1, 13):
+        _assert_same_as_reference(n, 0, range(3))  # no stubs, no draws
+        _assert_same_as_reference(n, n - 1, range(3))  # complete graph
+        for k in range(1, n - 1):
+            if n * k % 2 == 0:
+                _assert_same_as_reference(n, k, range(40))
+    assert random_regular(0, 0, seed=0).n == 0
+
+
+def test_random_regular_error_paths_match_reference():
+    for n, k in [(5, 3), (5, 5), (4, -1), (0, 1), (7, 7)]:
+        _assert_same_as_reference(n, k, [0])
+        with pytest.raises(ValueError):
+            random_regular(n, k, seed=0)
+    # Dense graphs get stuck often: with one or two restarts some seeds
+    # give up, and the ones that do must be the same on both sides.
+    gave_up = 0
+    for retries in (1, 2):
+        _assert_same_as_reference(10, 7, range(40), max_retries=retries)
+        for seed in range(40):
+            gave_up += isinstance(_outcome(random_regular, 10, 7, seed, max_retries=retries), tuple)
+    assert 0 < gave_up < 80
+    with pytest.raises(RuntimeError, match="gave up after 1 restarts"):
+        random_regular(10, 7, seed=0, max_retries=1)
 
 
 def test_from_spec():

@@ -100,17 +100,15 @@ def test_params_degenerate_at_small_k():
     assert params.p > 1 and not params.p_clamped
 
 
-def test_params_clamping_warns():
-    with pytest.warns(UserWarning):
-        params = LllParams.for_degree(16, c_prime=7.0, clamp_p=True)
+def test_params_clamping_recorded():
+    params = LllParams.for_degree(16, c_prime=7.0, clamp_p=True)
     assert params.p == 0.5 and params.p_clamped
 
 
 def test_params_window_flag():
     # The deviation window only opens at large degree (around k ~ 190 for c' = 7).
-    with pytest.warns(UserWarning):
-        small = LllParams.for_degree(16, c_prime=7.0, clamp_p=True)
-    assert not small.window_nonempty
+    small = LllParams.for_degree(16, c_prime=7.0, clamp_p=True)
+    assert small.p_clamped and not small.window_nonempty
     assert LllParams.for_degree(200, c_prime=7.0).window_nonempty
 
 
@@ -135,8 +133,8 @@ def test_negative_resample_cap_rejected(cap):
         select_sublists(cycle(4), ListAssignment.uniform(4, range(4)), 1, max_resamples=cap)
     with pytest.raises(ValueError):
         LllParams.for_degree(16, clamp_p=True, max_resamples=cap)
-    with pytest.warns(UserWarning):
-        params = LllParams.for_degree(16, clamp_p=True)
+    params = LllParams.for_degree(16, clamp_p=True)
+    assert params.p_clamped
     with pytest.raises(ValueError):
         find_balanced_subset(random_regular(40, 16, seed=0),
                              dataclasses.replace(params, max_resamples=cap))
@@ -246,8 +244,8 @@ def test_balanced_degenerate_p_reported():
 
 def test_balanced_16_regular():
     g = random_regular(200, 16, seed=7)
-    with pytest.warns(UserWarning):
-        params = LllParams.for_degree(16, c_prime=7.0, seed=7, clamp_p=True)
+    params = LllParams.for_degree(16, c_prime=7.0, seed=7, clamp_p=True)
+    assert params.p_clamped
     t, log = find_balanced_subset(g, params)
     assert log.success
     upper = 2 * 7.0 * math.log(16)
@@ -260,8 +258,8 @@ def test_balanced_16_regular():
 
 def test_balanced_complete_bipartite():
     g = complete_bipartite(16, 16)
-    with pytest.warns(UserWarning):
-        params = LllParams.for_degree(16, c_prime=7.0, seed=1, clamp_p=True)
+    params = LllParams.for_degree(16, c_prime=7.0, seed=1, clamp_p=True)
+    assert params.p_clamped
     t, log = find_balanced_subset(g, params)
     assert log.success
     for v in range(g.n):
@@ -270,8 +268,8 @@ def test_balanced_complete_bipartite():
 
 def test_balanced_requires_regular():
     irregular = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    with pytest.warns(UserWarning):
-        params = LllParams.for_degree(16, clamp_p=True)
+    params = LllParams.for_degree(16, clamp_p=True)
+    assert params.p_clamped
     with pytest.raises(ValueError):
         find_balanced_subset(irregular, params)
     g = random_regular(20, 4, seed=0)

@@ -13,7 +13,6 @@ Re-record (only for an intended change of the draw order) with
 
 import json
 import random
-import warnings
 from pathlib import Path
 
 import pytest
@@ -81,11 +80,9 @@ def run_case(case: dict) -> dict:
         out, log = find_double_total_dominating(from_spec(case["input"], seed=0), seed, cap)
     elif routine == "find_balanced_subset":
         g = from_spec(case["input"], seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = LllParams.for_degree(
-                g.regular_degree(), seed=seed, max_resamples=cap, clamp_p=case["clamp"]
-            )
+        params = LllParams.for_degree(
+            g.regular_degree(), seed=seed, max_resamples=cap, clamp_p=case["clamp"]
+        )
         out, log = find_balanced_subset(g, params)
     elif routine == "select_sublists":
         g = from_spec(case["input"], seed=0)

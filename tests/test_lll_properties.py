@@ -8,7 +8,6 @@ and every field of its log must match.
 import itertools
 import math
 import random
-import warnings
 
 import pytest
 from hypothesis import given
@@ -120,9 +119,7 @@ def test_find_double_total_dominating_matches_oracle(g, seed, cap):
 @given(regular_graphs(min_k=2), st.sampled_from([6.5, 7.0, 10.0]), seeds, caps)
 def test_find_balanced_subset_matches_oracle(g, c_prime, seed, cap):
     k = len(g.adjacency[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = LllParams.for_degree(k, c_prime, seed, cap, clamp_p=True)
+    params = LllParams.for_degree(k, c_prime, seed, cap, clamp_p=True)
     upper = 2 * c_prime * math.log(k)
     rng = random.Random(seed)
     in_t = [rng.random() < params.p for _ in range(g.n)]
