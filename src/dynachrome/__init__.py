@@ -19,6 +19,7 @@ from .constructions import (
     KneserColoringResult,
     PreconditionError,
     TriangleCertificate,
+    balanced_coloring,
     balanced_subset_coloring,
     bound_report,
     chi_witness,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import constructions, exact, experiments, formats, lll
+from . import constructions, exact, experiments, formats
 from .graphs import Graph, KneserSpec, from_spec
 from .verify import (
     check_dynamic,
@@ -170,19 +170,16 @@ def _cmd_construct(args) -> int:
         return _ExitCode.OK
 
     # balanced
-    k = g.regular_degree()
-    if k is None:
-        raise ValueError("balanced construction needs a regular graph")
-    params = lll.LllParams.for_degree(
-        k, c_prime=args.c_prime, seed=args.seed, clamp_p=args.clamp_p
+    result = constructions.balanced_coloring(
+        g, budget, args.seed, args.c_prime, args.clamp_p
     )
-    if params.p_clamped:
+    params = result.resample_log.params
+    if params["p_clamped"]:
         print(
-            f"note: membership probability c' ln(k)/k >= 1 at k={k}; clamped to 0.5",
+            f"note: membership probability c' ln(k)/k >= 1 at k={params['k']}; "
+            "clamped to 0.5",
             file=sys.stderr,
         )
-    witness, _ = constructions.chi_witness(g, budget)
-    result = constructions.balanced_subset_coloring(g, params, witness)
     extra = {
         "subset": sorted(result.subset.members),
         "color_bound": result.color_bound,
@@ -339,6 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        budget = getattr(args, "budget", None)  # --budget or DYNACHROME_BUDGET
+        if budget is not None and budget < 0:
+            raise ValueError(f"--budget and {ENV_BUDGET} must be >= 0, got {budget}")
         return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         # Covers malformed files, bad specs, and failed preconditions.

@@ -62,6 +62,7 @@ __all__ = [
     "neighborhood_product_coloring",
     "double_total_coloring",
     "balanced_subset_coloring",
+    "balanced_coloring",
     "BalancedColoringResult",
     "triangle_certificate",
     "TriangleCertificate",
@@ -70,6 +71,11 @@ __all__ = [
     "BoundReport",
     "bound_report",
 ]
+
+# Graphs up to this many vertices get an exact chi witness (within budget).
+EXACT_LIMIT = 28
+# bound_report tests k-criticality only on graphs up to this many vertices.
+CRITICALITY_LIMIT = 12
 
 
 class PreconditionError(ValueError):
@@ -380,6 +386,31 @@ def balanced_subset_coloring(
     return BalancedColoringResult(combined, subset, log, bound)
 
 
+def balanced_coloring(
+    g: Graph,
+    budget: Optional[int] = None,
+    seed: int = 0,
+    c_prime: float = 7.0,
+    clamp_p: bool = False,
+) -> BalancedColoringResult:
+    """Dynamic coloring of a k-regular graph on a :func:`chi_witness`
+    within ``budget`` plus at most floor(2 c' ln k) + 1 colors.
+
+    :meth:`LllParams.for_degree` sets the subset sampler's bias c' ln(k)/k
+    and ``seed``; with ``clamp_p`` a bias of 1 or more is clamped to 1/2,
+    which ``resample_log.params["p_clamped"]`` records.  Then
+    :func:`balanced_subset_coloring` runs.  A graph that is not regular,
+    and parameters that ``for_degree`` rejects, raise ValueError; an
+    unclamped bias of 1 or more raises DegenerateParamsError.
+    """
+    k = g.regular_degree()
+    if k is None:
+        raise ValueError("balanced construction needs a regular graph")
+    params = LllParams.for_degree(k, c_prime=c_prime, seed=seed, clamp_p=clamp_p)
+    witness, _ = chi_witness(g, budget)
+    return balanced_subset_coloring(g, params, witness)
+
+
 # ======================================================================
 # Certificates and bound reports
 # ======================================================================
@@ -470,16 +501,14 @@ class BoundReport:
         }
 
 
-def chi_witness(
-    g: Graph, budget: Optional[int] = None, exact_limit: int = 28
-) -> tuple[Coloring, str]:
+def chi_witness(g: Graph, budget: Optional[int] = None) -> tuple[Coloring, str]:
     """A proper coloring of ``g`` and how it was obtained.
 
-    Up to ``exact_limit`` vertices an exact solve that decides within
+    Up to EXACT_LIMIT vertices an exact solve that decides within
     ``budget`` gives a coloring on chi(g) colors ("exact"); otherwise the
     DSATUR greedy coloring stands in ("greedy", an over-estimate of chi).
     """
-    if g.n <= exact_limit:
+    if g.n <= EXACT_LIMIT:
         res = chromatic_number(g, budget)
         if not res.exhausted:
             return res.witness, "exact"
@@ -487,12 +516,12 @@ def chi_witness(
 
 
 def _split_witnesses(
-    g: Graph, t: VertexSubset, budget: Optional[int], exact_limit: int = 28
+    g: Graph, t: VertexSubset, budget: Optional[int]
 ) -> tuple[tuple[Coloring, str], tuple[Coloring, str]]:
     """:func:`chi_witness` of G[T] and of G[V - T], in that order."""
     inside, _ = induced_subgraph(g, t)
     outside, _ = induced_subgraph(g, t.complement())
-    return chi_witness(inside, budget, exact_limit), chi_witness(outside, budget, exact_limit)
+    return chi_witness(inside, budget), chi_witness(outside, budget)
 
 
 def _record(name: str, source: str, ok: bool, evaluate, *args) -> BoundRecord:
@@ -507,16 +536,15 @@ def bound_report(
     g: Graph,
     context: Optional[BoundContext] = None,
     budget: Optional[int] = None,
-    exact_limit: int = 28,
-    criticality_limit: int = 12,
 ) -> BoundReport:
     """Evaluate the family of dynamic-chromatic upper bounds on one graph.
 
     Each record carries its applicability predicate's outcome; a bound
     whose hypothesis fails is never claimed.  Chromatic numbers inside
     formulas use context values when given, exact solves up to
-    ``exact_limit`` vertices, and greedy over-estimates beyond (greedy
-    keeps every formula a valid upper bound).
+    EXACT_LIMIT vertices, and greedy over-estimates beyond (greedy keeps
+    every formula a valid upper bound).  Criticality is tested only up to
+    CRITICALITY_LIMIT vertices.
     """
     ctx = context or BoundContext()
     delta = g.max_degree
@@ -527,11 +555,11 @@ def bound_report(
     def doubled_chi():
         if ctx.chi is not None:
             return 2 * ctx.chi, "exact"
-        witness, basis = chi_witness(g, budget, exact_limit)
+        witness, basis = chi_witness(g, budget)
         return 2 * witness.palette_size, basis
 
     def split(t: VertexSubset, inside_weight: int):
-        (c_in, b_in), (c_out, b_out) = _split_witnesses(g, t, budget, exact_limit)
+        (c_in, b_in), (c_out, b_out) = _split_witnesses(g, t, budget)
         return c_out.palette_size + inside_weight * c_in.palette_size, f"{b_out}/{b_in}"
 
     double_total, total, spec = ctx.double_total, ctx.total, ctx.kneser
@@ -580,7 +608,7 @@ def bound_report(
 
     critical_k = ctx.critical_k
     critical_basis = "context" if critical_k is not None else None
-    if critical_k is None and doubling_ok and connected and 0 < g.n <= criticality_limit:
+    if critical_k is None and doubling_ok and connected and 0 < g.n <= CRITICALITY_LIMIT:
         try:
             if is_k_critical(g, budget):
                 critical_k = chromatic_number(g, budget).value

@@ -103,11 +103,14 @@ def _search(
     ``groups`` is fully colored in a single color.  With
     ``break_symmetry`` (all palettes alike), a vertex may take at most one
     color above the largest used so far.  Every color tried is one node,
-    counted on from ``nodes`` against ``budget``.  Returns the colors by
-    vertex (None when no branch survives) and the node total, or raises
-    SearchBudgetExceeded.  The branch state lives in per-depth arrays, not
-    on the Python call stack, so no input is too deep to search.
+    counted on from ``nodes`` against ``budget``; a negative budget raises
+    ValueError.  Returns the colors by vertex (None when no branch
+    survives) and the node total, or raises SearchBudgetExceeded.  The
+    branch state lives in per-depth arrays, not on the Python call stack,
+    so no input is too deep to search.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     color = [-1] * len(palettes)
     incident: list[list[int]] = [[] for _ in palettes]
     for gi, grp in enumerate(groups):

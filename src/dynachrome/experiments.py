@@ -174,32 +174,23 @@ def conjecture_scan(
     for trial_seed, g in instances:
         chi_res = chromatic_number(g, budget)
         chid_res = dynamic_chromatic_number(g, budget)
-        if chi_res.exhausted or chid_res.exhausted:
+        exhausted = chi_res.exhausted or chid_res.exhausted
+        gap = None if exhausted else chid_res.value - chi_res.value
+        records.append(
+            {
+                "seed": trial_seed,
+                "n": g.n,
+                "edges": g.edge_count,
+                "chi": chi_res.value,
+                "chi_d": chid_res.value,
+                "gap": gap,
+                "exhausted": exhausted,
+            }
+        )
+        if exhausted:
             skipped += 1
-            records.append(
-                {
-                    "seed": trial_seed,
-                    "n": g.n,
-                    "edges": g.edge_count,
-                    "chi": chi_res.value,
-                    "chi_d": chid_res.value,
-                    "gap": None,
-                    "exhausted": True,
-                }
-            )
             continue
-        gap = chid_res.value - chi_res.value
         max_gap = gap if max_gap is None else max(max_gap, gap)
-        record = {
-            "seed": trial_seed,
-            "n": g.n,
-            "edges": g.edge_count,
-            "chi": chi_res.value,
-            "chi_d": chid_res.value,
-            "gap": gap,
-            "exhausted": False,
-        }
-        records.append(record)
         if gap > 2:
             # Re-verify both witnesses before flagging anything this loud.
             proper_ok = not check_proper(g, chi_res.witness)

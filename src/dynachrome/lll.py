@@ -131,11 +131,15 @@ class LllParams:
         if k < 2:
             raise ValueError("need degree k >= 2")
         _cap(max_resamples, 0)  # raises on a negative cap
-        p = c_prime * math.log(k) / k
+        lnk = math.log(k)
+        # Rejects NaN and infinite c', and a c' so large that the
+        # (c' ln k)^2 of window_nonempty below overflows.
+        if not math.isfinite((c_prime * lnk) * (c_prime * lnk)):
+            raise ValueError(f"c_prime must keep (c' ln k)^2 finite, got {c_prime} at k={k}")
+        p = c_prime * lnk / k
         clamped = bool(clamp_p) and p >= 1.0
         if clamped:
             p = 0.5
-        lnk = math.log(k)
         lam_sq = 3 * c_prime * lnk * (1 + math.log(2) + math.log(k * k + 1))
         return cls(
             c_prime=c_prime,

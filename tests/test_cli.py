@@ -85,6 +85,31 @@ def test_non_integer_budget_env_var_exits_1(capsys, monkeypatch):
     assert "invalid input" in err and "DYNACHROME_BUDGET" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "chi", "--graph", "kneser:5,2", "--budget", "-3"],
+    ["construct", "compose", "--graph", "cycle:8", "--budget", "-1"],
+])
+def test_negative_budget_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("invalid input: --budget and DYNACHROME_BUDGET must be >= 0")
+
+
+def test_negative_budget_env_var_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("DYNACHROME_BUDGET", "-1")
+    code, out, err = run(capsys, "construct", "compose", "--graph", "cycle:8")
+    assert code == 1 and out == ""
+    assert err.startswith("invalid input:") and "DYNACHROME_BUDGET" in err
+
+
+def test_zero_budget_is_valid(capsys):
+    code, out, _ = run(capsys, "solve", "chi", "--graph", "kneser:5,2", "--budget", "0",
+                       "--format", "json")
+    assert code == 2 and json.loads(out)["exhausted"] is True
+    code, _, _ = run(capsys, "construct", "compose", "--graph", "cycle:8", "--budget", "0")
+    assert code == 0
+
+
 def test_solve_reads_graph_file(tmp_path, capsys):
     path = tmp_path / "c5.col"
     run(capsys, "gen", "cycle:5", "-o", str(path))
@@ -165,6 +190,16 @@ def test_construct_balanced_irregular_graph_is_invalid_input(capsys):
                          "complete_bipartite:1,3")
     assert code == 1 and out == ""
     assert err == "invalid input: balanced construction needs a regular graph\n"
+
+
+@pytest.mark.parametrize("spec,c_prime", [("random_regular:20,3", "nan"),
+                                          ("random_regular:20,3", "inf"),
+                                          ("random_regular:200,16", "1e308")])
+def test_construct_balanced_non_finite_c_prime_is_invalid_input(capsys, spec, c_prime):
+    code, out, err = run(capsys, "construct", "balanced", "--graph", spec,
+                         "--c-prime", c_prime, "--clamp-p")
+    assert code == 1 and out == ""
+    assert err.startswith("invalid input: c_prime must keep")
 
 
 def test_construct_balanced_clamp_note_on_stderr(capsys, recwarn):

@@ -15,6 +15,7 @@ from dynachrome import (
     PreconditionError,
     SearchBudgetExceeded,
     VertexSubset,
+    balanced_coloring,
     balanced_subset_coloring,
     bound_report,
     check_dynamic,
@@ -29,6 +30,7 @@ from dynachrome import (
     cycle,
     double_total_coloring,
     dynamic_chromatic_number,
+    from_spec,
     gnp,
     greedy_coloring,
     induced_subgraph,
@@ -168,13 +170,15 @@ def test_hypergraph_2coloring_outcomes():
 
 
 def test_chi_witness_exact_then_greedy():
-    g = kneser(7, 2)  # 21 vertices, chi = 5
-    for kwargs, basis in [({}, "exact"), ({"exact_limit": 20}, "greedy"),
-                          ({"budget": 1}, "greedy")]:
-        c, got = chi_witness(g, **kwargs)
+    # kneser(7, 2): 21 vertices, chi = 5; cycle(29) is above the 28-vertex
+    # limit of exact witnesses, chi = 3.
+    for g, budget, basis, chi in [(kneser(7, 2), None, "exact", 5),
+                                  (kneser(7, 2), 1, "greedy", 5),
+                                  (cycle(29), None, "greedy", 3)]:
+        c, got = chi_witness(g, budget)
         assert got == basis
         assert check_proper(g, c) == []
-        assert (c.palette_size == 5) if basis == "exact" else (c.palette_size >= 5)
+        assert (c.palette_size == chi) if basis == "exact" else (c.palette_size >= chi)
 
 
 def test_neighborhood_product_coloring_pairs_witness_with_f():
@@ -307,6 +311,43 @@ def test_balanced_coloring_complete_bipartite():
     result = balanced_subset_coloring(g, params, witness)
     assert check_dynamic(g, result.coloring) == []
     assert result.coloring.palette_size <= 2 + math.floor(14 * math.log(16)) + 1
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and text of what it raises."""
+    try:
+        return build()
+    except (ValueError, ConstructionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("spec,clamp_p", [
+    ("random_regular:102,50", False), ("random_regular:200,16", True),
+    ("cycle:8", True), ("complete_bipartite:16,16", True),
+    ("complete_bipartite:16,16", False),
+])
+def test_balanced_coloring_is_the_hand_assembly(spec, clamp_p, seed):
+    g = from_spec(spec, seed)
+
+    def by_hand():
+        params = LllParams.for_degree(g.regular_degree(), c_prime=7.0, seed=seed,
+                                      clamp_p=clamp_p)
+        witness, _ = chi_witness(g, None)
+        return balanced_subset_coloring(g, params, witness)
+
+    expected = _outcome(by_hand)
+    assert _outcome(lambda: balanced_coloring(g, None, seed, 7.0, clamp_p)) == expected
+    if isinstance(expected, tuple):  # no clamp at k = 16: the bias is >= 1
+        assert expected[0] is DegenerateParamsError
+    else:
+        assert check_dynamic(g, expected.coloring) == []
+        assert expected.resample_log.params["p_clamped"] == clamp_p
+
+
+def test_balanced_coloring_requires_a_regular_graph():
+    with pytest.raises(ValueError, match="balanced construction needs a regular graph"):
+        balanced_coloring(complete_bipartite(1, 3), clamp_p=True)
 
 
 def test_balanced_coloring_degenerate_params_propagate():

@@ -85,6 +85,25 @@ def test_chi_budget_exhaustion_reports_bounds():
     assert data["exhausted"] is True and "bounds" in data
 
 
+def test_negative_budget_rejected_and_zero_budget_exhausts():
+    g, h = kneser(5, 2), fano_plane()
+    lists = ListAssignment.uniform(g.n, range(4))
+    searches = [
+        lambda b: chromatic_number(g, b),
+        lambda b: dynamic_chromatic_number(g, b),
+        lambda b: list_dynamic_coloring(g, lists, b),
+        lambda b: hypergraph_2color_exact(h, b),
+    ]
+    for search in searches:
+        for budget in (-1, -3):
+            with pytest.raises(ValueError, match="budget must be >= 0"):
+                search(budget)
+    assert chromatic_number(g, 0).exhausted and dynamic_chromatic_number(g, 0).exhausted
+    for search in searches[2:]:
+        with pytest.raises(SearchBudgetExceeded):
+            search(0)
+
+
 # ----------------------------------------------------------------------
 # dynamic chromatic number
 # ----------------------------------------------------------------------

@@ -119,6 +119,13 @@ def test_params_validation():
         LllParams.for_degree(1)
 
 
+@pytest.mark.parametrize("k,c_prime", [(3, math.nan), (3, math.inf), (16, 1e308),
+                                       (16, 1e154), (2, 1e155)])
+def test_params_reject_non_finite_c_prime(k, c_prime):
+    with pytest.raises(ValueError, match="finite"):
+        LllParams.for_degree(k, c_prime=c_prime, clamp_p=True)
+
+
 @pytest.mark.parametrize("cap", [-1, -7])
 def test_negative_resample_cap_rejected(cap):
     # A single edge 2-colors on the first draw for seed 4, so a negative cap
