@@ -250,7 +250,7 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
             help="graph file (DIMACS or edge list) or generator spec like cycle:8",
         )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int)
     p.add_argument("--format", choices=["json", "text"], default="text")
 
 
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--p", type=float, required=True)
     pe.add_argument("--trials", type=int, default=100)
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--budget", type=int, default=_default_budget())
+    pe.add_argument("--budget", type=int)
     pe.add_argument("--format", choices=["json", "text", "csv"], default="text")
     pe.set_defaults(handler=_cmd_experiment)
 
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int)
     pe.add_argument("--trials", type=int, default=50)
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--budget", type=int, default=_default_budget())
+    pe.add_argument("--budget", type=int)
     pe.add_argument("--format", choices=["json", "text", "csv"], default="text")
     pe.set_defaults(handler=_cmd_experiment)
 
@@ -336,9 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        budget = getattr(args, "budget", None)  # --budget or DYNACHROME_BUDGET
-        if budget is not None and budget < 0:
-            raise ValueError(f"--budget and {ENV_BUDGET} must be >= 0, got {budget}")
+        if hasattr(args, "budget"):  # --budget, else DYNACHROME_BUDGET
+            if args.budget is None:
+                args.budget = _default_budget()
+            if args.budget is not None and args.budget < 0:
+                raise ValueError(
+                    f"--budget and {ENV_BUDGET} must be >= 0, got {args.budget}"
+                )
         return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         # Covers malformed files, bad specs, and failed preconditions.

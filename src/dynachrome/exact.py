@@ -96,46 +96,65 @@ def _search(
     budget: Optional[int],
     nodes: int = 0,
 ) -> tuple[Optional[list[int]], int]:
-    """Depth-first search for colors from ascending per-vertex palettes.
+    """Depth-first search for colors from strictly ascending per-vertex
+    palettes.
 
-    Vertices are colored in ``order``.  A vertex skips colors already on a
-    colored neighbor in ``adj``, and a branch dies as soon as one of
-    ``groups`` is fully colored in a single color.  With
-    ``break_symmetry`` (all palettes alike), a vertex may take at most one
-    color above the largest used so far.  Every color tried is one node,
-    counted on from ``nodes`` against ``budget``; a negative budget raises
-    ValueError.  Returns the colors by vertex (None when no branch
+    Vertices are colored in ``order``, which lists each vertex once.  A
+    vertex skips colors already on a colored neighbor in ``adj``, and a
+    branch dies as soon as one of ``groups`` is fully colored in a single
+    color.  As the order is fixed, a group closes (becomes fully colored)
+    exactly at the depth of its last member in ``order``.  Each group is
+    filed once, under that depth, as the list of its other members, and a
+    color tried at a depth is tested against the groups closing there and
+    no others.  With ``break_symmetry`` (all palettes alike), a vertex may
+    take at most one color above the largest used so far; how far into
+    the palette that reaches is read from a table built once, indexed by
+    the position of the largest color used.  Every color tried is one
+    node, counted on from ``nodes`` against ``budget``; a negative budget
+    raises ValueError.  Returns the colors by vertex (None when no branch
     survives) and the node total, or raises SearchBudgetExceeded.  The
     branch state lives in per-depth arrays, not on the Python call stack,
-    so no input is too deep to search.
+    so no input is too deep to search: the neighbor colors seen on entry,
+    and the resume index, the palette position just past the color taken,
+    where the search picks up again when it backtracks into that depth.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
     color = [-1] * len(palettes)
-    incident: list[list[int]] = [[] for _ in palettes]
-    for gi, grp in enumerate(groups):
-        for v in grp:
-            incident[v].append(gi)
-    remaining = [len(grp) for grp in groups]
-    limit = float("inf") if budget is None else budget
     depth = len(order)
-    top = [-1] * (depth + 1)  # top[i]: largest color among order[:i]
+    at = [0] * len(palettes)  # at[v]: the depth at which v is colored
+    for i, v in enumerate(order):
+        at[v] = i
+    closing: list[list[list[int]]] = [[] for _ in range(depth)]
+    for grp in groups:
+        if grp:
+            last = max(at[u] for u in grp)
+            v = order[last]
+            closing[last].append([u for u in grp if u != v])
+    ends: list[int] = []
+    if break_symmetry and depth:
+        # ends[t]: how many palette entries are open while the largest color
+        # used is palette[t - 1] (t = 0: none used yet), i.e. up to one above.
+        palette = palettes[order[0]]
+        ends = [bisect_right(palette, 0)]
+        ends.extend(bisect_right(palette, c + 1) for c in palette)
+    limit = float("inf") if budget is None else budget
+    top = [0] * (depth + 1)  # top[i]: ends index for the colors of order[:i]
+    resume = [0] * depth  # palette index past the color taken at each depth
     used_at: list[set[int]] = [set()] * depth  # neighbor colors at entry
     i = 0
     while 0 <= i < depth:
         v = order[i]
-        inc = incident[v]
         palette = palettes[v]
         if color[v] < 0:  # first visit at this depth
             j = 0
             used = used_at[i] = {color[u] for u in adj[v]}
         else:  # back from a dead subtree: uncolor v, resume past its color
-            j = bisect_right(palette, color[v])
-            for gi in inc:
-                remaining[gi] += 1
+            j = resume[i]
             color[v] = -1
             used = used_at[i]
-        end = bisect_right(palette, top[i] + 1) if break_symmetry else len(palette)
+        end = ends[top[i]] if break_symmetry else len(palette)
+        closes = closing[i]
         while j < end:
             c = palette[j]
             j += 1
@@ -144,25 +163,20 @@ def _search(
             nodes += 1
             if nodes > limit:
                 raise SearchBudgetExceeded("node budget exceeded", nodes)
-            color[v] = c
-            dead = False
-            for gi in inc:
-                remaining[gi] -= 1
-                if not remaining[gi] and not dead:
-                    for u in groups[gi]:
-                        if color[u] != c:
-                            break
-                    else:  # the group is fully colored in c alone
-                        dead = True
-            if not dead:
+            for others in closes:
+                for u in others:
+                    if color[u] != c:
+                        break
+                else:  # the group is fully colored in c alone
+                    break
+            else:
+                color[v] = c
                 break
-            for gi in inc:
-                remaining[gi] += 1
-            color[v] = -1
         if color[v] < 0:
             i -= 1
         else:
-            top[i + 1] = top[i] if top[i] > color[v] else color[v]
+            resume[i] = j
+            top[i + 1] = top[i] if top[i] > j else j
             i += 1
     return (color if i == depth else None), nodes
 

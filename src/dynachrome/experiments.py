@@ -143,6 +143,8 @@ def conjecture_scan(
     """
     if family not in ("all_cubic_connected", "random_regular"):
         raise ValueError(f"unknown family {family!r}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     instances: list[tuple[int, Graph]] = []
     if family == "all_cubic_connected":
         if max_n < 4:

@@ -139,10 +139,11 @@ def _require_total(g_size: int, c: Coloring) -> None:
 def check_proper(g: Graph, c: Coloring) -> list[Violation]:
     """All edges whose endpoints share a color, ascending by (u, v)."""
     _require_total(g.n, c)
+    colors = c.colors
     return [
         Violation("improper_edge", (u, v))
         for u, v in g.edges()
-        if c[u] == c[v]
+        if colors[u] == colors[v]
     ]
 
 
@@ -151,9 +152,9 @@ def check_dynamic(g: Graph, c: Coloring) -> list[Violation]:
     neighbors all share one color.  Edge violations come first, then
     neighborhood violations, each ascending."""
     out = check_proper(g, c)
-    for v in range(g.n):
-        nbrs = g.adjacency[v]
-        if len(nbrs) >= 2 and len({c[u] for u in nbrs}) < 2:
+    colors = c.colors
+    for v, nbrs in enumerate(g.adjacency):
+        if len(nbrs) >= 2 and len({colors[u] for u in nbrs}) < 2:
             out.append(Violation("monochromatic_neighborhood", (v,)))
     return out
 

@@ -8,17 +8,21 @@ they must stay independent of them.  ``naive_resample`` is the same kind
 of oracle for the resampling routines: it rescans every event after every
 resample.  ``random_regular_reference`` is the pairing-model generator as it
 was written against ``random.Random.shuffle``; the library generator must
-build the same graph for every seed.
+build the same graph for every seed.  ``search_reference`` is the exact
+layer's backtracker as it was before groups were filed by closing depth:
+it counts each group's uncolored members and bisects the palette on every
+visit, and the library search must give the same colors and node counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from collections import defaultdict
-from typing import Optional
+from typing import Collection, Optional, Sequence
 
-from dynachrome import Graph, Hypergraph
+from dynachrome import Graph, Hypergraph, SearchBudgetExceeded
 
 
 def adjacency(g: Graph) -> list[tuple[int, ...]]:
@@ -198,6 +202,86 @@ def random_regular_reference(
         if edges is not None:
             return Graph.from_edges(n, edges)
     raise RuntimeError(f"random_regular({n},{k}) gave up after {max_retries} restarts")
+
+
+def search_reference(
+    order: Sequence[int],
+    palettes: Sequence[Sequence[int]],
+    adj: Sequence[Sequence[int]],
+    groups: Sequence[Collection[int]],
+    break_symmetry: bool,
+    budget: Optional[int],
+    nodes: int = 0,
+) -> tuple[Optional[list[int]], int]:
+    """Depth-first search for colors from ascending per-vertex palettes.
+
+    Vertices are colored in ``order``.  A vertex skips colors already on a
+    colored neighbor in ``adj``, and a branch dies as soon as one of
+    ``groups`` is fully colored in a single color.  With
+    ``break_symmetry`` (all palettes alike), a vertex may take at most one
+    color above the largest used so far.  Every color tried is one node,
+    counted on from ``nodes`` against ``budget``; a negative budget raises
+    ValueError.  Returns the colors by vertex (None when no branch
+    survives) and the node total, or raises SearchBudgetExceeded.  The
+    branch state lives in per-depth arrays, not on the Python call stack,
+    so no input is too deep to search.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
+    color = [-1] * len(palettes)
+    incident: list[list[int]] = [[] for _ in palettes]
+    for gi, grp in enumerate(groups):
+        for v in grp:
+            incident[v].append(gi)
+    remaining = [len(grp) for grp in groups]
+    limit = float("inf") if budget is None else budget
+    depth = len(order)
+    top = [-1] * (depth + 1)  # top[i]: largest color among order[:i]
+    used_at: list[set[int]] = [set()] * depth  # neighbor colors at entry
+    i = 0
+    while 0 <= i < depth:
+        v = order[i]
+        inc = incident[v]
+        palette = palettes[v]
+        if color[v] < 0:  # first visit at this depth
+            j = 0
+            used = used_at[i] = {color[u] for u in adj[v]}
+        else:  # back from a dead subtree: uncolor v, resume past its color
+            j = bisect_right(palette, color[v])
+            for gi in inc:
+                remaining[gi] += 1
+            color[v] = -1
+            used = used_at[i]
+        end = bisect_right(palette, top[i] + 1) if break_symmetry else len(palette)
+        while j < end:
+            c = palette[j]
+            j += 1
+            if c in used:
+                continue
+            nodes += 1
+            if nodes > limit:
+                raise SearchBudgetExceeded("node budget exceeded", nodes)
+            color[v] = c
+            dead = False
+            for gi in inc:
+                remaining[gi] -= 1
+                if not remaining[gi] and not dead:
+                    for u in groups[gi]:
+                        if color[u] != c:
+                            break
+                    else:  # the group is fully colored in c alone
+                        dead = True
+            if not dead:
+                break
+            for gi in inc:
+                remaining[gi] += 1
+            color[v] = -1
+        if color[v] < 0:
+            i -= 1
+        else:
+            top[i + 1] = top[i] if top[i] > color[v] else color[v]
+            i += 1
+    return (color if i == depth else None), nodes
 
 
 # Seven points, seven 3-element lines, every two lines meeting: the

@@ -82,7 +82,15 @@ def test_non_integer_budget_env_var_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "chi", "--graph", "cycle:5")
     assert code == 1
     assert out == ""
-    assert "invalid input" in err and "DYNACHROME_BUDGET" in err
+    assert err == "invalid input: DYNACHROME_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_gen_ignores_budget_env_var(capsys, monkeypatch):
+    # gen takes no --budget, so a malformed DYNACHROME_BUDGET is not its concern.
+    monkeypatch.setenv("DYNACHROME_BUDGET", "abc")
+    code, out, err = run(capsys, "gen", "cycle:4")
+    assert code == 0 and err == ""
+    assert read_dimacs(out) == cycle(4)
 
 
 @pytest.mark.parametrize("argv", [
@@ -296,6 +304,16 @@ def test_experiment_scan_text(capsys):
                        "--seed", "1")
     assert code == 0
     assert "max_gap" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "regular", "--n", "10", "--k", "3", "--trials", "-2", "--format", "json"],
+    ["--family", "cubic", "--trials", "0", "--format", "csv"],
+])
+def test_conjecture_scan_without_trials_exits_1(capsys, argv):
+    code, out, err = run(capsys, "experiment", "conjecture-scan", *argv)
+    assert code == 1 and out == ""
+    assert err == "invalid input: need at least one trial\n"
 
 
 def test_unknown_argument_exits_1(capsys):

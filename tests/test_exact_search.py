@@ -1,0 +1,113 @@
+"""The exact layer's backtracker against its earlier form, and the node
+counts and witnesses of the benchmark's six ``solve`` instances.
+
+``helpers.search_reference`` is ``exact._search`` as it was when every
+colored vertex updated a count of uncolored members for each of its groups
+and every visit bisected its palette.  The library search files each group
+under the depth at which it closes instead; the two must agree on the
+colors found, on the node total and on where a budget runs out.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dynachrome import (
+    SearchBudgetExceeded,
+    chromatic_number,
+    dynamic_chromatic_number,
+    exact_double_total_dominating,
+    from_spec,
+)
+from dynachrome.exact import _search
+from helpers import search_reference
+
+MAX_N = 7
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except SearchBudgetExceeded as exc:
+        return "exhausted", exc.nodes_explored
+
+
+@st.composite
+def search_inputs(draw):
+    n = draw(st.integers(0, MAX_N))
+    order = draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [[] for _ in range(n)]
+    for (u, v), k in zip(pairs, keep):
+        if k:
+            adj[u].append(v)
+            adj[v].append(u)
+    break_symmetry = draw(st.booleans())
+    ascending = st.sets(st.integers(0, 5), max_size=4).map(sorted)
+    if break_symmetry:  # the search requires one palette for all vertices
+        palette = draw(st.one_of(st.builds(range, st.integers(0, 4)), ascending))
+        palettes = [palette] * n
+    else:
+        palettes = draw(st.lists(ascending, min_size=n, max_size=n))
+    groups = []
+    if n:
+        groups = draw(st.lists(
+            st.lists(st.integers(0, n - 1), max_size=4, unique=True), max_size=8
+        ))
+        # Size-2 edges, and repeats of groups already drawn.
+        groups += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+        groups += draw(st.lists(st.sampled_from(groups), max_size=3)) if groups else []
+    budget = draw(st.one_of(st.none(), st.just(0), st.integers(1, 60)))
+    nodes = draw(st.sampled_from((0, 0, 1, 17)))
+    return order, palettes, adj, groups, break_symmetry, budget, nodes
+
+
+# A 5-cycle's neighborhood hypergraph twice over plus its five size-2
+# edges, searched from a non-zero node count.
+_C5 = [((v - 1) % 5, (v + 1) % 5) for v in range(5)] * 2
+_C5 += [(v, (v + 1) % 5) for v in range(5)]
+
+
+@settings(max_examples=500)
+@given(search_inputs())
+@example(([2, 0, 4, 1, 3], [(0, 1, 2)] * 5, [()] * 5, _C5, True, None, 3))
+@example(([2, 0, 4, 1, 3], [(0, 1, 2)] * 5, [()] * 5, _C5, True, 8, 3))
+def test_search_matches_reference(args):
+    assert _outcome(_search, *args) == _outcome(search_reference, *args)
+
+
+def _digest(colors) -> str:
+    return hashlib.sha256(repr(tuple(colors)).encode()).hexdigest()[:16]
+
+
+# The benchmark's `exact` solves, each on from_spec(spec, seed) with the
+# seed its row gets: value, nodes, exhausted, bounds and the witness digest,
+# recorded before the search filed groups by closing depth.
+BENCH_SOLVES = [
+    (chromatic_number, "random_regular:500,3", 0, 20_000,
+     (3, 500, False, None, "73a0c9ffba4257d1")),
+    (chromatic_number, "random_regular:3000,3", 1, 100_000,
+     (3, 3007, False, None, "52c4466c07eb5f04")),
+    (chromatic_number, "kneser:9,3", 2, 20_000, (None, 20001, True, (4, 7), None)),
+    (dynamic_chromatic_number, "random_regular:40,4", 3, 1_000_000,
+     (3, 525, False, None, "43ed69f0edd95dc8")),
+    (dynamic_chromatic_number, "random_regular:60,3", 4, 20_000,
+     (None, 20001, True, (3, 60), None)),
+]
+
+
+@pytest.mark.parametrize("solve, spec, seed, budget, want", BENCH_SOLVES)
+def test_bench_solves_pinned(solve, spec, seed, budget, want):
+    res = solve(from_spec(spec, seed), budget)
+    witness = None if res.witness is None else _digest(res.witness.colors)
+    assert (res.value, res.nodes_explored, res.exhausted, res.bounds, witness) == want
+
+
+def test_bench_double_total_pinned():
+    with pytest.raises(SearchBudgetExceeded) as info:
+        exact_double_total_dominating(from_spec("random_regular:200,3", 5), 20_000)
+    assert info.value.nodes_explored == 20001

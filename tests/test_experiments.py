@@ -98,6 +98,16 @@ def test_conjecture_scan_validation():
         conjecture_scan("random_regular", seed=0)  # needs n
 
 
+@pytest.mark.parametrize("family, kwargs", [
+    ("random_regular", {"n": 10, "k": 3}),
+    ("all_cubic_connected", {"max_n": 8}),
+])
+@pytest.mark.parametrize("trials", [0, -2])
+def test_conjecture_scan_needs_a_trial(family, kwargs, trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        conjecture_scan(family, seed=0, trials=trials, **kwargs)
+
+
 def test_report_csv():
     report = run_gnp_triangle_experiment(10, 0.5, trials=3, seed=5)
     csv_text = report.to_csv()
