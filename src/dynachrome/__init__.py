@@ -77,7 +77,6 @@ from .graphs import (
     kneser,
     neighborhood_hypergraph,
     random_regular,
-    regularize_hypergraph,
     vertices_in_triangles,
 )
 from .lll import (

@@ -466,7 +466,6 @@ class BoundContext:
     """Optional precomputed facts that unlock the subset-based bounds."""
 
     chi: Optional[int] = None
-    chi_d: Optional[int] = None
     double_total: Optional[VertexSubset] = None
     total: Optional[VertexSubset] = None
     kneser: Optional[KneserSpec] = None

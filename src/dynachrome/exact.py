@@ -247,11 +247,15 @@ def list_dynamic_coloring(
     certified None when the exhaustive search finds no such coloring.
 
     Raises SearchBudgetExceeded when the budget runs out first; that is a
-    distinct outcome from None.
+    distinct outcome from None.  Raises ValueError on a negative list
+    color, which no Coloring can hold.
     """
     if len(lists) != g.n:
         raise ValueError("list assignment must cover all vertices")
     allowed = [sorted(lists[v]) for v in range(g.n)]
+    for v, colors in enumerate(allowed):
+        if colors and colors[0] < 0:
+            raise ValueError(f"list of vertex {v} holds negative color {colors[0]}")
     groups = neighborhood_hypergraph(g).edges
     found, _ = _search(dsatur_order(g), allowed, g.adjacency, groups, False, budget)
     if found is None:

@@ -27,6 +27,9 @@ __all__ = [
 
 REPORT_SCHEMA = "dynachrome-report/1"
 
+# Seeds tried per order before a cubic scan trial gives up on connectivity.
+CUBIC_ATTEMPTS = 200
+
 
 def derive_seed(master: int, index: int) -> int:
     """Per-trial seed from (master seed, trial index); affine so distinct
@@ -115,8 +118,8 @@ def run_gnp_triangle_experiment(
     )
 
 
-def _sample_cubic_connected(n: int, seed: int, attempts: int = 200) -> Optional[Graph]:
-    for j in range(attempts):
+def _sample_cubic_connected(n: int, seed: int) -> Optional[Graph]:
+    for j in range(CUBIC_ATTEMPTS):
         g = random_regular(n, 3, derive_seed(seed, j))
         if is_connected(g):
             return g
@@ -149,7 +152,7 @@ def conjecture_scan(
     if family == "all_cubic_connected":
         if max_n < 4:
             raise ValueError("cubic graphs need n >= 4")
-        orders = [m for m in range(4, max_n + 1) if m % 2 == 0]
+        orders = range(4, max_n + 1, 2)
         seen: set[tuple[tuple[int, int], ...]] = set()
         for i in range(trials):
             trial_seed = derive_seed(seed, i)

@@ -14,7 +14,6 @@ import sys
 from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "from_spec",
     "induced_subgraph",
     "neighborhood_hypergraph",
-    "regularize_hypergraph",
     "vertices_in_triangles",
     "is_connected",
     "bipartition",
@@ -74,9 +72,6 @@ class Graph:
             adj[v].add(u)
             m += 1
         return cls(n, tuple(tuple(sorted(a)) for a in adj), m)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -149,34 +144,12 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def min_edge_size(self) -> Optional[int]:
-        return min((len(f) for f in self.edges), default=None)
-
-    @property
-    def max_edge_size(self) -> Optional[int]:
-        return max((len(f) for f in self.edges), default=None)
-
     def vertex_degrees(self) -> list[int]:
         deg = [0] * self.n
         for f in self.edges:
             for v in f:
                 deg[v] += 1
         return deg
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.vertex_degrees(), default=0)
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.vertex_degrees(), default=0)
-
-    def is_uniform(self, k: int) -> bool:
-        return all(len(f) == k for f in self.edges)
-
-    def is_regular(self, k: int) -> bool:
-        return all(d == k for d in self.vertex_degrees())
 
 
 @dataclass(frozen=True)
@@ -233,10 +206,6 @@ class KneserSpec:
     @property
     def t(self) -> int:
         return self.m - 2 * self.n
-
-    @property
-    def vertex_count(self) -> int:
-        return comb(self.m, self.n)
 
     def vertex_subsets(self) -> tuple[frozenset[int], ...]:
         """The n-subsets of {1..m} in lexicographic order, one per vertex id."""
@@ -483,44 +452,6 @@ def neighborhood_hypergraph(
             edges.append([index[u] for u in g.adjacency[v]])
             labels.append(v)
     return Hypergraph.from_edges(len(target), edges, labels)
-
-
-def regularize_hypergraph(
-    h: Hypergraph, k: int, max_vertices: int = 1_000_000
-) -> Hypergraph:
-    """Extend a k-uniform hypergraph with max degree <= k to a k-regular one.
-
-    Each round replaces the current hypergraph by k disjoint copies and, for
-    every vertex of degree < k, adds one new edge joining its k copies; that
-    raises the minimum degree by exactly one, so ``k - min_degree`` rounds
-    suffice.  The vertex count multiplies by k per round, hence the budget
-    guard.
-    """
-    if h.edge_count == 0:
-        raise ValueError("hypergraph has no edges")
-    if not h.is_uniform(k):
-        raise ValueError(f"hypergraph is not {k}-uniform")
-    if h.max_degree > k:
-        raise ValueError(f"max degree {h.max_degree} exceeds {k}")
-    rounds = k - h.min_degree
-    projected = h.n * k**rounds
-    if projected > max_vertices:
-        raise ValueError(
-            f"regularized hypergraph would have {projected} vertices "
-            f"(budget {max_vertices})"
-        )
-    current = h
-    while current.min_degree < k:
-        n2 = current.n * k
-        edges: list[Iterable[int]] = []
-        for i in range(k):
-            off = i * current.n
-            edges.extend(frozenset(v + off for v in f) for f in current.edges)
-        for v, d in enumerate(current.vertex_degrees()):
-            if d < k:
-                edges.append(frozenset(v + i * current.n for i in range(k)))
-        current = Hypergraph.from_edges(n2, edges)
-    return current
 
 
 def vertices_in_triangles(g: Graph) -> VertexSubset:

@@ -1,12 +1,13 @@
 """Constructive avoidance of bad events by targeted resampling.
 
-The four samplers share one engine in the style of Moser and Tardos (J. ACM
-2010).  A routine supplies its events (each event's variables, in redraw
-order), a violation test and a per-variable draw.  The engine draws every
-variable once, then re-draws the variables of the lowest-indexed violated
-event until none is violated or a resample cap is hit.  A full scan seeds a
-min-heap of violated events; after a resample only the events that share a
-variable with it are re-tested, and stale heap entries are dropped when
+The samplers share one engine in the style of Moser and Tardos (J. ACM
+2010); a double-total set is a 2-coloring of the neighborhood hypergraph.
+A routine supplies its events (each event's variables, in redraw order), a
+violation test and a per-variable draw.  The engine draws every variable
+once, then re-draws the variables of the lowest-indexed violated event
+until none is violated or a resample cap is hit.  A full scan seeds a
+min-heap of violated events; after a resample only the events that share
+a variable with it are re-tested, and stale heap entries are dropped when
 they surface.  The RNG is drawn in the order that a full rescan after every
 resample would draw it, so outputs and logs are exactly those of that
 simpler loop, deterministic given the seed.  "success" is reported only
@@ -28,7 +29,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Hypergraph, VertexSubset
+from .graphs import Graph, Hypergraph, VertexSubset, neighborhood_hypergraph
 from .verify import Coloring, ListAssignment
 
 __all__ = [
@@ -271,8 +272,12 @@ def moser_tardos_2color(
             incident[v].append(i)
 
     def monochromatic(color: list[int], i: int) -> bool:
-        first, *rest = edge_vertices[i]
-        return all(color[v] == color[first] for v in rest)
+        vs = edge_vertices[i]
+        c = color[vs[0]]
+        for v in vs:
+            if color[v] != c:
+                return False
+        return True
 
     log = _resample(edge_vertices, incident, lambda v: rng.randrange(2), monochromatic,
                     max_resamples, seed, list.copy)
@@ -283,8 +288,9 @@ def find_double_total_dominating(
     g: Graph, seed: int = 0, max_resamples: Optional[int] = None
 ) -> tuple[Optional[VertexSubset], ResampleLog]:
     """Random subset T with every neighborhood meeting both T and its
-    complement, found by resampling the neighborhood of any vertex whose
-    neighbors all landed on one side.
+    complement: a 2-coloring of the neighborhood hypergraph by
+    :func:`moser_tardos_2color`, with T the vertices colored 1.  The log's
+    ``final_state`` is likewise the list of vertices colored 1.
 
     A vertex of degree <= 1 makes the target impossible outright, which
     raises InfeasibleStructureError rather than burning the resample cap.
@@ -295,14 +301,8 @@ def find_double_total_dominating(
                 f"vertex {v} has degree {g.degree(v)}; its neighborhood cannot "
                 "meet both the subset and its complement"
             )
-    rng = random.Random(seed)
-
-    def one_sided(in_t: list[bool], v: int) -> bool:
-        inside = sum(1 for u in g.adjacency[v] if in_t[u])
-        return inside == 0 or inside == g.degree(v)
-
-    log = _resample(g.adjacency, g.adjacency, lambda v: rng.randrange(2) == 1, one_sided,
-                    max_resamples, seed, _members)
+    _, log = moser_tardos_2color(neighborhood_hypergraph(g), seed, max_resamples)
+    log.final_state = _members(log.final_state)
     return (VertexSubset(frozenset(log.final_state), g.n) if log.success else None), log
 
 

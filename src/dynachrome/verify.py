@@ -104,9 +104,6 @@ class ListAssignment:
         sizes = {len(l) for l in self.lists}
         return sizes.pop() if len(sizes) == 1 else None
 
-    def max_color(self) -> int:
-        return max((max(l) for l in self.lists if l), default=-1)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -12,6 +12,8 @@ build the same graph for every seed.  ``search_reference`` is the exact
 layer's backtracker as it was before groups were filed by closing depth:
 it counts each group's uncolored members and bisects the palette on every
 visit, and the library search must give the same colors and node counts.
+``regularize_hypergraph`` is the lemma that embeds a k-uniform hypergraph
+of max degree <= k in a k-regular one.
 """
 
 from __future__ import annotations
@@ -325,3 +327,37 @@ def random_uniform_hypergraph(
         for v in f:
             deg[v] += 1
     return Hypergraph.from_edges(n, edges)
+
+
+def regularize_hypergraph(
+    h: Hypergraph, k: int, max_vertices: int = 1_000_000
+) -> Hypergraph:
+    """Extend a k-uniform hypergraph with max degree <= k to a k-regular one.
+
+    Each round replaces the current hypergraph by k disjoint copies and, for
+    every vertex of degree < k, adds one new edge joining its k copies; that
+    raises the minimum degree by exactly one, so ``k - min degree`` rounds
+    suffice.  The vertex count multiplies by k per round, hence the budget
+    guard.
+    """
+    if not h.edges:
+        raise ValueError("hypergraph has no edges")
+    if any(len(f) != k for f in h.edges):
+        raise ValueError(f"hypergraph is not {k}-uniform")
+    deg = h.vertex_degrees()
+    if max(deg) > k:
+        raise ValueError(f"max degree {max(deg)} exceeds {k}")
+    projected = h.n * k ** (k - min(deg))
+    if projected > max_vertices:
+        raise ValueError(
+            f"regularized hypergraph would have {projected} vertices "
+            f"(budget {max_vertices})"
+        )
+    current = h
+    while min(deg) < k:
+        n = current.n
+        edges = [frozenset(v + i * n for v in f) for i in range(k) for f in current.edges]
+        edges += [frozenset(v + i * n for i in range(k)) for v, d in enumerate(deg) if d < k]
+        current = Hypergraph.from_edges(n * k, edges)
+        deg = current.vertex_degrees()
+    return current

@@ -117,7 +117,6 @@ def run_report(case: dict) -> dict:
         subset = VertexSubset(frozenset({0}), g.n)
     ctx = BoundContext(
         chi=3,
-        chi_d=4,
         double_total=subset,
         total=subset,
         kneser=KneserSpec(7, 3),

@@ -197,6 +197,17 @@ def test_list_dynamic_budget_distinct_from_none():
         list_dynamic_coloring(g, lists, budget=2)
 
 
+@pytest.mark.parametrize("g, lists", [
+    (Graph.from_edges(3, [(0, 1)]), [[-2, 0, 3], [1, 3], [1, -1, -2]]),  # (0, 1, 1) fits
+    (complete(3), [[2, -1, 0], [1, 2, -2], [-2, 1, 0]]),  # (0, 2, 1) fits
+    (complete(3), [[-1, 0], [1], [2]]),  # (0, 1, 2) fits
+])
+def test_list_dynamic_rejects_negative_colors(g, lists):
+    # The search marks an uncolored vertex -1, so negative list colors are refused.
+    with pytest.raises(ValueError, match="negative color"):
+        list_dynamic_coloring(g, ListAssignment.of(lists))
+
+
 def test_list_dynamic_varied_lists():
     g = cycle(4)
     lists = ListAssignment.of([{0, 1}, {1, 2}, {2, 3}, {3, 0}])

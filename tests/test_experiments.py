@@ -108,6 +108,13 @@ def test_conjecture_scan_needs_a_trial(family, kwargs, trials):
         conjecture_scan(family, seed=0, trials=trials, **kwargs)
 
 
+def test_conjecture_scan_cubic_huge_max_n_uses_first_orders():
+    # The orders are a range, never a list of every even order up to max_n.
+    report = conjecture_scan("all_cubic_connected", seed=0, max_n=10**12, trials=2)
+    assert [t["n"] for t in report.trials] == [4, 6]
+    assert report.parameters["max_n"] == 10**12
+
+
 def test_report_csv():
     report = run_gnp_triangle_experiment(10, 0.5, trials=3, seed=5)
     csv_text = report.to_csv()

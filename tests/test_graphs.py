@@ -24,7 +24,6 @@ from dynachrome import (
     kneser,
     neighborhood_hypergraph,
     random_regular,
-    regularize_hypergraph,
     vertices_in_triangles,
 )
 from dynachrome.graphs import _shuffle
@@ -106,7 +105,7 @@ def test_kneser_spec_validation():
     with pytest.raises(ValueError):
         KneserSpec(4, 0)
     assert KneserSpec(7, 3).t == 1
-    assert KneserSpec(7, 3).vertex_count == 35
+    assert len(KneserSpec(7, 3).vertex_subsets()) == 35
 
 
 def test_gnp_reproducible():
@@ -274,8 +273,8 @@ def test_neighborhood_hypergraph_cycle4_multiset():
     assert h.n == 4
     assert [sorted(f) for f in h.edges] == [[1, 3], [0, 2], [1, 3], [0, 2]]
     assert h.labels == (0, 1, 2, 3)
-    assert h.min_edge_size == h.max_edge_size == 2
-    assert h.max_degree == 2  # duplicates retained, so each vertex sits in 2 edges
+    # Duplicates retained, so each vertex sits in 2 edges.
+    assert h.vertex_degrees() == [2, 2, 2, 2]
 
 
 def test_neighborhood_hypergraph_triangle():
@@ -309,48 +308,8 @@ def test_neighborhood_hypergraph_with_target():
 def test_neighborhood_hypergraph_regular_graph():
     g = random_regular(12, 3, seed=2)
     h = neighborhood_hypergraph(g)
-    assert h.min_edge_size == h.max_edge_size == 3
-    assert h.max_degree == g.max_degree == 3
-    assert h.is_regular(3)
-
-
-# ----------------------------------------------------------------------
-# hypergraph regularization
-# ----------------------------------------------------------------------
-
-
-def test_regularize_single_edge():
-    h = Hypergraph.from_edges(4, [(0, 1, 2, 3)])
-    out = regularize_hypergraph(h, 4)
-    assert out.n == 4 * 4**3 == 256
-    assert out.is_uniform(4)
-    assert out.is_regular(4)
-
-
-def test_regularize_already_regular():
-    g = cycle(6)
-    h = neighborhood_hypergraph(g)  # 2-uniform, 2-regular
-    assert regularize_hypergraph(h, 2) is h
-
-
-def test_regularize_two_disjoint_edges():
-    h = Hypergraph.from_edges(8, [(0, 1, 2, 3), (4, 5, 6, 7)])
-    out = regularize_hypergraph(h, 4)
-    assert out.n == 8 * 4**3
-    assert out.is_uniform(4)
-    assert out.is_regular(4)
-
-
-def test_regularize_rejections():
-    mixed = Hypergraph.from_edges(5, [(0, 1, 2), (3, 4)])
-    with pytest.raises(ValueError):
-        regularize_hypergraph(mixed, 3)
-    crowded = Hypergraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ValueError):
-        regularize_hypergraph(crowded, 2)  # vertex 0 has degree 3 > 2
-    big = Hypergraph.from_edges(9, [tuple(range(9))])
-    with pytest.raises(ValueError):
-        regularize_hypergraph(big, 9)  # 9 * 9^8 vertices blows the budget
+    assert all(len(f) == 3 for f in h.edges)
+    assert h.vertex_degrees() == [3] * g.n
 
 
 def test_hypergraph_validation():

@@ -238,6 +238,5 @@ def test_coloring_invariants():
 def test_list_assignment_helpers():
     lists = ListAssignment.uniform(3, {1, 4})
     assert lists.uniform_size() == 2
-    assert lists.max_color() == 4
     ragged = ListAssignment.of([{0}, {0, 1}])
     assert ragged.uniform_size() is None
