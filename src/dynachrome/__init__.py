@@ -69,6 +69,7 @@ from .graphs import (
     complete,
     complete_bipartite,
     cycle,
+    dsatur,
     dsatur_order,
     from_spec,
     gnp,

@@ -17,6 +17,7 @@ from typing import Optional
 from . import constructions, exact, experiments, formats
 from .graphs import Graph, KneserSpec, from_spec
 from .verify import (
+    check_domination,
     check_dynamic,
     check_proper,
     violations_to_json,
@@ -82,6 +83,12 @@ def _cmd_gen(args) -> int:
     return _ExitCode.OK
 
 
+def _certify(violations: list, what: str) -> None:
+    """Refuse to print a solver's answer that fails its own check."""
+    if violations:
+        raise constructions.CertificationError(f"{what} failed its check", violations)
+
+
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph, args.seed)
     if args.problem == "chi":
@@ -90,6 +97,8 @@ def _cmd_solve(args) -> int:
         res = exact.dynamic_chromatic_number(g, args.budget)
     else:  # double-total
         subset = exact.exact_double_total_dominating(g, args.budget)
+        if subset is not None:
+            _certify(check_domination(g, subset, "double_total"), "double total set")
         payload = {
             "found": subset is not None,
             "members": sorted(subset.members) if subset is not None else None,
@@ -106,6 +115,8 @@ def _cmd_solve(args) -> int:
         lines = [f"budget exhausted after {res.nodes_explored} nodes; bounds {res.bounds}"]
         _emit(payload, args.format, lines)
         return _ExitCode.EXHAUSTED
+    checker = check_proper if args.problem == "chi" else check_dynamic
+    _certify(checker(g, res.witness), f"{args.problem} witness")
     lines = [
         f"{args.problem} = {res.value} ({res.nodes_explored} nodes explored)",
         f"witness: {list(res.witness.colors)}",

@@ -26,7 +26,7 @@ from .graphs import (
     KneserSpec,
     VertexSubset,
     bipartition,
-    dsatur_order,
+    dsatur,
     induced_subgraph,
     is_connected,
     neighborhood_hypergraph,
@@ -511,7 +511,7 @@ def chi_witness(g: Graph, budget: Optional[int] = None) -> tuple[Coloring, str]:
         res = chromatic_number(g, budget)
         if not res.exhausted:
             return res.witness, "exact"
-    return greedy_coloring(g, dsatur_order(g)), "greedy"
+    return Coloring.total(dsatur(g)[1]), "greedy"
 
 
 def _split_witnesses(

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, VertexSubset, bipartition, dsatur_order
+from .graphs import Graph, Hypergraph, VertexSubset, bipartition, dsatur, dsatur_order
 from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
 from .verify import Coloring, ListAssignment
 
@@ -100,23 +100,27 @@ def _search(
     palettes.
 
     Vertices are colored in ``order``, which lists each vertex once.  A
-    vertex skips colors already on a colored neighbor in ``adj``, and a
-    branch dies as soon as one of ``groups`` is fully colored in a single
-    color.  As the order is fixed, a group closes (becomes fully colored)
-    exactly at the depth of its last member in ``order``.  Each group is
-    filed once, under that depth, as the list of its other members, and a
-    color tried at a depth is tested against the groups closing there and
-    no others.  With ``break_symmetry`` (all palettes alike), a vertex may
-    take at most one color above the largest used so far; how far into
-    the palette that reaches is read from a table built once, indexed by
-    the position of the largest color used.  Every color tried is one
-    node, counted on from ``nodes`` against ``budget``; a negative budget
-    raises ValueError.  Returns the colors by vertex (None when no branch
-    survives) and the node total, or raises SearchBudgetExceeded.  The
-    branch state lives in per-depth arrays, not on the Python call stack,
-    so no input is too deep to search: the neighbor colors seen on entry,
-    and the resume index, the palette position just past the color taken,
-    where the search picks up again when it backtracks into that depth.
+    vertex skips colors already on a colored neighbor in ``adj``.  When the
+    search first reaches a vertex, only its neighbors that come before it in
+    ``order`` can be colored (the later ones are always uncolored, -1, which
+    no palette holds), so those lists are built once per call and a first
+    visit reads only their colors.  A branch dies as soon as one of
+    ``groups`` is fully colored in a single color.  As the order is fixed, a
+    group closes (becomes fully colored) exactly at the depth of its last
+    member in ``order``.  Each group is filed once, under that depth, as the
+    list of its other members, and a color tried at a depth is tested
+    against the groups closing there and no others.  With ``break_symmetry``
+    (all palettes alike), a vertex may take at most one color above the
+    largest used so far; how far into the palette that reaches is read from
+    a table built once, indexed by the position of the largest color used.
+    Every color tried is one node, counted on from ``nodes`` against
+    ``budget``; a negative budget raises ValueError.  Returns the colors by
+    vertex (None when no branch survives) and the node total, or raises
+    SearchBudgetExceeded.  The branch state lives in per-depth arrays, not
+    on the Python call stack, so no input is too deep to search: the
+    neighbor colors seen on entry, and the resume index, the palette
+    position just past the color taken, where the search picks up again when
+    it backtracks into that depth.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
@@ -125,6 +129,8 @@ def _search(
     at = [0] * len(palettes)  # at[v]: the depth at which v is colored
     for i, v in enumerate(order):
         at[v] = i
+    earlier = [[u for u in adj[v] if at[u] < i] for i, v in enumerate(order)]
+    colored = color.__getitem__
     closing: list[list[list[int]]] = [[] for _ in range(depth)]
     for grp in groups:
         if grp:
@@ -148,7 +154,7 @@ def _search(
         palette = palettes[v]
         if color[v] < 0:  # first visit at this depth
             j = 0
-            used = used_at[i] = {color[u] for u in adj[v]}
+            used = used_at[i] = set(map(colored, earlier[i]))
         else:  # back from a dead subtree: uncolor v, resume past its color
             j = resume[i]
             color[v] = -1
@@ -216,9 +222,8 @@ def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
     bip = bipartition(g)
     if bip is not None:
         return SolveResult(2, Coloring.total(bip, 2), 0)
-    order = dsatur_order(g)
-    upper = greedy_coloring(g, order).palette_size
-    return _min_palette(g, order, upper, budget, [])
+    order, colors = dsatur(g)
+    return _min_palette(g, order, max(colors) + 1, budget, [])
 
 
 def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:

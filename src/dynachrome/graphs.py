@@ -33,6 +33,7 @@ __all__ = [
     "vertices_in_triangles",
     "is_connected",
     "bipartition",
+    "dsatur",
     "dsatur_order",
 ]
 
@@ -507,23 +508,31 @@ def bipartition(g: Graph) -> Optional[list[int]]:
     return color
 
 
-def dsatur_order(g: Graph) -> list[int]:
-    """The order in which DSATUR (Brélaz, CACM 1979) colors the vertices.
+def dsatur(g: Graph) -> tuple[list[int], list[int]]:
+    """DSATUR (Brélaz, CACM 1979): the order in which it colors the vertices,
+    and the colors it gives them, by vertex.
 
     Each step takes the uncolored vertex whose colored neighbors show the
     most distinct colors, ties by higher degree and then lower id, and
-    gives it the smallest color its neighbors lack.  First-fit greedy in
-    this order therefore reproduces the DSATUR coloring.
+    gives it the smallest color its neighbors lack.  The colors are thus
+    exactly what first-fit greedy gives in this order.  A heap entry is one
+    int, the base n + 1 digits (n - saturation, n - degree, id), so ints
+    compare as those triples would.
     """
+    n = g.n
     adj = g.adjacency
-    color = [-1] * g.n
-    seen: list[set[int]] = [set() for _ in range(g.n)]
-    heap = [(0, -len(adj[v]), v) for v in range(g.n)]
+    b = n + 1
+    bb = b * b
+    low = [(n - len(adj[v])) * b + v for v in range(n)]  # the last two digits
+    color = [-1] * n
+    seen: list[set[int]] = [set() for _ in range(n)]
+    heap = [n * bb + x for x in low]
     heapq.heapify(heap)
     order = []
     while heap:
-        neg_sat, neg_deg, v = heapq.heappop(heap)
-        if color[v] >= 0 or -neg_sat != len(seen[v]):
+        key = heapq.heappop(heap)
+        v = key % b
+        if color[v] >= 0 or key // bb != n - len(seen[v]):
             continue  # stale entry: v was colored or has gained saturation
         c = 0
         while c in seen[v]:
@@ -533,5 +542,10 @@ def dsatur_order(g: Graph) -> list[int]:
         for u in adj[v]:
             if color[u] < 0 and c not in seen[u]:
                 seen[u].add(c)
-                heapq.heappush(heap, (-len(seen[u]), -len(adj[u]), u))
-    return order
+                heapq.heappush(heap, (n - len(seen[u])) * bb + low[u])
+    return order, color
+
+
+def dsatur_order(g: Graph) -> list[int]:
+    """The order in which :func:`dsatur` colors the vertices."""
+    return dsatur(g)[0]

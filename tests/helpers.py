@@ -12,12 +12,15 @@ build the same graph for every seed.  ``search_reference`` is the exact
 layer's backtracker as it was before groups were filed by closing depth:
 it counts each group's uncolored members and bisects the palette on every
 visit, and the library search must give the same colors and node counts.
-``regularize_hypergraph`` is the lemma that embeds a k-uniform hypergraph
+``dsatur_order_reference`` is ``graphs.dsatur_order`` as it was when its
+heap held (-saturation, -degree, id) tuples; the library order must match
+it.  ``regularize_hypergraph`` is the lemma that embeds a k-uniform hypergraph
 of max degree <= k in a k-regular one.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from bisect import bisect_right
@@ -83,6 +86,36 @@ def naive_dsatur_order(g: Graph) -> list[int]:
             c += 1
         color[v] = c
         order.append(v)
+    return order
+
+
+def dsatur_order_reference(g: Graph) -> list[int]:
+    """The order in which DSATUR (Brélaz, CACM 1979) colors the vertices.
+
+    Each step takes the uncolored vertex whose colored neighbors show the
+    most distinct colors, ties by higher degree and then lower id, and
+    gives it the smallest color its neighbors lack.  First-fit greedy in
+    this order therefore reproduces the DSATUR coloring.
+    """
+    adj = g.adjacency
+    color = [-1] * g.n
+    seen: list[set[int]] = [set() for _ in range(g.n)]
+    heap = [(0, -len(adj[v]), v) for v in range(g.n)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        neg_sat, neg_deg, v = heapq.heappop(heap)
+        if color[v] >= 0 or -neg_sat != len(seen[v]):
+            continue  # stale entry: v was colored or has gained saturation
+        c = 0
+        while c in seen[v]:
+            c += 1
+        color[v] = c
+        order.append(v)
+        for u in adj[v]:
+            if color[u] < 0 and c not in seen[u]:
+                seen[u].add(c)
+                heapq.heappush(heap, (-len(seen[u]), -len(adj[u]), u))
     return order
 
 

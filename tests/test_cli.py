@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from dynachrome import Coloring, Graph, coloring_to_json_dict, cycle, read_dimacs
+from dynachrome import (
+    Coloring,
+    Graph,
+    SolveResult,
+    VertexSubset,
+    coloring_to_json_dict,
+    cycle,
+    read_dimacs,
+)
+from dynachrome import cli as cli_module
 from dynachrome.cli import main
 
 
@@ -61,6 +70,26 @@ def test_solve_chi_large_cubic_graph_exits_0(capsys):
                        "--budget", "100000", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == 3
+
+
+# Each solver replaced by one that answers with a witness its check rejects:
+# an improper coloring, a proper one with a monochromatic neighborhood, and
+# a set with no member next to vertex 0.
+_BAD_ANSWERS = [
+    ("chi", "chromatic_number", SolveResult(3, Coloring.total([0] * 5), 0)),
+    ("chid", "dynamic_chromatic_number",
+     SolveResult(3, Coloring.total([0, 1, 2, 0, 1]), 0)),
+    ("double-total", "exact_double_total_dominating", VertexSubset(frozenset({0}), 5)),
+]
+
+
+@pytest.mark.parametrize("problem, solver, answer", _BAD_ANSWERS)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_rechecks_witness(capsys, monkeypatch, problem, solver, answer, fmt):
+    monkeypatch.setattr(cli_module.exact, solver, lambda g, budget: answer)
+    code, out, err = run(capsys, "solve", problem, "--graph", "cycle:5", "--format", fmt)
+    assert code == 3 and out == ""
+    assert err.startswith("internal verification failure:")
 
 
 def test_solve_budget_exhausted_exits_2(capsys):
@@ -147,8 +176,6 @@ def test_construct_kneser(capsys):
 
 
 def test_construct_kneser_passes_budget(capsys, monkeypatch):
-    from dynachrome import cli as cli_module
-
     seen = {}
     real = cli_module.constructions.kneser_dynamic_coloring
 
@@ -324,7 +351,6 @@ def test_unknown_argument_exits_1(capsys):
 
 def test_certification_failure_exits_3(capsys, monkeypatch):
     from dynachrome import CertificationError
-    from dynachrome import cli as cli_module
 
     def explode(*args, **kwargs):
         raise CertificationError("simulated self-check failure")

@@ -1,27 +1,39 @@
 """Exact solvers and their vertex order against naive oracles on random
-small inputs."""
+small inputs; DSATUR against its earlier heap and first-fit greedy; and
+the 2-colorability of regular graphs' neighborhood hypergraphs."""
 
 import itertools
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynachrome import (
     Graph,
     Hypergraph,
     ListAssignment,
+    VertexSubset,
     check_dynamic,
     check_hypergraph_2coloring,
     check_list_respecting,
     check_proper,
     chromatic_number,
+    complete,
+    cycle,
+    dsatur,
     dsatur_order,
     dynamic_chromatic_number,
+    from_spec,
+    gnp,
+    greedy_coloring,
     hypergraph_2color_exact,
     list_dynamic_coloring,
+    neighborhood_hypergraph,
+    random_regular,
 )
 from helpers import (
     brute_force_hypergraph_2colorable,
+    dsatur_order_reference,
     naive_dsatur_order,
     naive_chromatic,
     naive_dynamic_chromatic,
@@ -59,6 +71,50 @@ def test_dsatur_order_matches_naive(g):
     assert dsatur_order(g) == naive_dsatur_order(g)
 
 
+def _disjoint_union(parts: list[Graph]) -> Graph:
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def gnp_unions(draw):
+    """One to three G(n, p) graphs side by side, n up to 30 each."""
+    part = st.builds(gnp, st.integers(0, 30), st.sampled_from((0.0, 0.1, 0.3, 0.7, 1.0)),
+                     st.integers(0, 2**16))
+    return _disjoint_union(draw(st.lists(part, min_size=1, max_size=3)))
+
+
+def _assert_dsatur_matches_reference(g):
+    order, colors = dsatur(g)
+    assert order == dsatur_order_reference(g)
+    assert dsatur_order(g) == order
+    assert tuple(colors) == greedy_coloring(g, order).colors
+
+
+@given(gnp_unions())
+@example(Graph.from_edges(0, []))
+@example(Graph.from_edges(1, []))
+@example(Graph.from_edges(6, []))
+@example(complete(7))
+@example(_disjoint_union([cycle(5), complete(4), Graph.from_edges(2, [])]))
+def test_dsatur_matches_reference_and_greedy(g):
+    _assert_dsatur_matches_reference(g)
+
+
+@pytest.mark.parametrize("spec, seed", [
+    ("random_regular:3000,3", 1),
+    ("random_regular:500,3", 0),
+    ("random_regular:102,50", 0),
+    ("kneser:9,3", 2),
+    ("gnp:200,0.5", 0),
+])
+def test_dsatur_matches_reference_on_bench_graphs(spec, seed):
+    _assert_dsatur_matches_reference(from_spec(spec, seed))
+
+
 @given(graphs())
 def test_chi_matches_naive(g):
     res = chromatic_number(g)
@@ -90,4 +146,31 @@ def test_hypergraph_2color_matches_brute_force(h):
     found = hypergraph_2color_exact(h)
     assert (found is not None) == brute_force_hypergraph_2colorable(h)
     if found is not None:
+        assert check_hypergraph_2coloring(h, found) == []
+
+
+@st.composite
+def regular_with_subsets(draw):
+    """A k-regular graph on n vertices, 4 <= k < n <= 12, and a vertex subset."""
+    k = draw(st.integers(4, 11))
+    n = draw(st.sampled_from([n for n in range(k + 1, 13) if n * k % 2 == 0]))
+    g = random_regular(n, k, draw(st.integers(0, 2**16)))
+    return g, VertexSubset(frozenset(draw(st.sets(st.integers(0, n - 1)))), n)
+
+
+@given(regular_with_subsets())
+def test_regular_neighborhood_hypergraphs_are_2colorable(case):
+    # Every k-uniform k-regular hypergraph with k >= 4 is 2-colorable
+    # (Thomassen, J. AMS 1992).  A k-regular graph's neighborhood hypergraph
+    # is one; restricted to T it is k-uniform with max degree <= k, so it
+    # embeds in one and is 2-colorable as well.
+    g, t = case
+    k = g.regular_degree()
+    full, restricted = neighborhood_hypergraph(g), neighborhood_hypergraph(g, t)
+    assert full.vertex_degrees() == [k] * g.n
+    assert max(restricted.vertex_degrees(), default=0) <= k
+    for h in (full, restricted):
+        assert all(len(f) == k for f in h.edges)
+        found = hypergraph_2color_exact(h)
+        assert found is not None
         assert check_hypergraph_2coloring(h, found) == []

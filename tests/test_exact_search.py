@@ -4,8 +4,10 @@ counts and witnesses of the benchmark's six ``solve`` instances.
 ``helpers.search_reference`` is ``exact._search`` as it was when every
 colored vertex updated a count of uncolored members for each of its groups
 and every visit bisected its palette.  The library search files each group
-under the depth at which it closes instead; the two must agree on the
-colors found, on the node total and on where a budget runs out.
+under the depth at which it closes instead, and reads only the colors of
+neighbors that come earlier in the order; the two must agree on the colors
+found, on the node total and on where a budget runs out, for any neighbor
+lists, not only a graph's.
 """
 
 import hashlib
@@ -40,12 +42,13 @@ def search_inputs(draw):
     n = draw(st.integers(0, MAX_N))
     order = draw(st.permutations(range(n)))
     pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    adj = [[] for _ in range(n)]
-    for (u, v), k in zip(pairs, keep):
-        if k:
-            adj[u].append(v)
-            adj[v].append(u)
+    # Any neighbor lists: u may list v while v does not list u, and a vertex
+    # may list itself or a neighbor twice.
+    nbrs = st.lists(st.integers(0, n - 1), max_size=n + 1) if n else st.just([])
+    adj = draw(st.lists(nbrs, min_size=n, max_size=n))
+    if draw(st.booleans()):  # symmetric, as a graph's adjacency
+        adj = [sorted({u for u in range(n) if v in adj[u] or u in adj[v]})
+               for v in range(n)]
     break_symmetry = draw(st.booleans())
     ascending = st.sets(st.integers(0, 5), max_size=4).map(sorted)
     if break_symmetry:  # the search requires one palette for all vertices
@@ -76,6 +79,9 @@ _C5 += [(v, (v + 1) % 5) for v in range(5)]
 @given(search_inputs())
 @example(([2, 0, 4, 1, 3], [(0, 1, 2)] * 5, [()] * 5, _C5, True, None, 3))
 @example(([2, 0, 4, 1, 3], [(0, 1, 2)] * 5, [()] * 5, _C5, True, 8, 3))
+# Vertex 1 lists 0 but 0 does not list 1; then 0 and 2 list themselves.
+@example(([0, 1], [[0], [0]], [[], [0]], [], False, None, 0))
+@example(([2, 0, 1], [range(2)] * 3, [[0, 1], [0], [2, 1]], [], True, None, 0))
 def test_search_matches_reference(args):
     assert _outcome(_search, *args) == _outcome(search_reference, *args)
 
