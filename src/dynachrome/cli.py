@@ -8,6 +8,7 @@ this package, please report it).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -344,9 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use rather than at import."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process, so the handlers are bound then: to stub a command's work,
+    patch the library functions its handler calls, not ``cli._cmd_*``.
+    ``DYNACHROME_BUDGET`` is read on every call.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if hasattr(args, "budget"):  # --budget, else DYNACHROME_BUDGET
             if args.budget is None:
                 args.budget = _default_budget()

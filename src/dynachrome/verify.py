@@ -137,11 +137,13 @@ def check_proper(g: Graph, c: Coloring) -> list[Violation]:
     """All edges whose endpoints share a color, ascending by (u, v)."""
     _require_total(g.n, c)
     colors = c.colors
-    return [
-        Violation("improper_edge", (u, v))
-        for u, v in g.edges()
-        if colors[u] == colors[v]
-    ]
+    out = []
+    for u, nbrs in enumerate(g.adjacency):
+        cu = colors[u]
+        for v in nbrs:
+            if v > u and colors[v] == cu:
+                out.append(Violation("improper_edge", (u, v)))
+    return out
 
 
 def check_dynamic(g: Graph, c: Coloring) -> list[Violation]:

@@ -14,8 +14,10 @@ it counts each group's uncolored members and bisects the palette on every
 visit, and the library search must give the same colors and node counts.
 ``dsatur_order_reference`` is ``graphs.dsatur_order`` as it was when its
 heap held (-saturation, -degree, id) tuples; the library order must match
-it.  ``regularize_hypergraph`` is the lemma that embeds a k-uniform hypergraph
-of max degree <= k in a k-regular one.
+it.  ``check_proper_reference`` is ``verify.check_proper`` as it was when it
+walked ``Graph.edges()``; the library checker must report the same
+violations in the same order.  ``regularize_hypergraph`` is the lemma that
+embeds a k-uniform hypergraph of max degree <= k in a k-regular one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from typing import Collection, Optional, Sequence
 
-from dynachrome import Graph, Hypergraph, SearchBudgetExceeded
+from dynachrome import Coloring, Graph, Hypergraph, SearchBudgetExceeded, Violation
 
 
 def adjacency(g: Graph) -> list[tuple[int, ...]]:
@@ -49,6 +51,16 @@ def valid_dynamic(adj, colors) -> bool:
         if len(nbrs) >= 2 and len({colors[v] for v in nbrs}) < 2:
             return False
     return True
+
+
+def check_proper_reference(g: Graph, c: Coloring) -> list[Violation]:
+    """All edges whose endpoints share a color, ascending by (u, v)."""
+    colors = c.colors
+    return [
+        Violation("improper_edge", (u, v))
+        for u, v in g.edges()
+        if colors[u] == colors[v]
+    ]
 
 
 def _naive_min_palette(adj, valid, kmax=None) -> int:

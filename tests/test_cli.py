@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,3 +363,81 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "construct", "kneser", "--m", "7", "--n", "3")
     assert code == 3
     assert "internal verification failure" in err
+
+
+# ----------------------------------------------------------------------
+# One parser per process
+# ----------------------------------------------------------------------
+
+
+def _exit_code(argv):
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
+    _exit_code(["gen", "cycle:4"])  # warm-up: builds the parser unless an earlier call did
+    built = []
+    init = cli_module._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module._Parser, "__init__", counting_init)
+    for argv in (
+        ["gen", "cycle:5"],
+        ["solve", "chi", "--graph", "cycle:5"],
+        ["construct", "compose", "--graph", "cycle:8"],
+        ["experiment", "gnp-triangles", "--n", "8", "--p", "0.5", "--trials", "2"],
+        ["solve", "chx", "--graph", "cycle:5"],
+    ):
+        assert _exit_code(argv) in (0, 1)
+    assert built == []
+    cli_module.build_parser()
+    assert len(built) == 13  # the counter sees every parser a build makes
+
+
+_PKG_PARENT = str(Path(cli_module.__file__).resolve().parents[1])
+
+# Valid calls interleaved with an invalid choice, --help and each state of
+# DYNACHROME_BUDGET: (argv, the variable's value or None for unset).
+_SEQUENCE = [
+    (["gen", "cycle:5"], None),
+    (["solve", "chx", "--graph", "cycle:5"], None),
+    (["solve", "chi", "--graph", "kneser:5,2", "--format", "json"], "0"),
+    (["--help"], None),
+    (["solve", "chi", "--graph", "kneser:5,2", "--format", "json"], None),
+    (["construct", "compose", "--help"], None),
+    (["solve", "chi", "--graph", "kneser:5,2", "--format", "json"], "abc"),
+    (["construct", "compose", "--graph", "cycle:8"], None),
+    (["gen", "cycle:5"], None),
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    in_process = []
+    for argv, budget in _SEQUENCE:
+        if budget is None:
+            monkeypatch.delenv("DYNACHROME_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("DYNACHROME_BUDGET", budget)
+        code = _exit_code(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+
+    codes = [code for code, _, _ in in_process]
+    assert codes == [0, 1, 2, 0, 0, 0, 1, 0, 0]
+    for (argv, budget), got in zip(_SEQUENCE, in_process):
+        env = {k: v for k, v in os.environ.items() if k != "DYNACHROME_BUDGET"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PKG_PARENT, env.get("PYTHONPATH")]))
+        if budget is not None:
+            env["DYNACHROME_BUDGET"] = budget
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynachrome.cli", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == got, argv

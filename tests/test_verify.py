@@ -1,8 +1,11 @@
-"""Checker soundness: hand-built positive and negative fixtures."""
+"""Checker soundness: hand-built positive and negative fixtures, and
+``check_proper`` against its earlier form on random colored graphs."""
 
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dynachrome import (
     Coloring,
@@ -21,7 +24,7 @@ from dynachrome import (
     gnp,
     violations_to_json,
 )
-from helpers import fano_plane
+from helpers import check_proper_reference, fano_plane
 
 
 def col(*cs, palette=None):
@@ -45,6 +48,26 @@ def test_proper_triangle_violation():
 def test_proper_c5_wraparound():
     out = check_proper(cycle(5), col(0, 1, 0, 1, 0))
     assert out == [Violation("improper_edge", (0, 4))]
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(0, 25))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    palette = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(0, palette - 1), min_size=n, max_size=n))
+    g = Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+    return g, Coloring.total(colors, palette)
+
+
+@given(colored_graphs())
+@example((Graph.from_edges(0, []), Coloring.total([], 1)))
+@example((complete(6), Coloring.total([0] * 6, 1)))
+@example((gnp(25, 0.5, seed=3), Coloring.total([v % 2 for v in range(25)], 2)))
+def test_proper_matches_reference(case):
+    g, coloring = case
+    assert check_proper(g, coloring) == check_proper_reference(g, coloring)
 
 
 def test_proper_requires_total():
