@@ -12,7 +12,6 @@ from dynachrome import (
     chromatic_number,
     compose_disjoint_palettes,
     cycle,
-    greedy_coloring,
     hypergraph_2color_exact,
     induced_subgraph,
     kneser_dynamic_coloring,
@@ -51,7 +50,7 @@ for m, n in [(7, 3), (8, 3), (9, 4)]:
     print(f"KG({m},{n}): {res.colors_used} colors "
           f"(cap {res.max_colors}, chi {res.chromatic_number}, gap {res.gap})")
 
-# Balanced-subset coloring: greedy on the low-degree inside part, the
+# Balanced-subset coloring: DSATUR on the low-degree inside part, the
 # original witness (shifted) outside.
 g = random_regular(200, 16, seed=11)
 params = LllParams.for_degree(16, c_prime=7.0, seed=11, clamp_p=True)
@@ -63,7 +62,7 @@ print(f"\n16-regular n=200: {result.coloring.palette_size} colors "
 # Triangle certificates: in dense random graphs every vertex lies in a
 # triangle, so any proper coloring is already dynamic.
 g = gnp(120, 0.5, seed=2)
-cert = triangle_certificate(g, greedy_coloring(g))
+cert = triangle_certificate(g, chi_witness(g)[0])
 print(f"\nG(120, 0.5): triangle certificate = {cert.certified}")
 
 # The bound report evaluates each upper-bound formula's hypothesis first.

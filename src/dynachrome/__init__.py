@@ -38,7 +38,6 @@ from .exact import (
     chromatic_number,
     dynamic_chromatic_number,
     exact_double_total_dominating,
-    greedy_coloring,
     hypergraph_2color_exact,
     is_k_critical,
     list_dynamic_coloring,
@@ -70,7 +69,6 @@ from .graphs import (
     complete_bipartite,
     cycle,
     dsatur,
-    dsatur_order,
     from_spec,
     gnp,
     induced_subgraph,

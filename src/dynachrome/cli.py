@@ -158,9 +158,8 @@ def _output_coloring(g: Graph, coloring, fmt: str, extra: Optional[dict] = None)
 def _cmd_construct(args) -> int:
     budget = args.budget
     if args.kind == "kneser":
-        given = {} if budget is None else {"budget": budget}
         result = constructions.kneser_dynamic_coloring(
-            KneserSpec(args.m, args.n), seed=args.seed, **given
+            KneserSpec(args.m, args.n), budget=budget, seed=args.seed
         )
         extra = {
             "colors_used": result.colors_used,

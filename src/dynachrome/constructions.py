@@ -15,8 +15,6 @@ from typing import Optional, Sequence
 from .exact import (
     SearchBudgetExceeded,
     chromatic_number,
-    exact_double_total_dominating,
-    greedy_coloring,
     hypergraph_2color_exact,
     is_k_critical,
 )
@@ -35,8 +33,8 @@ from .graphs import (
 from .lll import (
     LllParams,
     ResampleLog,
+    _refuse_degree_below_two,
     find_balanced_subset,
-    find_double_total_dominating,
     moser_tardos_2color,
 )
 from .verify import (
@@ -220,20 +218,23 @@ def hypergraph_2coloring(
 ) -> Optional[Coloring]:
     """A 2-coloring of ``h`` with no monochromatic edge.
 
-    Exact search runs first; when its budget runs out, Moser-Tardos
-    resampling takes over.  None means the exact search certified that no
-    such coloring exists; ConstructionError means both gave up.
+    Moser-Tardos resampling from ``seed`` runs first, and its coloring is
+    returned whenever it converges.  Only when it exhausts its cap does an
+    exact search, bounded by ``budget`` nodes, take over.  None means that
+    search certified that no such coloring exists; ConstructionError means
+    resampling exhausted and the search ran over budget.
     """
+    f, log = moser_tardos_2color(h, seed=seed)
+    if f is not None:
+        return f
     try:
         return hypergraph_2color_exact(h, budget)
-    except SearchBudgetExceeded:
-        f, log = moser_tardos_2color(h, seed=seed)
-    if f is None:
+    except SearchBudgetExceeded as exc:
         raise ConstructionError(
-            f"hypergraph 2-coloring: exact search over budget and resampling "
-            f"exhausted after {log.resample_count} resamples"
-        )
-    return f
+            f"hypergraph 2-coloring: resampling exhausted after "
+            f"{log.resample_count} resamples and exact search over budget "
+            f"after {exc.nodes_explored} nodes"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ class KneserColoringResult:
 
 
 def kneser_dynamic_coloring(
-    spec: KneserSpec, budget: int = 200_000, seed: int = 0
+    spec: KneserSpec, budget: Optional[int] = None, seed: int = 0
 ) -> KneserColoringResult:
     """Dynamic coloring of the disjointness graph on n-subsets with at
     most t + 4 colors, in the triangle-free regime 2n < m < 3n.
@@ -325,18 +326,18 @@ def double_total_coloring(
 ) -> tuple[Coloring, VertexSubset]:
     """Dynamic coloring on chi witnesses of G[T] and G[V - T], and its T.
 
-    The double total dominating T comes from resampling, or from exact
-    search when resampling exhausts its cap; :func:`chi_witness` colorings
-    of both sides are glued by :func:`compose_disjoint_palettes`.  A vertex
-    of degree <= 1 raises InfeasibleStructureError (a ValueError), a
-    certified absence of T PreconditionError, and an exact search over
-    budget SearchBudgetExceeded.
+    T holds the vertices colored 1 by :func:`hypergraph_2coloring` of the
+    neighborhood hypergraph; :func:`chi_witness` colorings of both sides
+    are glued by :func:`compose_disjoint_palettes`.  A vertex of degree
+    <= 1 raises InfeasibleStructureError (a ValueError), a certified
+    absence of T PreconditionError, and resampling exhausted with the exact
+    search over budget ConstructionError.
     """
-    subset, _ = find_double_total_dominating(g, seed=seed)
-    if subset is None:
-        subset = exact_double_total_dominating(g, budget)
-        if subset is None:
-            raise PreconditionError("no double total dominating set exists (certified)")
+    _refuse_degree_below_two(g)
+    f = hypergraph_2coloring(neighborhood_hypergraph(g), budget, seed)
+    if f is None:
+        raise PreconditionError("no double total dominating set exists (certified)")
+    subset = VertexSubset(frozenset(v for v in range(g.n) if f[v] == 1), g.n)
     (c_in, _), (c_out, _) = _split_witnesses(g, subset, budget)
     return compose_disjoint_palettes(g, subset, c_in, c_out), subset
 
@@ -357,10 +358,10 @@ def balanced_subset_coloring(
     """Color a k-regular graph with palette(chi_witness) + O(log k) colors.
 
     A balanced subset T (every vertex with neighbors on both sides and
-    inside-degree below 2 c' ln k) bounds the degree of G[T], so a greedy
-    pass colors it with at most floor(2 c' ln k) + 1 fresh colors; the
-    rest keep their chi_witness colors on a shifted palette.  Every vertex
-    then sees both palettes in its neighborhood.
+    inside-degree below 2 c' ln k) bounds the degree of G[T], so DSATUR,
+    a greedy coloring, colors it with at most floor(2 c' ln k) + 1 fresh
+    colors; the rest keep their chi_witness colors on a shifted palette.
+    Every vertex then sees both palettes in its neighborhood.
     """
     bad = check_proper(g, chi_witness)
     if bad:
@@ -375,7 +376,7 @@ def balanced_subset_coloring(
     rest = Coloring(
         tuple(chi_witness[v] for v in subset.complement()), chi_witness.palette_size
     )
-    combined = _glue(subset, greedy_coloring(g_t), rest)
+    combined = _glue(subset, Coloring.total(dsatur(g_t)[1]), rest)
     _certify_dynamic(g, combined, "balanced subset coloring")
     k = params.k
     bound = chi_witness.palette_size + math.floor(2 * params.c_prime * math.log(k)) + 1

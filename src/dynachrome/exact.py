@@ -18,14 +18,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, VertexSubset, bipartition, dsatur, dsatur_order
+from .graphs import Graph, Hypergraph, VertexSubset, bipartition, dsatur
 from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
 from .verify import Coloring, ListAssignment
 
 __all__ = [
     "SolveResult",
     "SearchBudgetExceeded",
-    "greedy_coloring",
     "chromatic_number",
     "dynamic_chromatic_number",
     "list_dynamic_coloring",
@@ -69,22 +68,6 @@ class SolveResult:
         if self.exhausted and self.bounds is not None:
             out["bounds"] = list(self.bounds)
         return out
-
-
-def greedy_coloring(g: Graph, order: Optional[list[int]] = None) -> Coloring:
-    """First-fit coloring in the given order (ascending ids by default)."""
-    if order is None:
-        order = list(range(g.n))
-    color: list[Optional[int]] = [None] * g.n
-    top = 0
-    for v in order:
-        used = {color[u] for u in g.adjacency[v] if color[u] is not None}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-        top = max(top, c + 1)
-    return Coloring(tuple(color), max(top, 1) if g.n else 0)
 
 
 def _search(
@@ -242,7 +225,7 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
             return SolveResult(1, Coloring((0,) * g.n, 1), 0)
         return SolveResult(2, Coloring.total(bipartition(g), 2), 0)
     groups = neighborhood_hypergraph(g).edges
-    return _min_palette(g, dsatur_order(g), g.n, budget, groups)
+    return _min_palette(g, dsatur(g)[0], g.n, budget, groups)
 
 
 def list_dynamic_coloring(
@@ -262,7 +245,7 @@ def list_dynamic_coloring(
         if colors and colors[0] < 0:
             raise ValueError(f"list of vertex {v} holds negative color {colors[0]}")
     groups = neighborhood_hypergraph(g).edges
-    found, _ = _search(dsatur_order(g), allowed, g.adjacency, groups, False, budget)
+    found, _ = _search(dsatur(g)[0], allowed, g.adjacency, groups, False, budget)
     if found is None:
         return None
     palette = max((max(l, default=0) for l in allowed), default=0) + 1

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import triangle_certificate
-from .exact import chromatic_number, dynamic_chromatic_number, greedy_coloring
-from .graphs import Graph, gnp, is_connected, random_regular
-from .verify import check_dynamic, check_proper
+from .exact import chromatic_number, dynamic_chromatic_number
+from .graphs import Graph, dsatur, gnp, is_connected, random_regular
+from .verify import Coloring, check_dynamic, check_proper
 
 __all__ = [
     "ExperimentReport",
@@ -75,7 +75,7 @@ def run_gnp_triangle_experiment(
     """Sample G(n, p) graphs and measure how often every vertex lies in a
     triangle (in which case any proper coloring is already dynamic).
 
-    Each trial also greedily colors the sample and runs the triangle
+    Each trial also colors the sample with DSATUR and runs the triangle
     certificate end to end.  The analytic failure bound
     n * (1 - p^3)^((n-2)/2) is reported next to the empirical rate.
     """
@@ -90,7 +90,7 @@ def run_gnp_triangle_experiment(
     for i in range(trials):
         trial_seed = derive_seed(seed, i)
         g = gnp(n, p, trial_seed)
-        coloring = greedy_coloring(g)
+        coloring = Coloring.total(dsatur(g)[1])
         cert = triangle_certificate(g, coloring)
         certified_count += cert.certified
         records.append(

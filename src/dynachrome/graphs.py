@@ -34,7 +34,6 @@ __all__ = [
     "is_connected",
     "bipartition",
     "dsatur",
-    "dsatur_order",
 ]
 
 
@@ -545,7 +544,3 @@ def dsatur(g: Graph) -> tuple[list[int], list[int]]:
                 heapq.heappush(heap, (n - len(seen[u])) * bb + low[u])
     return order, color
 
-
-def dsatur_order(g: Graph) -> list[int]:
-    """The order in which :func:`dsatur` colors the vertices."""
-    return dsatur(g)[0]

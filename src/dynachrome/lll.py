@@ -255,6 +255,17 @@ def _members(in_t: list[bool]) -> list[int]:
     return [v for v, inside in enumerate(in_t) if inside]
 
 
+def _refuse_degree_below_two(g: Graph) -> None:
+    """Raise InfeasibleStructureError at the first vertex of degree <= 1,
+    whose neighborhood cannot meet both a subset and its complement."""
+    for v in range(g.n):
+        if g.degree(v) <= 1:
+            raise InfeasibleStructureError(
+                f"vertex {v} has degree {g.degree(v)}; its neighborhood cannot "
+                "meet both the subset and its complement"
+            )
+
+
 def moser_tardos_2color(
     h: Hypergraph, seed: int = 0, max_resamples: Optional[int] = None
 ) -> tuple[Optional[Coloring], ResampleLog]:
@@ -295,12 +306,7 @@ def find_double_total_dominating(
     A vertex of degree <= 1 makes the target impossible outright, which
     raises InfeasibleStructureError rather than burning the resample cap.
     """
-    for v in range(g.n):
-        if g.degree(v) <= 1:
-            raise InfeasibleStructureError(
-                f"vertex {v} has degree {g.degree(v)}; its neighborhood cannot "
-                "meet both the subset and its complement"
-            )
+    _refuse_degree_below_two(g)
     _, log = moser_tardos_2color(neighborhood_hypergraph(g), seed, max_resamples)
     log.final_state = _members(log.final_state)
     return (VertexSubset(frozenset(log.final_state), g.n) if log.success else None), log
@@ -355,10 +361,19 @@ def select_sublists(
     intersect has all its neighbors' sublists re-drawn.  Once the
     intersection over every neighborhood is empty, any proper coloring
     from the sublists is automatically dynamic.
+
+    At degree 1 a vertex's one neighbor's sublist is the intersection, and
+    it is never empty: that raises InfeasibleStructureError rather than
+    burning the resample cap.
     """
     k = g.regular_degree()
     if k is None or k < 1:
         raise ValueError("graph must be regular with degree >= 1")
+    if k == 1:
+        raise InfeasibleStructureError(
+            "every vertex has a single neighbor, whose sublist always "
+            "leaves a color common to the neighborhood"
+        )
     if len(lists) != g.n:
         raise ValueError("list assignment must cover all vertices")
     m = lists.uniform_size()

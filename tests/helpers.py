@@ -12,9 +12,10 @@ build the same graph for every seed.  ``search_reference`` is the exact
 layer's backtracker as it was before groups were filed by closing depth:
 it counts each group's uncolored members and bisects the palette on every
 visit, and the library search must give the same colors and node counts.
-``dsatur_order_reference`` is ``graphs.dsatur_order`` as it was when its
+``dsatur_order_reference`` is the order ``graphs.dsatur`` gave when its
 heap held (-saturation, -degree, id) tuples; the library order must match
-it.  ``check_proper_reference`` is ``verify.check_proper`` as it was when it
+it, and ``first_fit_coloring`` in that order must give the library's DSATUR
+colors.  ``check_proper_reference`` is ``verify.check_proper`` as it was when it
 walked ``Graph.edges()``; the library checker must report the same
 violations in the same order.  ``regularize_hypergraph`` is the lemma that
 embeds a k-uniform hypergraph of max degree <= k in a k-regular one.
@@ -99,6 +100,19 @@ def naive_dsatur_order(g: Graph) -> list[int]:
         color[v] = c
         order.append(v)
     return order
+
+
+def first_fit_coloring(g: Graph, order: list[int]) -> Coloring:
+    """Give each vertex, in ``order``, the smallest color no colored
+    neighbor holds."""
+    color: dict[int, int] = {}
+    for v in order:
+        used = {color[u] for u in g.adjacency[v] if u in color}
+        c = 0
+        while c in used:
+            c += 1
+        color[v] = c
+    return Coloring.total([color[v] for v in range(g.n)])
 
 
 def dsatur_order_reference(g: Graph) -> list[int]:

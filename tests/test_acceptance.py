@@ -29,7 +29,6 @@ from dynachrome import (
     dynamic_chromatic_number,
     find_double_total_dominating,
     gnp,
-    greedy_coloring,
     balanced_subset_coloring,
     hypergraph_2color_exact,
     induced_subgraph,
@@ -46,6 +45,7 @@ from dynachrome import (
 )
 from helpers import (
     fano_plane,
+    first_fit_coloring,
     naive_dynamic_chromatic,
     random_uniform_hypergraph,
     triangle_hypergraph,
@@ -206,7 +206,7 @@ def test_criterion_07_balanced_subset_pipeline():
         params = LllParams.for_degree(k, c_prime=7.0, seed=seed, clamp_p=True)
         assert params.p_clamped
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        witness = greedy_coloring(g, order)
+        witness = first_fit_coloring(g, order)
         result = balanced_subset_coloring(g, params, witness)
         bound = witness.palette_size + math.floor(upper) + 1
         # 0 < deg_T(v) < 2 c' ln k, and deg_T(v) < deg(v) means a neighbor

@@ -3,17 +3,19 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynachrome import (
     BoundContext,
     Coloring,
     ConstructionError,
     DegenerateParamsError,
+    Hypergraph,
     InfeasibleStructureError,
     KneserSpec,
     LllParams,
     PreconditionError,
-    SearchBudgetExceeded,
     VertexSubset,
     balanced_coloring,
     balanced_subset_coloring,
@@ -29,15 +31,18 @@ from dynachrome import (
     compose_disjoint_palettes,
     cycle,
     double_total_coloring,
+    dsatur,
     dynamic_chromatic_number,
+    exact_double_total_dominating,
+    find_double_total_dominating,
     from_spec,
     gnp,
-    greedy_coloring,
     induced_subgraph,
     hypergraph_2color_exact,
     hypergraph_2coloring,
     kneser,
     kneser_dynamic_coloring,
+    moser_tardos_2color,
     neighborhood_hypergraph,
     neighborhood_product_coloring,
     partial_product_coloring,
@@ -46,7 +51,7 @@ from dynachrome import (
     triangle_certificate,
     vertices_in_triangles,
 )
-from helpers import fano_plane
+from helpers import brute_force_hypergraph_2colorable, fano_plane, first_fit_coloring
 
 
 def two_coloring(*cs):
@@ -162,11 +167,33 @@ def test_product_rejects_bad_f():
 
 def test_hypergraph_2coloring_outcomes():
     h = neighborhood_hypergraph(cycle(8))
-    f = hypergraph_2coloring(h, budget=1)  # exact search exhausts, resampling succeeds
+    f = hypergraph_2coloring(h, budget=1)  # resampling succeeds; no search runs
     assert f is not None and check_hypergraph_2coloring(h, f) == []
     assert hypergraph_2coloring(neighborhood_hypergraph(cycle(6))) is None
     with pytest.raises(ConstructionError):
         hypergraph_2coloring(fano_plane(), budget=3)
+
+
+@st.composite
+def small_hypergraphs(draw):
+    n = draw(st.integers(2, 6))
+    edge = st.sets(st.integers(0, n - 1), min_size=2, max_size=n)
+    return Hypergraph.from_edges(n, draw(st.lists(edge, max_size=6)))
+
+
+@given(small_hypergraphs(), st.one_of(st.none(), st.integers(0, 20)), st.integers(0, 2**16))
+def test_hypergraph_2coloring_resamples_first(h, budget, seed):
+    resampled, log = moser_tardos_2color(h, seed)
+    try:
+        f = hypergraph_2coloring(h, budget, seed)
+    except ConstructionError:
+        assert not log.success and budget is not None
+        return
+    if log.success:
+        assert f == resampled
+    assert (f is None) == (not brute_force_hypergraph_2colorable(h))
+    if f is not None:
+        assert check_hypergraph_2coloring(h, f) == []
 
 
 def test_chi_witness_exact_then_greedy():
@@ -210,23 +237,25 @@ def _assert_glued(g, coloring, subset):
 def test_double_total_coloring_resampled_subset():
     g = random_regular(40, 3, seed=2)
     coloring, subset = double_total_coloring(g, seed=1)
+    assert subset == find_double_total_dominating(g, seed=1)[0]
     _assert_glued(g, coloring, subset)
 
 
 def test_double_total_coloring_exact_fallback(monkeypatch):
     from dynachrome import constructions
 
-    monkeypatch.setattr(constructions, "find_double_total_dominating",
-                        lambda g, seed: (None, None))
+    monkeypatch.setattr(constructions, "moser_tardos_2color",
+                        lambda h, seed: (None, None))
     g = cycle(8)
     coloring, subset = double_total_coloring(g)
+    assert subset == exact_double_total_dominating(g)
     _assert_glued(g, coloring, subset)
 
 
 def test_double_total_coloring_certified_none_exhaustion_and_infeasible():
     with pytest.raises(PreconditionError, match="certified"):
         double_total_coloring(cycle(6))
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(ConstructionError):
         double_total_coloring(cycle(6), budget=1)
     with pytest.raises(InfeasibleStructureError):
         double_total_coloring(complete_bipartite(1, 3))
@@ -295,12 +324,14 @@ def test_balanced_coloring_16_regular():
     params = LllParams.for_degree(16, c_prime=7.0, seed=5, clamp_p=True)
     assert params.p_clamped
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    witness = greedy_coloring(g, order)
+    witness = first_fit_coloring(g, order)
     result = balanced_subset_coloring(g, params, witness)
     assert check_dynamic(g, result.coloring) == []
     bound = witness.palette_size + math.floor(2 * 7.0 * math.log(16)) + 1
     assert result.color_bound == bound
     assert result.coloring.palette_size <= bound
+    inside = [result.coloring[v] for v in result.subset]
+    assert inside == dsatur(induced_subgraph(g, result.subset)[0])[1]
 
 
 def test_balanced_coloring_complete_bipartite():
@@ -353,7 +384,7 @@ def test_balanced_coloring_requires_a_regular_graph():
 def test_balanced_coloring_degenerate_params_propagate():
     g = random_regular(12, 3, seed=1)
     params = LllParams.for_degree(3, c_prime=7.0)
-    witness = greedy_coloring(g)
+    witness, _ = chi_witness(g)
     with pytest.raises(DegenerateParamsError):
         balanced_subset_coloring(g, params, witness)
 
@@ -386,7 +417,7 @@ def test_triangle_certificate_c5():
 
 def test_triangle_certificate_dense_gnp():
     g = gnp(60, 0.5, seed=12)
-    cert = triangle_certificate(g, greedy_coloring(g))
+    cert = triangle_certificate(g, chi_witness(g)[0])
     assert cert.certified
     assert len(vertices_in_triangles(g)) == g.n
 

@@ -3,6 +3,7 @@
 import pytest
 
 from dynachrome import (
+    Coloring,
     Graph,
     Hypergraph,
     ListAssignment,
@@ -16,11 +17,11 @@ from dynachrome import (
     complete,
     complete_bipartite,
     cycle,
+    dsatur,
     dynamic_chromatic_number,
     exact_double_total_dominating,
     from_spec,
     gnp,
-    greedy_coloring,
     hypergraph_2color_exact,
     is_k_critical,
     kneser,
@@ -301,7 +302,7 @@ def test_double_total_budget_raises():
 
 def test_greedy_coloring_proper():
     for g in (cycle(7), kneser(5, 2), gnp(20, 0.4, seed=8)):
-        c = greedy_coloring(g)
+        c = Coloring.total(dsatur(g)[1])
         assert check_proper(g, c) == []
         assert c.palette_size <= g.max_degree + 1
 

@@ -322,6 +322,14 @@ def test_sublists_50_regular():
             assert inter == set()
 
 
+def test_sublists_refuse_degree_one():
+    # Each vertex's one neighbor's sublist is the whole intersection, never
+    # empty: refused up front instead of spending the cap.
+    matching = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(InfeasibleStructureError):
+        select_sublists(matching, ListAssignment.uniform(4, {0, 1, 2, 3}), l=1)
+
+
 def test_sublists_validation():
     g = cycle(4)
     with pytest.raises(ValueError):
