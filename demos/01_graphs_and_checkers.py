@@ -45,8 +45,7 @@ print(f"\nC8 with T={sorted(t)}: violations = "
 # Neighborhood hypergraphs keep one edge per source vertex, duplicates and
 # all, so degree bookkeeping matches the number of constraints.
 h = neighborhood_hypergraph(cycle(4))
-print(f"\nC4 neighborhoods: {[sorted(f) for f in h.edges]} "
-      f"(labels = source vertices {h.labels})")
+print(f"\nC4 neighborhoods: {[sorted(f) for f in h.edges]}")
 
 # Random families are pure functions of their seed.
 assert gnp(30, 0.2, seed=7) == gnp(30, 0.2, seed=7)

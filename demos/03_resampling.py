@@ -10,12 +10,12 @@ from dynachrome import (
     LllParams,
     check_domination,
     check_hypergraph_2coloring,
-    exact_double_total_dominating,
+    double_total_subset,
     find_balanced_subset,
-    find_double_total_dominating,
     lll_condition_hypergraph,
     lll_condition_list,
     moser_tardos_2color,
+    neighborhood_hypergraph,
     random_regular,
     select_sublists,
 )
@@ -41,14 +41,17 @@ print(f"odd cycle: {log.outcome} after {log.resample_count} resamples "
       "(exact solver certifies none exists)")
 
 # Double total domination on a 9-regular graph: each neighborhood must
-# meet the subset and its complement.
+# meet the subset and its complement.  T is the vertices colored 1 by
+# resampling a 2-coloring of the neighborhood hypergraph.
 g = random_regular(60, 9, seed=3)
-t, log = find_double_total_dominating(g, seed=3)
+f, log = moser_tardos_2color(neighborhood_hypergraph(g), seed=3)
+t = double_total_subset(g, seed=3)
+assert t.members == {v for v in range(g.n) if f[v] == 1}
 assert check_domination(g, t, "double_total") == []
 print(f"\n9-regular n=60: |T| = {len(t)} after {log.resample_count} resamples")
-_, log = find_double_total_dominating(cycle(6), seed=0, max_resamples=200)
-print(f"C6: {log.outcome} (exact solver: "
-      f"{exact_double_total_dominating(cycle(6))}, i.e. certified none)")
+_, log = moser_tardos_2color(neighborhood_hypergraph(cycle(6)), seed=0, max_resamples=200)
+print(f"C6: {log.outcome} after {log.resample_count} resamples (exact fallback: "
+      f"{double_total_subset(cycle(6))}, i.e. certified none)")
 
 # Balanced subsets of a 16-regular graph.  The bias p = c' ln(k)/k exceeds
 # 1 at k = 16, so the params must be clamped to run the experiment.

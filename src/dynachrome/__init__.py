@@ -25,6 +25,7 @@ from .constructions import (
     chi_witness,
     compose_disjoint_palettes,
     double_total_coloring,
+    double_total_subset,
     hypergraph_2coloring,
     kneser_dynamic_coloring,
     neighborhood_product_coloring,
@@ -37,7 +38,6 @@ from .exact import (
     SolveResult,
     chromatic_number,
     dynamic_chromatic_number,
-    exact_double_total_dominating,
     hypergraph_2color_exact,
     is_k_critical,
     list_dynamic_coloring,
@@ -85,7 +85,6 @@ from .lll import (
     LllParams,
     ResampleLog,
     find_balanced_subset,
-    find_double_total_dominating,
     lll_condition_hypergraph,
     lll_condition_list,
     moser_tardos_2color,

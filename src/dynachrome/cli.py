@@ -97,7 +97,7 @@ def _cmd_solve(args) -> int:
     elif args.problem == "chid":
         res = exact.dynamic_chromatic_number(g, args.budget)
     else:  # double-total
-        subset = exact.exact_double_total_dominating(g, args.budget)
+        subset = constructions.double_total_subset(g, args.budget, args.seed)
         if subset is not None:
             _certify(check_domination(g, subset, "double_total"), "double total set")
         payload = {
@@ -282,7 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("solve", help="exact solvers")
+    p = sub.add_parser(
+        "solve",
+        help="exact solvers; double-total resamples from --seed first, and "
+        "--budget bounds only its exact fallback",
+    )
     p.add_argument("problem", choices=["chi", "chid", "double-total"])
     _add_common(p)
     p.set_defaults(handler=_cmd_solve)

@@ -33,7 +33,6 @@ from .graphs import (
 from .lll import (
     LllParams,
     ResampleLog,
-    _refuse_degree_below_two,
     find_balanced_subset,
     moser_tardos_2color,
 )
@@ -55,6 +54,7 @@ __all__ = [
     "partial_product_coloring",
     "chi_witness",
     "hypergraph_2coloring",
+    "double_total_subset",
     "kneser_dynamic_coloring",
     "KneserColoringResult",
     "neighborhood_product_coloring",
@@ -237,6 +237,27 @@ def hypergraph_2coloring(
         ) from exc
 
 
+def double_total_subset(
+    g: Graph, budget: Optional[int] = None, seed: int = 0
+) -> Optional[VertexSubset]:
+    """A set T such that every vertex has neighbors both in T and outside
+    it, or a certified None.
+
+    T holds the vertices colored 1 by :func:`hypergraph_2coloring` of the
+    neighborhood hypergraph, so resampling from ``seed`` runs first and an
+    exact search within ``budget`` nodes second; ConstructionError means
+    both gave up.  A vertex of degree <= 1 makes the answer None at once
+    (its neighborhood cannot meet both sides); the empty graph gives the
+    empty set.
+    """
+    if g.n and g.min_degree <= 1:
+        return None
+    f = hypergraph_2coloring(neighborhood_hypergraph(g), budget, seed)
+    if f is None:
+        return None
+    return VertexSubset(frozenset(v for v in range(g.n) if f[v] == 1), g.n)
+
+
 @dataclass(frozen=True)
 class KneserColoringResult:
     """Certified dynamic coloring of a triangle-free Kneser-type graph."""
@@ -326,18 +347,15 @@ def double_total_coloring(
 ) -> tuple[Coloring, VertexSubset]:
     """Dynamic coloring on chi witnesses of G[T] and G[V - T], and its T.
 
-    T holds the vertices colored 1 by :func:`hypergraph_2coloring` of the
-    neighborhood hypergraph; :func:`chi_witness` colorings of both sides
-    are glued by :func:`compose_disjoint_palettes`.  A vertex of degree
-    <= 1 raises InfeasibleStructureError (a ValueError), a certified
-    absence of T PreconditionError, and resampling exhausted with the exact
-    search over budget ConstructionError.
+    T comes from :func:`double_total_subset`; :func:`chi_witness`
+    colorings of both sides are glued by :func:`compose_disjoint_palettes`.
+    A certified absence of T, a vertex of degree <= 1 included, raises
+    PreconditionError, and resampling exhausted with the exact search over
+    budget ConstructionError.
     """
-    _refuse_degree_below_two(g)
-    f = hypergraph_2coloring(neighborhood_hypergraph(g), budget, seed)
-    if f is None:
+    subset = double_total_subset(g, budget, seed)
+    if subset is None:
         raise PreconditionError("no double total dominating set exists (certified)")
-    subset = VertexSubset(frozenset(v for v in range(g.n) if f[v] == 1), g.n)
     (c_in, _), (c_out, _) = _split_witnesses(g, subset, budget)
     return compose_disjoint_palettes(g, subset, c_in, c_out), subset
 

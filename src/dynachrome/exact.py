@@ -9,7 +9,9 @@ by id).  Runs are deterministic, and budgets are explored node counts,
 not wall-clock, again for reproducibility.  A solver that exhausts its
 budget reports that distinctly from a certified "none": the two outcomes
 must never be conflated, because these functions serve as oracles for the
-randomized modules.
+randomized modules.  The hypergraph search is also the exact fallback of
+constructions.hypergraph_2coloring, which is how double total dominating
+sets reach it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, VertexSubset, bipartition, dsatur
+from .graphs import Graph, Hypergraph, bipartition, dsatur
 from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
 from .verify import Coloring, ListAssignment
 
@@ -30,7 +32,6 @@ __all__ = [
     "list_dynamic_coloring",
     "hypergraph_2color_exact",
     "is_k_critical",
-    "exact_double_total_dominating",
 ]
 
 
@@ -294,24 +295,3 @@ def is_k_critical(g: Graph, budget: Optional[int] = None) -> bool:
             return False
     return True
 
-
-def exact_double_total_dominating(
-    g: Graph, budget: Optional[int] = None
-) -> Optional[VertexSubset]:
-    """A set T such that every vertex has neighbors both in T and outside
-    it, or a certified None.
-
-    Membership in T is exactly a 2-coloring of the neighborhood hypergraph
-    with no monochromatic neighborhood, so the search is an exhaustive
-    backtracking over memberships with that pruning.  Any vertex of degree
-    <= 1 makes the answer None immediately (its neighborhood cannot meet
-    both sides).
-    """
-    if g.n == 0:
-        return VertexSubset(frozenset(), 0)
-    if g.min_degree <= 1:
-        return None
-    membership = hypergraph_2color_exact(neighborhood_hypergraph(g), budget)
-    if membership is None:
-        return None
-    return VertexSubset(frozenset(v for v in range(g.n) if membership[v] == 1), g.n)

@@ -14,7 +14,7 @@ import sys
 from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "Graph",
@@ -110,21 +110,14 @@ class Hypergraph:
     Edges are kept in insertion order and duplicates are retained: when the
     edges come from vertex neighborhoods, the multiplicity is exactly the
     number of source vertices, which is what degree bookkeeping and the
-    resampling engine must see.  ``labels`` optionally records the origin
-    of each edge (for neighborhood hypergraphs, the source vertex id).
+    resampling engine must see.
     """
 
     n: int
     edges: tuple[frozenset[int], ...]
-    labels: Optional[tuple[int, ...]] = None
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[Iterable[int]],
-        labels: Optional[Sequence[int]] = None,
-    ) -> "Hypergraph":
+    def from_edges(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         frozen = []
@@ -135,10 +128,7 @@ class Hypergraph:
             if any(not (0 <= v < n) for v in fs):
                 raise ValueError(f"hyperedge {sorted(fs)} out of range for n={n}")
             frozen.append(fs)
-        lab = tuple(labels) if labels is not None else None
-        if lab is not None and len(lab) != len(frozen):
-            raise ValueError("labels must match edge count")
-        return cls(n, tuple(frozen), lab)
+        return cls(n, tuple(frozen))
 
     @property
     def edge_count(self) -> int:
@@ -424,34 +414,25 @@ def neighborhood_hypergraph(
     Every vertex of degree >= 2 contributes one edge, and duplicate
     neighborhoods are retained as distinct edges so the per-vertex event
     count matches the number of source vertices.  Vertices of degree <= 1
-    contribute nothing (their count is ``g.n`` minus the label count).
+    contribute nothing.
 
     With ``target`` given, only neighborhoods entirely inside the target
     survive, and the result lives on the target relabeled 0..|T|-1 in
-    ascending member order.  Edge labels always name the source vertex in
-    the original id space.
+    ascending member order.
     """
     if target is None:
-        edges = []
-        labels = []
-        for v in range(g.n):
-            if g.degree(v) >= 2:
-                edges.append(g.adjacency[v])
-                labels.append(v)
-        return Hypergraph.from_edges(g.n, edges, labels)
+        edges = [a for a in g.adjacency if len(a) >= 2]
+        return Hypergraph.from_edges(g.n, edges)
 
     if target.n != g.n:
         raise ValueError("target subset belongs to a different host size")
     index = {old: new for new, old in enumerate(target.sorted_members())}
-    edges = []
-    labels = []
-    for v in range(g.n):
-        if g.degree(v) < 2:
-            continue
-        if all(u in target.members for u in g.adjacency[v]):
-            edges.append([index[u] for u in g.adjacency[v]])
-            labels.append(v)
-    return Hypergraph.from_edges(len(target), edges, labels)
+    edges = [
+        [index[u] for u in a]
+        for a in g.adjacency
+        if len(a) >= 2 and all(u in target.members for u in a)
+    ]
+    return Hypergraph.from_edges(len(target), edges)
 
 
 def vertices_in_triangles(g: Graph) -> VertexSubset:

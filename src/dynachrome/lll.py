@@ -1,11 +1,10 @@
 """Constructive avoidance of bad events by targeted resampling.
 
 The samplers share one engine in the style of Moser and Tardos (J. ACM
-2010); a double-total set is a 2-coloring of the neighborhood hypergraph.
-A routine supplies its events (each event's variables, in redraw order), a
-violation test and a per-variable draw.  The engine draws every variable
-once, then re-draws the variables of the lowest-indexed violated event
-until none is violated or a resample cap is hit.  A full scan seeds a
+2010).  A routine supplies its events (each event's variables, in redraw
+order), a violation test and a per-variable draw.  The engine draws every
+variable once, then re-draws the variables of the lowest-indexed violated
+event until none is violated or a resample cap is hit.  A full scan seeds a
 min-heap of violated events; after a resample only the events that share
 a variable with it are re-tested, and stale heap entries are dropped when
 they surface.  The RNG is drawn in the order that a full rescan after every
@@ -17,6 +16,11 @@ cap is reported as "exhausted", never as a proof that no solution exists.
 The two condition evaluators are exact arithmetic checks of when this
 scheme is guaranteed to work (small event probability, few dependencies);
 the samplers themselves run regardless and simply report what happened.
+
+Double total dominating sets are not sampled here:
+constructions.double_total_subset takes the vertices colored 1 by
+:func:`moser_tardos_2color` on the neighborhood hypergraph, with exact
+search as the fallback.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Hypergraph, VertexSubset, neighborhood_hypergraph
+from .graphs import Graph, Hypergraph, VertexSubset
 from .verify import Coloring, ListAssignment
 
 __all__ = [
@@ -41,7 +45,6 @@ __all__ = [
     "lll_condition_hypergraph",
     "lll_condition_list",
     "moser_tardos_2color",
-    "find_double_total_dominating",
     "find_balanced_subset",
     "select_sublists",
 ]
@@ -255,17 +258,6 @@ def _members(in_t: list[bool]) -> list[int]:
     return [v for v, inside in enumerate(in_t) if inside]
 
 
-def _refuse_degree_below_two(g: Graph) -> None:
-    """Raise InfeasibleStructureError at the first vertex of degree <= 1,
-    whose neighborhood cannot meet both a subset and its complement."""
-    for v in range(g.n):
-        if g.degree(v) <= 1:
-            raise InfeasibleStructureError(
-                f"vertex {v} has degree {g.degree(v)}; its neighborhood cannot "
-                "meet both the subset and its complement"
-            )
-
-
 def moser_tardos_2color(
     h: Hypergraph, seed: int = 0, max_resamples: Optional[int] = None
 ) -> tuple[Optional[Coloring], ResampleLog]:
@@ -293,23 +285,6 @@ def moser_tardos_2color(
     log = _resample(edge_vertices, incident, lambda v: rng.randrange(2), monochromatic,
                     max_resamples, seed, list.copy)
     return (Coloring.total(log.final_state, 2) if log.success else None), log
-
-
-def find_double_total_dominating(
-    g: Graph, seed: int = 0, max_resamples: Optional[int] = None
-) -> tuple[Optional[VertexSubset], ResampleLog]:
-    """Random subset T with every neighborhood meeting both T and its
-    complement: a 2-coloring of the neighborhood hypergraph by
-    :func:`moser_tardos_2color`, with T the vertices colored 1.  The log's
-    ``final_state`` is likewise the list of vertices colored 1.
-
-    A vertex of degree <= 1 makes the target impossible outright, which
-    raises InfeasibleStructureError rather than burning the resample cap.
-    """
-    _refuse_degree_below_two(g)
-    _, log = moser_tardos_2color(neighborhood_hypergraph(g), seed, max_resamples)
-    log.final_state = _members(log.final_state)
-    return (VertexSubset(frozenset(log.final_state), g.n) if log.success else None), log
 
 
 def find_balanced_subset(

@@ -26,8 +26,8 @@ from dynachrome import (
     complete,
     compose_disjoint_palettes,
     cycle,
+    double_total_subset,
     dynamic_chromatic_number,
-    find_double_total_dominating,
     gnp,
     balanced_subset_coloring,
     hypergraph_2color_exact,
@@ -172,9 +172,9 @@ def test_criterion_06_double_total_domination_pipeline():
     for i in range(50):
         n = orders[i % len(orders)]
         g = random_regular(n, 9, seed=1000 + i)
-        t, log = find_double_total_dominating(g, seed=i)
+        t = double_total_subset(g, seed=i)
         if t is None:
-            failures.append((i, "resampling exhausted"))
+            failures.append((i, "no double total dominating set"))
             continue
         chi = chromatic_number(g).value
         g_in, _ = induced_subgraph(g, t)

@@ -13,8 +13,10 @@ from dynachrome import (
     Graph,
     SolveResult,
     VertexSubset,
+    check_domination,
     coloring_to_json_dict,
     cycle,
+    from_spec,
     read_dimacs,
 )
 from dynachrome import cli as cli_module
@@ -69,6 +71,26 @@ def test_solve_double_total_none(capsys):
     assert "no double total dominating set" in out
 
 
+def test_solve_double_total_resamples_before_exact_search(capsys):
+    # Exact search alone runs out of its 20,000 nodes here; resampling from
+    # the seed finds a set first.
+    code, out, _ = run(capsys, "solve", "double-total", "--graph", "random_regular:200,3",
+                       "--seed", "5", "--budget", "20000", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["found"] is True
+    g = from_spec("random_regular:200,3", 5)
+    assert check_domination(g, VertexSubset.of(g, data["members"]), "double_total") == []
+
+
+def test_degree_one_vertex_has_no_double_total_set(capsys):
+    code, out, _ = run(capsys, "solve", "double-total", "--graph", "complete_bipartite:1,3")
+    assert code == 0 and "certified" in out
+    code, out, err = run(capsys, "construct", "compose", "--graph", "complete_bipartite:1,3")
+    assert code == 1 and out == ""
+    assert err.startswith("invalid input:")
+
+
 def test_solve_chi_large_cubic_graph_exits_0(capsys):
     code, out, _ = run(capsys, "solve", "chi", "--graph", "random_regular:3000,3",
                        "--budget", "100000", "--format", "json")
@@ -83,14 +105,15 @@ _BAD_ANSWERS = [
     ("chi", "chromatic_number", SolveResult(3, Coloring.total([0] * 5), 0)),
     ("chid", "dynamic_chromatic_number",
      SolveResult(3, Coloring.total([0, 1, 2, 0, 1]), 0)),
-    ("double-total", "exact_double_total_dominating", VertexSubset(frozenset({0}), 5)),
+    ("double-total", "double_total_subset", VertexSubset(frozenset({0}), 5)),
 ]
 
 
 @pytest.mark.parametrize("problem, solver, answer", _BAD_ANSWERS)
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_solve_rechecks_witness(capsys, monkeypatch, problem, solver, answer, fmt):
-    monkeypatch.setattr(cli_module.exact, solver, lambda g, budget: answer)
+    module = cli_module.constructions if problem == "double-total" else cli_module.exact
+    monkeypatch.setattr(module, solver, lambda g, *_: answer)
     code, out, err = run(capsys, "solve", problem, "--graph", "cycle:5", "--format", fmt)
     assert code == 3 and out == ""
     assert err.startswith("internal verification failure:")

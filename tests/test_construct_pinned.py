@@ -24,7 +24,7 @@ from dynachrome import (
     KneserSpec,
     VertexSubset,
     bound_report,
-    find_double_total_dominating,
+    double_total_subset,
     from_spec,
 )
 from dynachrome.cli import ENV_BUDGET, main
@@ -112,7 +112,7 @@ def run_argv(argv: list[str]) -> dict:
 def run_report(case: dict) -> dict:
     g = from_spec(case["graph"], seed=0)
     if case["subsets"] == "found":
-        subset, _ = find_double_total_dominating(g, seed=0)
+        subset = double_total_subset(g, seed=0)
     else:
         subset = VertexSubset(frozenset({0}), g.n)
     ctx = BoundContext(

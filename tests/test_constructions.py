@@ -1,9 +1,10 @@
 """Palette compositions, family pipelines, certificates, and bound reports."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynachrome import (
@@ -11,8 +12,8 @@ from dynachrome import (
     Coloring,
     ConstructionError,
     DegenerateParamsError,
+    Graph,
     Hypergraph,
-    InfeasibleStructureError,
     KneserSpec,
     LllParams,
     PreconditionError,
@@ -31,10 +32,9 @@ from dynachrome import (
     compose_disjoint_palettes,
     cycle,
     double_total_coloring,
+    double_total_subset,
     dsatur,
     dynamic_chromatic_number,
-    exact_double_total_dominating,
-    find_double_total_dominating,
     from_spec,
     gnp,
     induced_subgraph,
@@ -51,7 +51,12 @@ from dynachrome import (
     triangle_certificate,
     vertices_in_triangles,
 )
-from helpers import brute_force_hypergraph_2colorable, fano_plane, first_fit_coloring
+from helpers import (
+    brute_force_double_total_sets,
+    brute_force_hypergraph_2colorable,
+    fano_plane,
+    first_fit_coloring,
+)
 
 
 def two_coloring(*cs):
@@ -237,7 +242,7 @@ def _assert_glued(g, coloring, subset):
 def test_double_total_coloring_resampled_subset():
     g = random_regular(40, 3, seed=2)
     coloring, subset = double_total_coloring(g, seed=1)
-    assert subset == find_double_total_dominating(g, seed=1)[0]
+    assert subset == double_total_subset(g, seed=1)
     _assert_glued(g, coloring, subset)
 
 
@@ -248,7 +253,8 @@ def test_double_total_coloring_exact_fallback(monkeypatch):
                         lambda h, seed: (None, None))
     g = cycle(8)
     coloring, subset = double_total_coloring(g)
-    assert subset == exact_double_total_dominating(g)
+    f = hypergraph_2color_exact(neighborhood_hypergraph(g))
+    assert subset.members == {v for v in range(g.n) if f[v] == 1}
     _assert_glued(g, coloring, subset)
 
 
@@ -257,8 +263,49 @@ def test_double_total_coloring_certified_none_exhaustion_and_infeasible():
         double_total_coloring(cycle(6))
     with pytest.raises(ConstructionError):
         double_total_coloring(cycle(6), budget=1)
-    with pytest.raises(InfeasibleStructureError):
+    with pytest.raises(PreconditionError, match="certified"):
         double_total_coloring(complete_bipartite(1, 3))
+
+
+def test_double_total_low_degree_none():
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert double_total_subset(path) is None
+    assert double_total_subset(complete_bipartite(1, 3), budget=0) is None
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph on up to 8 vertices, or, on a drawn flag, one with a
+    spanning cycle added so that every vertex has degree at least 2."""
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {p for p, k in zip(pairs, keep) if k}
+    if n >= 3 and draw(st.booleans()):
+        edges |= {tuple(sorted((v, (v + 1) % n))) for v in range(n)}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@given(small_graphs(), st.one_of(st.none(), st.integers(0, 20)), st.integers(0, 2**16))
+@example(Graph.from_edges(0, []), None, 0)
+@example(cycle(6), None, 0)  # resampling exhausts, search certifies none
+@example(cycle(6), 1, 0)  # resampling exhausts, search over budget
+def test_double_total_subset_matches_oracle(g, budget, seed):
+    sets = brute_force_double_total_sets(g)
+    resampled = None
+    if g.n and g.min_degree >= 2:
+        resampled, _ = moser_tardos_2color(neighborhood_hypergraph(g), seed)
+    try:
+        t = double_total_subset(g, budget, seed)
+    except ConstructionError:
+        assert budget is not None and g.min_degree >= 2 and resampled is None
+        return
+    assert (t is None) == (not sets)
+    if t is not None:
+        assert t.n == g.n and t.members in sets
+        assert check_domination(g, t, "double_total") == []
+    if resampled is not None:
+        assert t.members == {v for v in range(g.n) if resampled[v] == 1}
 
 
 def test_partial_product_k4():

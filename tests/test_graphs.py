@@ -272,7 +272,6 @@ def test_neighborhood_hypergraph_cycle4_multiset():
     h = neighborhood_hypergraph(cycle(4))
     assert h.n == 4
     assert [sorted(f) for f in h.edges] == [[1, 3], [0, 2], [1, 3], [0, 2]]
-    assert h.labels == (0, 1, 2, 3)
     # Duplicates retained, so each vertex sits in 2 edges.
     assert h.vertex_degrees() == [2, 2, 2, 2]
 
@@ -286,7 +285,6 @@ def test_neighborhood_hypergraph_triangle():
 def test_neighborhood_hypergraph_skips_low_degree():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])  # path plus isolated vertex 3
     h = neighborhood_hypergraph(g)
-    assert h.labels == (1,)
     assert [sorted(f) for f in h.edges] == [[0, 2]]
 
 
@@ -302,7 +300,6 @@ def test_neighborhood_hypergraph_with_target():
     ht = neighborhood_hypergraph(star, t)
     assert ht.n == 4
     assert [sorted(f) for f in ht.edges] == [[0, 1, 2, 3]]
-    assert ht.labels == (0,)
 
 
 def test_neighborhood_hypergraph_regular_graph():

@@ -12,16 +12,17 @@ from dynachrome import (
     InfeasibleStructureError,
     ListAssignment,
     LllParams,
+    VertexSubset,
     check_domination,
     check_hypergraph_2coloring,
     complete_bipartite,
     cycle,
-    exact_double_total_dominating,
+    double_total_subset,
     find_balanced_subset,
-    find_double_total_dominating,
     lll_condition_hypergraph,
     lll_condition_list,
     moser_tardos_2color,
+    neighborhood_hypergraph,
     random_regular,
     select_sublists,
 )
@@ -135,7 +136,7 @@ def test_negative_resample_cap_rejected(cap):
     with pytest.raises(ValueError):
         moser_tardos_2color(triangle_hypergraph(), seed=0, max_resamples=cap)
     with pytest.raises(ValueError):
-        find_double_total_dominating(cycle(8), seed=0, max_resamples=cap)
+        moser_tardos_2color(neighborhood_hypergraph(cycle(8)), seed=0, max_resamples=cap)
     with pytest.raises(ValueError):
         select_sublists(cycle(4), ListAssignment.uniform(4, range(4)), 1, max_resamples=cap)
     with pytest.raises(ValueError):
@@ -199,42 +200,44 @@ def test_mt_log_json():
 
 
 # ----------------------------------------------------------------------
-# double total domination by resampling
+# double total domination by resampling: the vertices colored 1 by a
+# 2-coloring of the neighborhood hypergraph
 # ----------------------------------------------------------------------
+
+
+def resampled_double_total(g, seed, cap=None):
+    f, log = moser_tardos_2color(neighborhood_hypergraph(g), seed, cap)
+    if f is None:
+        return None, log
+    return VertexSubset.of(g, (v for v in range(g.n) if f[v] == 1)), log
 
 
 def test_dtd_cycle8():
     g = cycle(8)
-    t, log = find_double_total_dominating(g, seed=0)
+    t, log = resampled_double_total(g, seed=0)
     assert log.success
     assert check_domination(g, t, "double_total") == []
 
 
 def test_dtd_cycle6_exhausts_and_exact_agrees():
     g = cycle(6)
-    t, log = find_double_total_dominating(g, seed=0, max_resamples=400)
+    t, log = resampled_double_total(g, seed=0, cap=400)
     assert t is None and log.outcome == "exhausted"
-    assert exact_double_total_dominating(g) is None
-
-
-def test_dtd_low_degree_rejected():
-    path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(InfeasibleStructureError):
-        find_double_total_dominating(path)
+    assert double_total_subset(g) is None
 
 
 def test_dtd_nine_regular():
     for seed in range(3):
         g = random_regular(100, 9, seed=seed)
-        t, log = find_double_total_dominating(g, seed=seed)
+        t, log = resampled_double_total(g, seed=seed)
         assert log.success
         assert check_domination(g, t, "double_total") == []
 
 
 def test_dtd_deterministic():
     g = cycle(8)
-    a = find_double_total_dominating(g, seed=9)
-    b = find_double_total_dominating(g, seed=9)
+    a = resampled_double_total(g, seed=9)
+    b = resampled_double_total(g, seed=9)
     assert a[0] == b[0] and a[1].resample_count == b[1].resample_count
 
 

