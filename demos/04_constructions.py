@@ -1,7 +1,6 @@
 """Building certified dynamic colorings from partitions and products."""
 
 from dynachrome import (
-    BoundContext,
     KneserSpec,
     LllParams,
     VertexSubset,
@@ -65,8 +64,11 @@ g = gnp(120, 0.5, seed=2)
 cert = triangle_certificate(g, chi_witness(g)[0])
 print(f"\nG(120, 0.5): triangle certificate = {cert.certified}")
 
-# The bound report evaluates each upper-bound formula's hypothesis first.
-report = bound_report(cycle(5), BoundContext())
+# The bound report evaluates each upper-bound formula's hypothesis first
+# and re-checks every fact it is given: T = {0, 1, 4, 5} double total
+# dominates C8, so the split bound applies.
+g = cycle(8)
+report = bound_report(g, double_total=VertexSubset.of(g, {0, 1, 4, 5}))
 for rec in report.records:
     mark = f"<= {rec.value}" if rec.applicable else "n/a"
-    print(f"  C5 {rec.name:26s} {mark}")
+    print(f"  C8 {rec.name:26s} {mark}")

@@ -11,7 +11,6 @@ colorings.
 
 from .constructions import (
     BalancedColoringResult,
-    BoundContext,
     BoundRecord,
     BoundReport,
     CertificationError,

@@ -65,7 +65,6 @@ __all__ = [
     "triangle_certificate",
     "TriangleCertificate",
     "BoundRecord",
-    "BoundContext",
     "BoundReport",
     "bound_report",
 ]
@@ -471,24 +470,14 @@ def triangle_certificate(g: Graph, c: Coloring) -> TriangleCertificate:
 class BoundRecord:
     """One upper-bound formula: whether its hypothesis holds here, and its
     value when it does.  ``basis`` notes how any chromatic numbers inside
-    the formula were obtained (exact or greedy over-estimate)."""
+    the formula were obtained (exact or greedy over-estimate; "computed"
+    for a criticality the report decided itself)."""
 
     name: str
     applicable: bool
     value: Optional[int]
     source: str
     basis: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class BoundContext:
-    """Optional precomputed facts that unlock the subset-based bounds."""
-
-    chi: Optional[int] = None
-    double_total: Optional[VertexSubset] = None
-    total: Optional[VertexSubset] = None
-    kneser: Optional[KneserSpec] = None
-    critical_k: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -552,35 +541,41 @@ def _record(name: str, source: str, ok: bool, evaluate, *args) -> BoundRecord:
 
 def bound_report(
     g: Graph,
-    context: Optional[BoundContext] = None,
     budget: Optional[int] = None,
+    *,
+    double_total: Optional[VertexSubset] = None,
+    total: Optional[VertexSubset] = None,
+    kneser: Optional[KneserSpec] = None,
 ) -> BoundReport:
     """Evaluate the family of dynamic-chromatic upper bounds on one graph.
 
     Each record carries its applicability predicate's outcome; a bound
-    whose hypothesis fails is never claimed.  Chromatic numbers inside
-    formulas use context values when given, exact solves up to
-    EXACT_LIMIT vertices, and greedy over-estimates beyond (greedy keeps
-    every formula a valid upper bound).  Criticality is tested only up to
+    whose hypothesis fails is never claimed.  The optional facts are
+    checked, not trusted: ``double_total`` and ``total`` must pass
+    :func:`check_domination`, and ``kneser`` counts only when ``g`` is
+    its graph.  Chromatic numbers inside formulas come from
+    :func:`chi_witness` (exact up to EXACT_LIMIT vertices within
+    ``budget``, a greedy over-estimate otherwise, which keeps every formula
+    a valid upper bound).  Criticality is computed only up to
     CRITICALITY_LIMIT vertices.
     """
-    ctx = context or BoundContext()
     delta = g.max_degree
     connected = is_connected(g)
     is_c5 = g.n == 5 and g.edge_count == 5 and g.regular_degree() == 2 and connected
-    doubling_ok = g.n > 0 and math.e * delta * delta <= 2.0 ** (g.min_degree - 1)
-
-    def doubled_chi():
-        if ctx.chi is not None:
-            return 2 * ctx.chi, "exact"
-        witness, basis = chi_witness(g, budget)
-        return 2 * witness.palette_size, basis
+    # e * Δ² <= 2^(δ-1), scaled by 2^-(δ-1) so that a large δ cannot overflow.
+    doubling_ok = g.n > 0 and math.e * delta * delta * 0.5 ** (g.min_degree - 1) <= 1.0
 
     def split(t: VertexSubset, inside_weight: int):
         (c_in, b_in), (c_out, b_out) = _split_witnesses(g, t, budget)
         return c_out.palette_size + inside_weight * c_in.palette_size, f"{b_out}/{b_in}"
 
-    double_total, total, spec = ctx.double_total, ctx.total, ctx.kneser
+    witness, basis = chi_witness(g, budget) if doubling_ok else (None, None)
+    critical = False
+    if doubling_ok and connected and g.n <= CRITICALITY_LIMIT:
+        try:
+            critical = is_k_critical(g, budget)
+        except SearchBudgetExceeded:
+            pass
     records = [
         _record(
             "max_degree_plus_one",
@@ -598,7 +593,10 @@ def bound_report(
             "five_cycle_exact", "the 5-cycle needs exactly 5 colors", is_c5, lambda: (5, None)
         ),
         _record(
-            "neighborhood_two_coloring", "2χ when e·Δ² ≤ 2^(δ−1)", doubling_ok, doubled_chi
+            "neighborhood_two_coloring",
+            "2χ when e·Δ² ≤ 2^(δ−1)",
+            doubling_ok,
+            lambda: (2 * witness.palette_size, basis),
         ),
         _record(
             "double_total_split",
@@ -619,28 +617,18 @@ def bound_report(
         _record(
             "kneser_partition",
             "t+4 for the disjointness graph with 2n < m < 3n",
-            spec is not None and 1 <= spec.t < spec.n,
-            lambda: (spec.t + 4, None),
+            kneser is not None and 1 <= kneser.t < kneser.n and g == kneser.graph(),
+            lambda: (kneser.t + 4, None),
         ),
-    ]
-
-    critical_k = ctx.critical_k
-    critical_basis = "context" if critical_k is not None else None
-    if critical_k is None and doubling_ok and connected and 0 < g.n <= CRITICALITY_LIMIT:
-        try:
-            if is_k_critical(g, budget):
-                critical_k = chromatic_number(g, budget).value
-                critical_basis = "computed"
-        except SearchBudgetExceeded:
-            critical_k = None
-    records.append(
         _record(
             "critical_doubling",
             "2k−2 for k-critical graphs under e·Δ² ≤ 2^(δ−1)",
-            critical_k is not None and doubling_ok and critical_k >= 2,
-            lambda: (2 * critical_k - 2, critical_basis),
-        )
-    )
+            # k = chi(g): is_k_critical decided chi within budget, and
+            # CRITICALITY_LIMIT <= EXACT_LIMIT, so the witness is exact.
+            critical and witness.palette_size >= 2,
+            lambda: (2 * witness.palette_size - 2, "computed"),
+        ),
+    ]
 
     summary = {
         "n": g.n,

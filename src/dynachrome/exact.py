@@ -218,13 +218,9 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
     neighbors must differ from each other and from the vertex itself.
     That refutes palettes 1 and 2 without search.
     """
-    if g.n == 0:
-        return SolveResult(0, Coloring((), 0), 0)
     if g.max_degree <= 1:
         # No vertex is constrained, so this is plain proper coloring.
-        if g.edge_count == 0:
-            return SolveResult(1, Coloring((0,) * g.n, 1), 0)
-        return SolveResult(2, Coloring.total(bipartition(g), 2), 0)
+        return chromatic_number(g, budget)
     groups = neighborhood_hypergraph(g).edges
     return _min_palette(g, dsatur(g)[0], g.n, budget, groups)
 

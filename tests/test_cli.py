@@ -192,6 +192,15 @@ def test_bounds_petersen(capsys):
     assert low["applicable"] and low["value"] == 4
 
 
+def test_bounds_min_degree_past_float_range(capsys):
+    # 2.0 ** (δ - 1) overflows a float once δ >= 1026.
+    code, out, _ = run(capsys, "bounds", "--graph", "complete:1027", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    doubling = next(b for b in data["bounds"] if b["name"] == "neighborhood_two_coloring")
+    assert doubling["applicable"] and doubling["value"] == 2 * 1027
+
+
 def test_construct_kneser(capsys):
     code, out, _ = run(capsys, "construct", "kneser", "--m", "7", "--n", "3",
                        "--format", "json")

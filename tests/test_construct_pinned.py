@@ -2,8 +2,8 @@
 
 ``data/construct_pinned.json`` holds, for each argv of ``construct
 product|compose|balanced|kneser`` and ``bounds`` (text and JSON), the exit
-code and the sha256 of stdout, and for ``bound_report`` calls with every
-``BoundContext`` field set, the report's JSON dict.  The sweep covers
+code and the sha256 of stdout, and for ``bound_report`` calls offered
+every fact it checks, the report's JSON dict.  The sweep covers
 certified none, budget exhaustion, infeasible and degenerate inputs next
 to the successful runs; every entry must be reproduced exactly.
 
@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from dynachrome import (
-    BoundContext,
     KneserSpec,
     VertexSubset,
     bound_report,
@@ -88,8 +87,9 @@ def _argv_sweep() -> list[list[str]]:
 
 
 def _report_sweep() -> list[dict]:
-    """``bound_report`` calls with every BoundContext field set, once with
-    dominating subsets and once with subsets that dominate nothing."""
+    """``bound_report`` calls offered every fact it checks (both subsets
+    and the spec of KG(7,3)), once with dominating subsets and once with
+    subsets that dominate nothing."""
     cases = []
     for spec in ("random_regular:20,9", "random_regular:30,10", "random_regular:80,12",
                  "complete:10", "cycle:8", "kneser:7,3", "complete_bipartite:10,10"):
@@ -115,14 +115,10 @@ def run_report(case: dict) -> dict:
         subset = double_total_subset(g, seed=0)
     else:
         subset = VertexSubset(frozenset({0}), g.n)
-    ctx = BoundContext(
-        chi=3,
-        double_total=subset,
-        total=subset,
-        kneser=KneserSpec(7, 3),
-        critical_k=3,
+    report = bound_report(
+        g, case["budget"], double_total=subset, total=subset, kneser=KneserSpec(7, 3)
     )
-    return bound_report(g, ctx, budget=case["budget"]).to_json_dict()
+    return report.to_json_dict()
 
 
 def _load() -> dict:
@@ -168,9 +164,13 @@ def test_pinned_sweep_covers_every_outcome():
         applicable = {b["name"] for b in e["expected"]["bounds"] if b["applicable"]}
         if e["case"]["subsets"] == "single":
             assert not applicable & {"double_total_split", "total_split_doubled"}
+        if "kneser_partition" in applicable:
+            assert e["case"]["graph"] == "kneser:7,3"
     bases = {(b["name"], b["basis"]) for e in data["bound_report"] for b in e["expected"]["bounds"]}
     for name in ("double_total_split", "total_split_doubled"):
         assert {(name, "exact/exact"), (name, "greedy/greedy"), (name, None)} <= bases
+    assert ("critical_doubling", "computed") in bases
+    assert not any(basis == "context" for _, basis in bases)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynachrome import (
-    BoundContext,
     Coloring,
     ConstructionError,
     DegenerateParamsError,
@@ -56,6 +55,7 @@ from helpers import (
     brute_force_hypergraph_2colorable,
     fano_plane,
     first_fit_coloring,
+    naive_dynamic_chromatic,
 )
 
 
@@ -274,10 +274,10 @@ def test_double_total_low_degree_none():
 
 
 @st.composite
-def small_graphs(draw):
-    """Any graph on up to 8 vertices, or, on a drawn flag, one with a
-    spanning cycle added so that every vertex has degree at least 2."""
-    n = draw(st.integers(0, 8))
+def small_graphs(draw, max_n=8):
+    """Any graph on up to ``max_n`` vertices, or, on a drawn flag, one with
+    a spanning cycle added so that every vertex has degree at least 2."""
+    n = draw(st.integers(0, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = {p for p, k in zip(pairs, keep) if k}
@@ -512,24 +512,45 @@ def test_bound_report_nine_regular():
 
 def test_bound_report_double_total_split():
     g = cycle(8)
-    ctx = BoundContext(double_total=VertexSubset.of(g, {0, 1, 4, 5}))
-    report = bound_report(g, ctx)
+    report = bound_report(g, double_total=VertexSubset.of(g, {0, 1, 4, 5}))
     split = by_name(report, "double_total_split")
     assert split.applicable and split.value == 4
+    report = bound_report(g, double_total=VertexSubset.of(g, {0, 1, 2, 3}))
+    assert not by_name(report, "double_total_split").applicable
 
 
-def test_bound_report_kneser_context():
-    report = bound_report(kneser(7, 3), BoundContext(kneser=KneserSpec(7, 3)))
+def test_bound_report_kneser_only_on_its_graph():
+    report = bound_report(kneser(7, 3), kneser=KneserSpec(7, 3))
     rec = by_name(report, "kneser_partition")
     assert rec.applicable and rec.value == 5
+    for g in (kneser(8, 3), complete(6), Graph.from_edges(0, [])):
+        report = bound_report(g, kneser=KneserSpec(7, 3))
+        assert not by_name(report, "kneser_partition").applicable
 
 
 def test_bound_report_critical_doubling():
     g = complete(12)  # 12-critical, e * 121 <= 2^10
     assert math.e * 121 <= 2**10
-    report = bound_report(g, BoundContext(critical_k=12))
-    rec = by_name(report, "critical_doubling")
-    assert rec.applicable and rec.value == 22
+    rec = by_name(bound_report(g), "critical_doubling")
+    assert rec.applicable and rec.value == 22 and rec.basis == "computed"
+    # Over budget, criticality is undecided and the bound is not claimed.
+    assert not by_name(bound_report(g, budget=1), "critical_doubling").applicable
+
+
+@given(small_graphs(max_n=7), st.sets(st.integers(0, 6)), st.sets(st.integers(0, 6)))
+@example(complete(6), set(), set())  # chi_d = 6 exceeds KG(7,3)'s bound t + 4 = 5
+@example(cycle(4), {0, 1}, {0, 1})  # double total dominating
+def test_bound_report_never_below_oracle(g, double_total, total):
+    """Whatever facts are offered, no claimed bound undercuts chi_d."""
+    report = bound_report(
+        g,
+        double_total=VertexSubset(frozenset(v for v in double_total if v < g.n), g.n),
+        total=VertexSubset(frozenset(v for v in total if v < g.n), g.n),
+        kneser=KneserSpec(7, 3),
+    )
+    chi_d = naive_dynamic_chromatic(g)
+    for rec in report.applicable():
+        assert rec.value >= chi_d, rec
 
 
 def test_bound_report_never_below_chi_d():
