@@ -50,7 +50,9 @@ assert t.members == {v for v in range(g.n) if f[v] == 1}
 assert check_domination(g, t, "double_total") == []
 print(f"\n9-regular n=60: |T| = {len(t)} after {log.resample_count} resamples")
 _, log = moser_tardos_2color(neighborhood_hypergraph(cycle(6)), seed=0, max_resamples=200)
-print(f"C6: {log.outcome} after {log.resample_count} resamples (exact fallback: "
+# C6's neighborhoods are pairs forming two triangles, so double_total_subset
+# certifies that none exists before it resamples at all.
+print(f"C6: {log.outcome} after {log.resample_count} resamples (double_total_subset: "
       f"{double_total_subset(cycle(6))}, i.e. certified none)")
 
 # Balanced subsets of a 16-regular graph.  The bias p = c' ln(k)/k exceeds
@@ -60,7 +62,7 @@ params = LllParams.for_degree(16, c_prime=7.0, seed=5, clamp_p=True)
 print(f"\nk=16: raw p would be {7.0 * math.log(16) / 16:.2f}, "
       f"clamped to {params.p}; deviation window nonempty: {params.window_nonempty}")
 t, log = find_balanced_subset(g, params)
-inside = [t.deg_into(g, v) for v in range(g.n)]
+inside = [sum(1 for u in g.adjacency[v] if u in t) for v in range(g.n)]
 print(f"balanced subset after {log.resample_count} resamples; "
       f"inside-degrees span [{min(inside)}, {max(inside)}]")
 

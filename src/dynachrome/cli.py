@@ -17,6 +17,7 @@ from typing import Optional
 
 from . import constructions, exact, experiments, formats
 from .graphs import Graph, KneserSpec, from_spec
+from .lll import DegenerateParamsError
 from .verify import (
     check_domination,
     check_dynamic,
@@ -181,9 +182,15 @@ def _cmd_construct(args) -> int:
         return _ExitCode.OK
 
     # balanced
-    result = constructions.balanced_coloring(
-        g, budget, args.seed, args.c_prime, args.clamp_p
-    )
+    try:
+        result = constructions.balanced_coloring(
+            g, budget, args.seed, args.c_prime, args.clamp_p
+        )
+    except DegenerateParamsError:
+        raise ValueError(
+            f"membership probability c' ln(k)/k >= 1 at k={g.regular_degree()}; "
+            "pass --clamp-p to run a clamped experiment"
+        ) from None
     params = result.resample_log.params
     if params["p_clamped"]:
         print(

@@ -217,12 +217,19 @@ def hypergraph_2coloring(
 ) -> Optional[Coloring]:
     """A 2-coloring of ``h`` with no monochromatic edge.
 
-    Moser-Tardos resampling from ``seed`` runs first, and its coloring is
+    The size-2 edges come first: they must get two colors, so when the
+    graph they form is not bipartite no 2-coloring exists, and None is
+    returned at once, with no resampling and no search.  Otherwise
+    Moser-Tardos resampling from ``seed`` runs, and its coloring is
     returned whenever it converges.  Only when it exhausts its cap does an
-    exact search, bounded by ``budget`` nodes, take over.  None means that
-    search certified that no such coloring exists; ConstructionError means
-    resampling exhausted and the search ran over budget.
+    exact search, bounded by ``budget`` nodes, take over.  None from there
+    means that search certified that no such coloring exists;
+    ConstructionError means resampling exhausted and the search ran over
+    budget.
     """
+    pairs = {e for e in h.edges if len(e) == 2}  # a set: from_edges refuses repeats
+    if pairs and bipartition(Graph.from_edges(h.n, pairs)) is None:
+        return None
     f, log = moser_tardos_2color(h, seed=seed)
     if f is not None:
         return f

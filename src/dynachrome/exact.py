@@ -272,22 +272,25 @@ def is_k_critical(g: Graph, budget: Optional[int] = None) -> bool:
 
     Deleting single vertices suffices: chi is monotone under taking
     induced subgraphs, so if every one-vertex deletion lowers it, every
-    proper induced subgraph does too.
+    proper induced subgraph does too.  One ``budget`` covers chi(g) and
+    all the deletions: each solve gets only the nodes the earlier ones
+    left, and SearchBudgetExceeded carries the total explored, at most
+    budget + 1.
     """
     if not is_connected(g):
         raise ValueError("criticality is only defined here for connected graphs")
-    base = chromatic_number(g, budget)
-    if base.exhausted:
-        raise SearchBudgetExceeded("budget exhausted on chi(g)", base.nodes_explored)
-    k = base.value
-    for v in range(g.n):
-        sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
-        res = chromatic_number(sub, budget)
-        if res.exhausted:
-            raise SearchBudgetExceeded(
-                f"budget exhausted on chi(g - {v})", res.nodes_explored
-            )
-        if res.value >= k:
-            return False
-    return True
+    spent = 0
 
+    def chi(h: Graph, what: str) -> int:
+        nonlocal spent
+        res = chromatic_number(h, None if budget is None else budget - spent)
+        spent += res.nodes_explored
+        if res.exhausted:
+            raise SearchBudgetExceeded(f"budget exhausted on {what}", spent)
+        return res.value
+
+    k = chi(g, "chi(g)")
+    rest = set(range(g.n))
+    return all(
+        chi(induced_subgraph(g, rest - {v})[0], f"chi(g - {v})") < k for v in range(g.n)
+    )

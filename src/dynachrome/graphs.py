@@ -160,10 +160,6 @@ class VertexSubset:
     def complement(self) -> "VertexSubset":
         return VertexSubset(frozenset(range(self.n)) - self.members, self.n)
 
-    def deg_into(self, g: Graph, v: int) -> int:
-        """Number of neighbors of v that lie inside this subset."""
-        return sum(1 for u in g.adjacency[v] if u in self.members)
-
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -391,19 +387,17 @@ def induced_subgraph(
     """Induced subgraph on ``subset`` plus the id mapping back to ``g``.
 
     Vertices are relabeled 0..|S|-1 in ascending order of their original
-    ids; the returned tuple maps each new id to its original id.
+    ids; the returned tuple maps each new id to its original id.  That
+    relabeling keeps order, so mapping ``g``'s sorted, symmetric adjacency
+    keeps it sorted and symmetric.
     """
     members = subset.members if isinstance(subset, VertexSubset) else frozenset(subset)
     if any(not (0 <= v < g.n) for v in members):
         raise ValueError("subset vertex out of range")
     mapping = tuple(sorted(members))
     index = {old: new for new, old in enumerate(mapping)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in members and v in members
-    ]
-    return Graph.from_edges(len(mapping), edges), mapping
+    adj = tuple(tuple(index[u] for u in g.adjacency[v] if u in index) for v in mapping)
+    return Graph(len(mapping), adj, sum(map(len, adj)) // 2), mapping
 
 
 def neighborhood_hypergraph(

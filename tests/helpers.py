@@ -19,6 +19,9 @@ colors.  ``check_proper_reference`` is ``verify.check_proper`` as it was when it
 walked ``Graph.edges()``; the library checker must report the same
 violations in the same order.  ``regularize_hypergraph`` is the lemma that
 embeds a k-uniform hypergraph of max degree <= k in a k-regular one.
+``deg_into`` counts a vertex's neighbors inside a subset by a direct loop.
+``heawood`` reads the Heawood graph from ``data/heawood.txt``, which the
+pinned CLI sweep also passes as ``--graph``.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ import itertools
 import random
 from bisect import bisect_right
 from collections import defaultdict
+from pathlib import Path
 from typing import Collection, Optional, Sequence
 
 from dynachrome import Coloring, Graph, Hypergraph, SearchBudgetExceeded, Violation
+from dynachrome import read_edge_list
 
 
 def adjacency(g: Graph) -> list[tuple[int, ...]]:
@@ -360,6 +365,17 @@ FANO_LINES = [
 
 def fano_plane() -> Hypergraph:
     return Hypergraph.from_edges(7, FANO_LINES)
+
+
+def heawood() -> Graph:
+    """The Heawood graph: cubic, and its neighborhood hypergraph (two Fano
+    planes) has no 2-coloring although no hyperedge has size 2."""
+    return read_edge_list((Path(__file__).parent / "data" / "heawood.txt").read_text())
+
+
+def deg_into(g: Graph, members, v: int) -> int:
+    """Number of neighbors of v in ``members``."""
+    return sum(1 for u in g.adjacency[v] if u in members)
 
 
 def triangle_hypergraph() -> Hypergraph:

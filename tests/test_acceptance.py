@@ -44,6 +44,7 @@ from dynachrome import (
     write_dimacs,
 )
 from helpers import (
+    deg_into,
     fano_plane,
     first_fit_coloring,
     naive_dynamic_chromatic,
@@ -212,8 +213,8 @@ def test_criterion_07_balanced_subset_pipeline():
         # 0 < deg_T(v) < 2 c' ln k, and deg_T(v) < deg(v) means a neighbor
         # outside T as well.
         window_ok = all(
-            0 < result.subset.deg_into(g, v) < upper
-            and result.subset.deg_into(g, v) < g.degree(v)
+            0 < deg_into(g, result.subset, v) < upper
+            and deg_into(g, result.subset, v) < g.degree(v)
             for v in range(g.n)
         )
         if check_dynamic(g, result.coloring) != []:

@@ -71,6 +71,18 @@ def test_solve_double_total_none(capsys):
     assert "no double total dominating set" in out
 
 
+def test_solve_double_total_long_cycle_none_without_resampling(capsys, monkeypatch):
+    from dynachrome import constructions
+
+    def no_resampling(h, seed):
+        raise AssertionError("resampled")
+
+    monkeypatch.setattr(constructions, "moser_tardos_2color", no_resampling)
+    code, out, _ = run(capsys, "solve", "double-total", "--graph", "cycle:1002")
+    assert code == 0
+    assert out == "no double total dominating set exists (certified)\n"
+
+
 def test_solve_double_total_resamples_before_exact_search(capsys):
     # Exact search alone runs out of its 20,000 nodes here; resampling from
     # the seed finds a set first.
@@ -249,11 +261,12 @@ def test_construct_balanced(capsys):
     assert data["certificates"][0]["violations"] == 0
 
 
-def test_construct_balanced_degenerate_exits_1(capsys):
-    code, _, err = run(capsys, "construct", "balanced", "--graph",
-                       "random_regular:12,3", "--seed", "1")
-    assert code == 1
-    assert "clamp" in err
+@pytest.mark.parametrize("spec,k", [("random_regular:12,3", 3), ("cycle:6", 2)])
+def test_construct_balanced_degenerate_exits_1(capsys, spec, k):
+    code, out, err = run(capsys, "construct", "balanced", "--graph", spec, "--seed", "1")
+    assert code == 1 and out == ""
+    assert err == (f"invalid input: membership probability c' ln(k)/k >= 1 at k={k}; "
+                   "pass --clamp-p to run a clamped experiment\n")
 
 
 def test_construct_balanced_irregular_graph_is_invalid_input(capsys):

@@ -44,10 +44,20 @@ BUDGETED = (
 KINDS = (("product",), ("compose",), ("balanced",), ("balanced", "--clamp-p"))
 KNESER = ((5, 2), (7, 3), (8, 3), (9, 4), (11, 5))
 # cycle:6 has no double total dominating set and its neighborhood
-# hypergraph no 2-coloring: one search node decides neither.
-EXHAUSTING = (
+# hypergraph no 2-coloring: its size-2 hyperedges form two triangles, which
+# decides both before any resampling or search.
+CERTIFIED_AT_BUDGET_1 = (
     ["construct", "compose", "--graph", "cycle:6", "--budget", "1"],
     ["construct", "product", "--graph", "cycle:6", "--budget", "1"],
+)
+# The Heawood graph's neighborhood hypergraph (two Fano planes, all
+# 3-edges) has no 2-coloring either, but only a search can tell: resampling
+# exhausts its 14,000 resamples, and one search node decides nothing.  The
+# path is relative to this file's directory, where the sweep runs.
+HEAWOOD = "data/heawood.txt"
+EXHAUSTING = (
+    ["construct", "compose", "--graph", HEAWOOD, "--budget", "1"],
+    ["construct", "product", "--graph", HEAWOOD, "--budget", "1"],
 )
 
 
@@ -83,7 +93,7 @@ def _argv_sweep() -> list[list[str]]:
         for budget in _budgets(spec):
             for fmt in ("json", "text"):
                 sweep.append(_with(["bounds", "--graph", spec], 0, budget, fmt))
-    return sweep + [list(a) for a in EXHAUSTING]
+    return sweep + [list(a) for a in CERTIFIED_AT_BUDGET_1 + EXHAUSTING]
 
 
 def _report_sweep() -> list[dict]:
@@ -130,6 +140,7 @@ def _load() -> dict:
 @pytest.fixture(autouse=True)
 def _no_env_budget(monkeypatch):
     monkeypatch.delenv(ENV_BUDGET, raising=False)
+    monkeypatch.chdir(Path(__file__).parent)
 
 
 @pytest.mark.parametrize("entry", _load()["argv"], ids=lambda e: " ".join(e["argv"]))
@@ -159,7 +170,10 @@ def test_pinned_sweep_covers_every_outcome():
     assert by_argv["construct compose --graph cycle:6 --seed 0 --format text"] == 1
     assert by_argv["construct product --graph cycle:6 --seed 0 --format text"] == 1
     assert by_argv["construct compose --graph complete_bipartite:1,3 --seed 0 --format text"] == 1
-    assert by_argv["construct compose --graph cycle:6 --budget 1"] == 2
+    assert by_argv["construct compose --graph cycle:6 --budget 1"] == 1
+    assert by_argv["construct product --graph cycle:6 --budget 1"] == 1
+    assert by_argv[f"construct compose --graph {HEAWOOD} --budget 1"] == 2
+    assert by_argv[f"construct product --graph {HEAWOOD} --budget 1"] == 2
     for e in data["bound_report"]:
         applicable = {b["name"] for b in e["expected"]["bounds"] if b["applicable"]}
         if e["case"]["subsets"] == "single":
@@ -178,6 +192,7 @@ if __name__ == "__main__":
     import os
 
     os.environ.pop(ENV_BUDGET, None)
+    os.chdir(Path(__file__).parent)
     argv_lines = [
         json.dumps({"argv": a, "expected": run_argv(a)}, sort_keys=True) for a in _argv_sweep()
     ]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -29,6 +30,7 @@ from dynachrome import (
     complete,
     complete_bipartite,
     compose_disjoint_palettes,
+    constructions,
     cycle,
     double_total_coloring,
     double_total_subset,
@@ -55,6 +57,7 @@ from helpers import (
     brute_force_hypergraph_2colorable,
     fano_plane,
     first_fit_coloring,
+    heawood,
     naive_dynamic_chromatic,
 )
 
@@ -180,6 +183,28 @@ def test_hypergraph_2coloring_outcomes():
 
 
 @st.composite
+def hypergraphs_with_odd_pair_cycle(draw):
+    """A hypergraph whose size-2 edges hold an odd cycle, next to other
+    edges of any size, in any order."""
+    n = draw(st.integers(3, 8))
+    length = draw(st.sampled_from([k for k in (3, 5, 7) if k <= n]))
+    ring = draw(st.permutations(range(n)))[:length]
+    edges = [(ring[i], ring[(i + 1) % length]) for i in range(length)]
+    edges += draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2), max_size=6))
+    return Hypergraph.from_edges(n, draw(st.permutations(edges)))
+
+
+@given(hypergraphs_with_odd_pair_cycle(), st.integers(0, 2**16))
+@example(neighborhood_hypergraph(cycle(6)), 0)
+@example(neighborhood_hypergraph(cycle(1002)), 0)
+def test_hypergraph_2coloring_odd_pair_cycle_is_none_without_resampling(h, seed):
+    with mock.patch.object(constructions, "moser_tardos_2color",
+                           side_effect=AssertionError("resampled")):
+        # Budget 0: an exact search would raise at its first node.
+        assert hypergraph_2coloring(h, budget=0, seed=seed) is None
+
+
+@st.composite
 def small_hypergraphs(draw):
     n = draw(st.integers(2, 6))
     edge = st.sets(st.integers(0, n - 1), min_size=2, max_size=n)
@@ -223,10 +248,12 @@ def test_neighborhood_product_coloring_pairs_witness_with_f():
 
 
 def test_neighborhood_product_coloring_certified_none_and_exhaustion():
-    with pytest.raises(PreconditionError, match="not 2-colorable"):
-        neighborhood_product_coloring(cycle(6))
+    # cycle(6)'s size-2 hyperedges form two triangles: none without search.
+    for budget in (None, 1):
+        with pytest.raises(PreconditionError, match="not 2-colorable"):
+            neighborhood_product_coloring(cycle(6), budget)
     with pytest.raises(ConstructionError):
-        neighborhood_product_coloring(cycle(6), budget=1)
+        neighborhood_product_coloring(heawood(), budget=1)
 
 
 def _assert_glued(g, coloring, subset):
@@ -259,10 +286,11 @@ def test_double_total_coloring_exact_fallback(monkeypatch):
 
 
 def test_double_total_coloring_certified_none_exhaustion_and_infeasible():
-    with pytest.raises(PreconditionError, match="certified"):
-        double_total_coloring(cycle(6))
+    for budget in (None, 1):
+        with pytest.raises(PreconditionError, match="certified"):
+            double_total_coloring(cycle(6), budget)
     with pytest.raises(ConstructionError):
-        double_total_coloring(cycle(6), budget=1)
+        double_total_coloring(heawood(), budget=1)
     with pytest.raises(PreconditionError, match="certified"):
         double_total_coloring(complete_bipartite(1, 3))
 
@@ -288,8 +316,9 @@ def small_graphs(draw, max_n=8):
 
 @given(small_graphs(), st.one_of(st.none(), st.integers(0, 20)), st.integers(0, 2**16))
 @example(Graph.from_edges(0, []), None, 0)
-@example(cycle(6), None, 0)  # resampling exhausts, search certifies none
-@example(cycle(6), 1, 0)  # resampling exhausts, search over budget
+@example(cycle(6), None, 0)  # odd cycle of size-2 edges: none before resampling
+@example(cycle(6), 1, 0)  # the same, within any budget
+@example(heawood(), 1, 0)  # resampling exhausts, search over budget
 def test_double_total_subset_matches_oracle(g, budget, seed):
     sets = brute_force_double_total_sets(g)
     resampled = None
@@ -533,8 +562,10 @@ def test_bound_report_critical_doubling():
     assert math.e * 121 <= 2**10
     rec = by_name(bound_report(g), "critical_doubling")
     assert rec.applicable and rec.value == 22 and rec.basis == "computed"
-    # Over budget, criticality is undecided and the bound is not claimed.
-    assert not by_name(bound_report(g, budget=1), "critical_doubling").applicable
+    # Over budget, criticality is undecided and the bound is not claimed:
+    # at 200 nodes each solve decides, but not all 13 within one budget.
+    for budget in (1, 200):
+        assert not by_name(bound_report(g, budget), "critical_doubling").applicable
 
 
 @given(small_graphs(max_n=7), st.sets(st.integers(0, 6)), st.sets(st.integers(0, 6)))

@@ -257,6 +257,15 @@ def test_critical_cases():
         is_k_critical(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+def test_critical_spends_one_budget_across_its_solves():
+    g = complete(12)
+    assert is_k_critical(g)
+    # Each of the 13 solves fits in 200 nodes; all of them together do not.
+    with pytest.raises(SearchBudgetExceeded) as info:
+        is_k_critical(g, budget=200)
+    assert info.value.nodes_explored == 201
+
+
 # ----------------------------------------------------------------------
 # double total domination: the vertices colored 1 by an exact 2-coloring
 # of the neighborhood hypergraph

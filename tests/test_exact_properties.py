@@ -1,8 +1,10 @@
-"""Exact solvers and their vertex order against naive oracles on random
-small inputs; DSATUR against its earlier heap and first-fit greedy; and
-the 2-colorability of regular graphs' neighborhood hypergraphs."""
+"""Exact solvers, criticality and their vertex order against naive
+oracles on random small inputs; DSATUR against its earlier heap and
+first-fit greedy; and the 2-colorability of regular graphs' neighborhood
+hypergraphs."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -12,6 +14,7 @@ from dynachrome import (
     Graph,
     Hypergraph,
     ListAssignment,
+    SearchBudgetExceeded,
     VertexSubset,
     check_dynamic,
     check_hypergraph_2coloring,
@@ -22,9 +25,11 @@ from dynachrome import (
     cycle,
     dsatur,
     dynamic_chromatic_number,
+    exact,
     from_spec,
     gnp,
     hypergraph_2color_exact,
+    is_k_critical,
     list_dynamic_coloring,
     neighborhood_hypergraph,
     random_regular,
@@ -127,6 +132,54 @@ def test_chid_matches_naive(g):
     assert res.value == naive_dynamic_chromatic(g)
     assert res.witness.palette_size == res.value
     assert check_dynamic(g, res.witness) == []
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree (each vertex after 0 hangs from an earlier
+    one) plus any further edges."""
+    n = draw(st.integers(1, MAX_N))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, sorted(tree | {p for p, k in zip(pairs, keep) if k}))
+
+
+def _delete(g: Graph, v: int) -> Graph:
+    """g - v, relabeled by a direct loop over the edges."""
+    return Graph.from_edges(
+        g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)]
+    )
+
+
+@given(connected_graphs())
+@example(cycle(5))
+@example(complete(5))
+@example(cycle(6))
+def test_is_k_critical_matches_naive(g):
+    k = naive_chromatic(g)
+    assert is_k_critical(g) == all(naive_chromatic(_delete(g, v)) < k for v in range(g.n))
+
+
+@given(connected_graphs(), st.integers(0, 60))
+@example(complete(7), 0)
+@example(complete(7), 30)
+def test_is_k_critical_spends_one_budget(g, budget):
+    spent = []
+
+    def metered(h, b=None):
+        res = chromatic_number(h, b)
+        spent.append(res.nodes_explored)
+        return res
+
+    with mock.patch.object(exact, "chromatic_number", metered):
+        try:
+            critical = is_k_critical(g, budget)
+        except SearchBudgetExceeded as exc:
+            assert exc.nodes_explored == sum(spent) == budget + 1
+            return
+    assert sum(spent) <= budget
+    assert critical == is_k_critical(g)
 
 
 @given(graphs_with_lists())

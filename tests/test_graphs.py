@@ -5,7 +5,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynachrome import (
@@ -27,7 +27,7 @@ from dynachrome import (
     vertices_in_triangles,
 )
 from dynachrome.graphs import _shuffle
-from helpers import brute_force_triangle_vertices, random_regular_reference
+from helpers import brute_force_triangle_vertices, deg_into, random_regular_reference
 
 
 def assert_well_formed(g: Graph):
@@ -263,6 +263,28 @@ def test_induced_subgraph_empty_and_roundtrip():
         induced_subgraph(g, {99})
 
 
+@st.composite
+def graphs_with_subsets(draw):
+    """A G(n, p) graph and a vertex subset: the full one or any other."""
+    g = gnp(draw(st.integers(0, 12)), draw(st.floats(0, 1)), draw(st.integers(0, 2**16)))
+    keep = draw(st.one_of(st.just([True] * g.n),
+                          st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+    return g, frozenset(v for v in range(g.n) if keep[v])
+
+
+@given(graphs_with_subsets())
+@example((kneser(5, 2), frozenset()))
+@example((kneser(5, 2), frozenset(range(10))))
+def test_induced_subgraph_matches_filtered_edges(case):
+    g, members = case
+    mapping = tuple(sorted(members))
+    index = {old: new for new, old in enumerate(mapping)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in members and v in members]
+    expected = (Graph.from_edges(len(mapping), edges), mapping)
+    assert induced_subgraph(g, members) == expected
+    assert induced_subgraph(g, VertexSubset(members, g.n)) == expected
+
+
 # ----------------------------------------------------------------------
 # neighborhood hypergraphs
 # ----------------------------------------------------------------------
@@ -345,8 +367,8 @@ def test_vertex_subset_basics():
     g = cycle(8)
     t = VertexSubset.of(g, {0, 1, 4, 5})
     assert t.complement().members == frozenset({2, 3, 6, 7})
-    assert t.deg_into(g, 0) == 1  # neighbors 1 and 7, only 1 inside
-    assert t.deg_into(g, 2) == 1
+    assert deg_into(g, t, 0) == 1  # neighbors 1 and 7, only 1 inside
+    assert deg_into(g, t, 2) == 1
     assert len(t) == 4 and 4 in t and 2 not in t
     with pytest.raises(ValueError):
         VertexSubset(frozenset({9}), 4)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from dynachrome import Hypergraph, cycle, neighborhood_hypergraph
-from helpers import regularize_hypergraph
+from dynachrome import Hypergraph, bipartition, cycle, neighborhood_hypergraph
+from helpers import brute_force_hypergraph_2colorable, heawood, regularize_hypergraph
 
 
 def assert_uniform_regular(h: Hypergraph, k: int):
@@ -43,3 +43,12 @@ def test_regularize_rejections():
         regularize_hypergraph(big, 9)  # 9 * 9^8 vertices blows the budget
     with pytest.raises(ValueError):
         regularize_hypergraph(Hypergraph.from_edges(3, []), 2)
+
+
+def test_heawood_fixture():
+    g = heawood()
+    assert (g.n, g.edge_count, g.regular_degree()) == (14, 21, 3)
+    assert bipartition(g) is not None
+    h = neighborhood_hypergraph(g)
+    assert all(len(f) == 3 for f in h.edges)
+    assert not brute_force_hypergraph_2colorable(h)

@@ -26,7 +26,7 @@ from dynachrome import (
     random_regular,
     select_sublists,
 )
-from helpers import fano_plane, random_uniform_hypergraph, triangle_hypergraph
+from helpers import deg_into, fano_plane, random_uniform_hypergraph, triangle_hypergraph
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_balanced_16_regular():
     assert log.success
     upper = 2 * 7.0 * math.log(16)
     for v in range(g.n):
-        inside = t.deg_into(g, v)
+        inside = deg_into(g, t, v)
         assert 0 < inside < upper
         assert inside < g.degree(v)  # at least one neighbor outside
     assert log.params["lambda"] == pytest.approx(params.lam)
@@ -273,7 +273,7 @@ def test_balanced_complete_bipartite():
     t, log = find_balanced_subset(g, params)
     assert log.success
     for v in range(g.n):
-        assert 0 < t.deg_into(g, v) < g.degree(v) + 1
+        assert 0 < deg_into(g, t, v) < g.degree(v) + 1
 
 
 def test_balanced_requires_regular():
