@@ -103,10 +103,10 @@ def _cmd_solve(args) -> int:
             _certify(check_domination(g, subset, "double_total"), "double total set")
         payload = {
             "found": subset is not None,
-            "members": sorted(subset.members) if subset is not None else None,
+            "members": list(subset) if subset is not None else None,
         }
         lines = (
-            [f"double total dominating set: {sorted(subset.members)}"]
+            [f"double total dominating set: {list(subset)}"]
             if subset is not None
             else ["no double total dominating set exists (certified)"]
         )
@@ -178,7 +178,7 @@ def _cmd_construct(args) -> int:
 
     if args.kind == "compose":
         coloring, subset = constructions.double_total_coloring(g, budget, args.seed)
-        _output_coloring(g, coloring, args.format, {"subset": sorted(subset.members)})
+        _output_coloring(g, coloring, args.format, {"subset": list(subset)})
         return _ExitCode.OK
 
     # balanced
@@ -199,7 +199,7 @@ def _cmd_construct(args) -> int:
             file=sys.stderr,
         )
     extra = {
-        "subset": sorted(result.subset.members),
+        "subset": list(result.subset),
         "color_bound": result.color_bound,
         "resamples": result.resample_log.resample_count,
     }
@@ -245,13 +245,13 @@ def _cmd_experiment(args) -> int:
         )
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
-    elif args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"experiment: {report.name}")
-        print(f"parameters: {report.parameters} (seed {report.master_seed})")
-        for key, value in report.aggregates.items():
-            print(f"  {key}: {value}")
+        return _ExitCode.OK
+    lines = [
+        f"experiment: {report.name}",
+        f"parameters: {report.parameters} (seed {report.master_seed})",
+    ]
+    lines.extend(f"  {key}: {value}" for key, value in report.aggregates.items())
+    _emit(report.to_json_dict(), args.format, lines)
     return _ExitCode.OK
 
 
@@ -260,15 +260,23 @@ def _cmd_experiment(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, graph: bool = True) -> None:
+_SEED_HELP = "seed of randomized graph specs and of resampling (default 0)"
+_BUDGET_HELP = f"exact-search node budget (default ${ENV_BUDGET}, else unlimited)"
+_UNUSED_BUDGET_HELP = "accepted but unused: this command runs no search"
+_MASTER_SEED_HELP = "master seed; each trial derives its own from it (default 0)"
+
+
+def _add_common(
+    p: argparse.ArgumentParser, graph: bool = True, budget_help: str = _BUDGET_HELP
+) -> None:
     if graph:
         p.add_argument(
             "--graph",
             required=True,
             help="graph file (DIMACS or edge list) or generator spec like cycle:8",
         )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
+    p.add_argument("--budget", type=int, help=budget_help)
     p.add_argument("--format", choices=["json", "text"], default="text")
 
 
@@ -282,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a graph and write it out")
     p.add_argument("spec", help="generator spec, e.g. kneser:7,3 or gnp:200,0.5")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.add_argument(
         "--output-format", choices=["dimacs", "edgelist"], default="dimacs"
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         pc.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")
-    _add_common(p)
+    _add_common(p, budget_help=_UNUSED_BUDGET_HELP)
     p.add_argument("--coloring", required=True, help="coloring JSON file")
     p.add_argument("--check", choices=["proper", "dynamic"], default="dynamic")
     p.set_defaults(handler=_cmd_verify)
@@ -336,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--p", type=float, required=True)
     pe.add_argument("--trials", type=int, default=100)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--budget", type=int)
+    pe.add_argument("--seed", type=int, default=0, help=_MASTER_SEED_HELP)
+    pe.add_argument("--budget", type=int, help=_UNUSED_BUDGET_HELP)
     pe.add_argument("--format", choices=["json", "text", "csv"], default="text")
     pe.set_defaults(handler=_cmd_experiment)
 
@@ -347,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--k", type=int, default=3)
     pe.add_argument("--n", type=int)
     pe.add_argument("--trials", type=int, default=50)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--budget", type=int)
+    pe.add_argument("--seed", type=int, default=0, help=_MASTER_SEED_HELP)
+    pe.add_argument("--budget", type=int, help=_BUDGET_HELP)
     pe.add_argument("--format", choices=["json", "text", "csv"], default="text")
     pe.set_defaults(handler=_cmd_experiment)
 

@@ -310,9 +310,7 @@ def kneser_dynamic_coloring(
         )
     c_t = Coloring.total(two, 2)
     comp = tail.complement()
-    c_out = Coloring.total(
-        [min(subsets[old]) - 1 for old in comp.sorted_members()], t
-    )
+    c_out = Coloring.total([min(subsets[old]) - 1 for old in comp], t)
     f = hypergraph_2coloring(neighborhood_hypergraph(g, target=tail), budget, seed)
     if f is None:
         raise CertificationError(

@@ -183,17 +183,15 @@ def _is_json_int(value) -> bool:
 
 def coloring_from_json_dict(data: dict) -> Coloring:
     """Read a coloring record: ``assignment`` must be a list of JSON
-    integers or nulls (uncolored) and ``palette_size`` an integer; a float,
-    boolean or string is rejected rather than truncated."""
+    integers and ``palette_size`` an integer; a null, float, boolean or
+    string is rejected rather than truncated."""
     try:
         assignment = data["assignment"]
         palette = data["palette_size"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed coloring record: {exc}") from None
-    if not isinstance(assignment, list) or not all(
-        c is None or _is_json_int(c) for c in assignment
-    ):
-        raise FormatError("assignment must be a list of integers or nulls")
+    if not isinstance(assignment, list) or not all(map(_is_json_int, assignment)):
+        raise FormatError("assignment must be a list of integers")
     if not _is_json_int(palette):
         raise FormatError(f"palette_size must be an integer, got {palette!r}")
     return Coloring(tuple(assignment), palette)

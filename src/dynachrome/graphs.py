@@ -12,7 +12,7 @@ import itertools
 import random
 import sys
 from array import array
-from collections import defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -107,28 +107,29 @@ class Graph:
 class Hypergraph:
     """Vertex set 0..n-1 plus a multiset of hyperedges of size >= 2.
 
-    Edges are kept in insertion order and duplicates are retained: when the
-    edges come from vertex neighborhoods, the multiplicity is exactly the
-    number of source vertices, which is what degree bookkeeping and the
+    Each edge is the ascending tuple of its distinct vertices.  Edges are
+    kept in insertion order and duplicates are retained: when the edges
+    come from vertex neighborhoods, the multiplicity is exactly the number
+    of source vertices, which is what degree bookkeeping and the
     resampling engine must see.
     """
 
     n: int
-    edges: tuple[frozenset[int], ...]
+    edges: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        frozen = []
+        canonical = []
         for f in edges:
-            fs = frozenset(f)
-            if len(fs) < 2:
-                raise ValueError(f"hyperedge {sorted(fs)} has size < 2")
-            if any(not (0 <= v < n) for v in fs):
-                raise ValueError(f"hyperedge {sorted(fs)} out of range for n={n}")
-            frozen.append(fs)
-        return cls(n, tuple(frozen))
+            e = tuple(sorted(set(f)))
+            if len(e) < 2:
+                raise ValueError(f"hyperedge {list(e)} has size < 2")
+            if e[0] < 0 or e[-1] >= n:
+                raise ValueError(f"hyperedge {list(e)} out of range for n={n}")
+            canonical.append(e)
+        return cls(n, tuple(canonical))
 
     @property
     def edge_count(self) -> int:
@@ -159,9 +160,6 @@ class VertexSubset:
 
     def complement(self) -> "VertexSubset":
         return VertexSubset(frozenset(range(self.n)) - self.members, self.n)
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
     def __contains__(self, v: int) -> bool:
         return v in self.members
@@ -228,15 +226,19 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def kneser(m: int, n: int) -> Graph:
-    """Graph on the n-subsets of {1..m}; vertices adjacent iff disjoint."""
-    spec = KneserSpec(m, n)
-    subsets = spec.vertex_subsets()
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(subsets)), 2)
-        if not (subsets[i] & subsets[j])
-    ]
-    return Graph.from_edges(len(subsets), edges)
+    """Graph on the n-subsets of {1..m}; vertices adjacent iff disjoint.
+
+    Each subset's partners are the n-subsets of its complement, looked up
+    by their ascending tuple, so the work is one lookup per edge end.
+    """
+    KneserSpec(m, n)  # checks m >= 2n >= 2
+    ground = range(1, m + 1)
+    index = {a: i for i, a in enumerate(itertools.combinations(ground, n))}
+    edges = []
+    for a, i in index.items():
+        rest = [x for x in ground if x not in a]
+        edges.extend((i, j) for b in itertools.combinations(rest, n) if (j := index[b]) > i)
+    return Graph.from_edges(len(index), edges)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -297,26 +299,13 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
     if (n * k) % 2 != 0:
         raise ValueError("n * k must be even")
     rng = random.Random(seed)
-    if k == 0:
-        return Graph.from_edges(n, [])
-
-    def suitable(higher: list[set[int]], leftover: dict[int, int]) -> bool:
-        if not leftover:
-            return True
-        nodes = sorted(leftover)
-        for i, s1 in enumerate(nodes):
-            for s2 in nodes[i + 1:]:
-                if s2 not in higher[s1]:
-                    return True
-        return False
-
-    def try_once() -> Optional[list[set[int]]]:
+    for _ in range(max_retries):
         # Edge {u, v} with u < v is recorded as v in higher[u].
         higher: list[set[int]] = [set() for _ in range(n)]
         stubs = list(range(n)) * k
         while stubs:
-            leftover: dict[int, int] = defaultdict(int)
             _shuffle(rng, stubs)
+            thrown: list[int] = []
             it = iter(stubs)
             for s1, s2 in zip(it, it):
                 if s1 > s2:
@@ -325,16 +314,13 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
                 if s1 != s2 and s2 not in h:
                     h.add(s2)
                 else:
-                    leftover[s1] += 1
-                    leftover[s2] += 1
-            if not suitable(higher, leftover):
-                return None
-            stubs = [v for v, c in leftover.items() for _ in range(c)]
-        return higher
-
-    for _ in range(max_retries):
-        higher = try_once()
-        if higher is not None:
+                    thrown += (s1, s2)
+            left = Counter(thrown)  # keys in first-occurrence order
+            pairs = itertools.combinations(sorted(left), 2)
+            if left and all(b in higher[a] for a, b in pairs):
+                break  # stuck: every thrown-back pair would be a loop or a repeat
+            stubs = list(left.elements())
+        else:
             return Graph.from_edges(n, ((u, v) for u in range(n) for v in higher[u]))
     raise RuntimeError(f"random_regular({n},{k}) gave up after {max_retries} restarts")
 
@@ -420,7 +406,7 @@ def neighborhood_hypergraph(
 
     if target.n != g.n:
         raise ValueError("target subset belongs to a different host size")
-    index = {old: new for new, old in enumerate(target.sorted_members())}
+    index = {old: new for new, old in enumerate(target)}
     edges = [
         [index[u] for u in a]
         for a in g.adjacency

@@ -264,25 +264,25 @@ def moser_tardos_2color(
     """Random 2-coloring with resampling of monochromatic hyperedges.
 
     Colors every vertex uniformly at random, then repeatedly re-randomizes
-    the vertices of the lowest-indexed monochromatic edge.  The default
-    cap is 1000 per edge.
+    the vertices of the lowest-indexed monochromatic edge, in the edge's
+    ascending order.  The default cap is 1000 per edge.
     """
     rng = random.Random(seed)
-    edge_vertices = [tuple(sorted(f)) for f in h.edges]
+    edges = h.edges
     incident: list[list[int]] = [[] for _ in range(h.n)]
-    for i, vs in enumerate(edge_vertices):
+    for i, vs in enumerate(edges):
         for v in vs:
             incident[v].append(i)
 
     def monochromatic(color: list[int], i: int) -> bool:
-        vs = edge_vertices[i]
+        vs = edges[i]
         c = color[vs[0]]
         for v in vs:
             if color[v] != c:
                 return False
         return True
 
-    log = _resample(edge_vertices, incident, lambda v: rng.randrange(2), monochromatic,
+    log = _resample(edges, incident, lambda v: rng.randrange(2), monochromatic,
                     max_resamples, seed, list.copy)
     return (Coloring.total(log.final_state, 2) if log.success else None), log
 

@@ -37,22 +37,21 @@ VIOLATION_KINDS = (
 
 @dataclass(frozen=True)
 class Coloring:
-    """A total or partial assignment of color ids to vertices.
+    """A total assignment of color ids to vertices.
 
-    ``colors[v]`` is the color of vertex v or None when unassigned; every
-    assigned color must lie in ``range(palette_size)``.
+    ``colors[v]`` is the color of vertex v, an int in ``range(palette_size)``.
     """
 
-    colors: tuple[Optional[int], ...]
+    colors: tuple[int, ...]
     palette_size: int
 
     def __post_init__(self) -> None:
         if self.palette_size < 0:
             raise ValueError("palette size must be nonnegative")
         for v, c in enumerate(self.colors):
-            if c is not None and not (0 <= c < self.palette_size):
+            if not isinstance(c, int) or not 0 <= c < self.palette_size:
                 raise ValueError(
-                    f"color {c} of vertex {v} outside palette of size {self.palette_size}"
+                    f"color {c!r} of vertex {v} outside palette of size {self.palette_size}"
                 )
 
     @classmethod
@@ -62,19 +61,15 @@ class Coloring:
             palette_size = max(colors) + 1 if colors else 0
         return cls(colors, palette_size)
 
-    def __getitem__(self, v: int) -> Optional[int]:
+    def __getitem__(self, v: int) -> int:
         return self.colors[v]
 
     def __len__(self) -> int:
         return len(self.colors)
 
     @property
-    def is_total(self) -> bool:
-        return all(c is not None for c in self.colors)
-
-    @property
     def colors_used(self) -> int:
-        return len({c for c in self.colors if c is not None})
+        return len(set(self.colors))
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,6 @@ def violations_to_json(violations: Sequence[Violation]) -> list[dict]:
 def _require_total(g_size: int, c: Coloring) -> None:
     if len(c) != g_size:
         raise ValueError(f"coloring covers {len(c)} vertices, graph has {g_size}")
-    if not c.is_total:
-        raise ValueError("coloring must be total")
 
 
 def check_proper(g: Graph, c: Coloring) -> list[Violation]:

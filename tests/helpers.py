@@ -20,6 +20,8 @@ walked ``Graph.edges()``; the library checker must report the same
 violations in the same order.  ``regularize_hypergraph`` is the lemma that
 embeds a k-uniform hypergraph of max degree <= k in a k-regular one.
 ``deg_into`` counts a vertex's neighbors inside a subset by a direct loop.
+``kneser_all_pairs`` is the Kneser graph by its definition, testing every
+pair of n-subsets for disjointness.
 ``heawood`` reads the Heawood graph from ``data/heawood.txt``, which the
 pinned CLI sweep also passes as ``--graph``.
 """
@@ -376,6 +378,17 @@ def heawood() -> Graph:
 def deg_into(g: Graph, members, v: int) -> int:
     """Number of neighbors of v in ``members``."""
     return sum(1 for u in g.adjacency[v] if u in members)
+
+
+def kneser_all_pairs(m: int, n: int) -> Graph:
+    """KG(m, n) from the definition: lexicographic n-subsets of {1..m},
+    joined whenever they are disjoint."""
+    subsets = [set(c) for c in itertools.combinations(range(1, m + 1), n)]
+    return Graph.from_edges(len(subsets), [
+        (i, j)
+        for i, j in itertools.combinations(range(len(subsets)), 2)
+        if not subsets[i] & subsets[j]
+    ])
 
 
 def triangle_hypergraph() -> Hypergraph:

@@ -353,7 +353,9 @@ def test_verify_rejects_a_record_for_another_graph(tmp_path, capsys):
     assert json.loads(out)["violations"] == []
 
 
-@pytest.mark.parametrize("assignment", [[0, 1.7, 0, 1, 2], [0, True, 0, 1, 2], "01012", 5])
+@pytest.mark.parametrize(
+    "assignment", [[0, 1.7, 0, 1, 2], [0, True, 0, 1, 2], [0, None, 0, 1, 2], "01012", 5]
+)
 def test_verify_rejects_non_integer_colors(tmp_path, capsys, assignment):
     record = coloring_to_json_dict(cycle(5), Coloring.total([0, 1, 0, 1, 2], 3))
     record["assignment"] = assignment

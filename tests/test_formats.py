@@ -157,6 +157,6 @@ def test_coloring_record_rejects_non_integer_palette(palette):
         coloring_from_json_dict({"assignment": [0, 1, 0], "palette_size": palette})
 
 
-def test_coloring_record_keeps_uncolored_vertices():
-    back = coloring_from_json_dict({"assignment": [0, None, 2], "palette_size": 3})
-    assert back.colors == (0, None, 2)
+def test_coloring_record_rejects_uncolored_vertices():
+    with pytest.raises(FormatError, match="assignment must be a list of integers"):
+        coloring_from_json_dict({"assignment": [0, None, 2], "palette_size": 3})

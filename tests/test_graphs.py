@@ -27,7 +27,8 @@ from dynachrome import (
     vertices_in_triangles,
 )
 from dynachrome.graphs import _shuffle
-from helpers import brute_force_triangle_vertices, deg_into, random_regular_reference
+from helpers import brute_force_triangle_vertices, deg_into, kneser_all_pairs
+from helpers import random_regular_reference
 
 
 def assert_well_formed(g: Graph):
@@ -97,6 +98,12 @@ def test_kneser_adjacency_is_disjointness():
     adj = [set(a) for a in g.adjacency]
     for i, j in itertools.combinations(range(g.n), 2):
         assert (j in adj[i]) == (not subsets[i] & subsets[j])
+
+
+def test_kneser_matches_all_pairs_definition():
+    for m in range(2, 13):
+        for n in range(1, m // 2 + 1):
+            assert kneser(m, n) == kneser_all_pairs(m, n), (m, n)
 
 
 def test_kneser_spec_validation():
@@ -332,10 +339,21 @@ def test_neighborhood_hypergraph_regular_graph():
 
 
 def test_hypergraph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"hyperedge \[1\] has size < 2"):
         Hypergraph.from_edges(3, [(1,)])
-    with pytest.raises(ValueError):
-        Hypergraph.from_edges(3, [(0, 7)])
+    with pytest.raises(ValueError, match=r"hyperedge \[1\] has size < 2"):
+        Hypergraph.from_edges(3, [(1, 1)])
+    for edge in [(0, 7), (7, 0)]:
+        with pytest.raises(ValueError, match=r"hyperedge \[0, 7\] out of range for n=3"):
+            Hypergraph.from_edges(3, [edge])
+    with pytest.raises(ValueError, match=r"hyperedge \[-1, 2\] out of range"):
+        Hypergraph.from_edges(3, [(2, -1, 2)])
+
+
+def test_hypergraph_edges_are_ascending_tuples_of_distinct_vertices():
+    h = Hypergraph.from_edges(5, [[3, 1, 1], (4, 0)])
+    assert h.edges == ((1, 3), (0, 4))
+    assert Hypergraph.from_edges(4, iter([frozenset({3, 2, 0})])).edges == ((0, 2, 3),)
 
 
 # ----------------------------------------------------------------------

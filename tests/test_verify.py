@@ -71,8 +71,8 @@ def test_proper_matches_reference(case):
 
 
 def test_proper_requires_total():
-    with pytest.raises(ValueError):
-        check_proper(cycle(3), Coloring((0, None, 1), 2))
+    with pytest.raises(ValueError, match="vertex 1 outside palette"):
+        Coloring((0, None, 1), 2)
     with pytest.raises(ValueError):
         check_proper(cycle(3), col(0, 1))  # wrong length
 
@@ -255,7 +255,9 @@ def test_coloring_invariants():
     c = Coloring.total([0, 1, 1], 5)
     assert c.colors_used == 2
     assert c.palette_size == 5
-    assert not Coloring((None, 0), 1).is_total
+    for colors in [(None, 0), (0, 0.0), (0, "0")]:
+        with pytest.raises(ValueError, match="of vertex"):
+            Coloring(colors, 1)
 
 
 def test_list_assignment_helpers():
