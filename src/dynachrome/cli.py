@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -24,8 +23,6 @@ from .verify import (
     check_proper,
     violations_to_json,
 )
-
-ENV_BUDGET = "DYNACHROME_BUDGET"
 
 
 class _ExitCode:
@@ -47,16 +44,6 @@ def _load_graph(value: str, seed: int) -> Graph:
     if path.exists():
         return formats.read_graph_text(path.read_text())
     return from_spec(value, seed)
-
-
-def _default_budget() -> Optional[int]:
-    raw = os.environ.get(ENV_BUDGET)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
@@ -261,7 +248,7 @@ def _cmd_experiment(args) -> int:
 
 
 _SEED_HELP = "seed of randomized graph specs and of resampling (default 0)"
-_BUDGET_HELP = f"exact-search node budget (default ${ENV_BUDGET}, else unlimited)"
+_BUDGET_HELP = "exact-search node budget (default: unlimited)"
 _UNUSED_BUDGET_HELP = "accepted but unused: this command runs no search"
 _MASTER_SEED_HELP = "master seed; each trial derives its own from it (default 0)"
 
@@ -375,17 +362,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     The parser is built on the first call and reused by every later call in
     the process, so the handlers are bound then: to stub a command's work,
     patch the library functions its handler calls, not ``cli._cmd_*``.
-    ``DYNACHROME_BUDGET`` is read on every call.
+    No environment variable sets the budget: without ``--budget`` the
+    searches are unlimited, and a negative ``--budget`` exits 1.
     """
     try:
         args = _parser().parse_args(argv)
-        if hasattr(args, "budget"):  # --budget, else DYNACHROME_BUDGET
-            if args.budget is None:
-                args.budget = _default_budget()
-            if args.budget is not None and args.budget < 0:
-                raise ValueError(
-                    f"--budget and {ENV_BUDGET} must be >= 0, got {args.budget}"
-                )
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         # Covers malformed files, bad specs, and failed preconditions.

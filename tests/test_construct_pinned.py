@@ -26,7 +26,7 @@ from dynachrome import (
     double_total_subset,
     from_spec,
 )
-from dynachrome.cli import ENV_BUDGET, main
+from dynachrome.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "construct_pinned.json"
 SEEDS = (0, 1, 2)
@@ -138,8 +138,7 @@ def _load() -> dict:
 
 
 @pytest.fixture(autouse=True)
-def _no_env_budget(monkeypatch):
-    monkeypatch.delenv(ENV_BUDGET, raising=False)
+def _in_test_dir(monkeypatch):
     monkeypatch.chdir(Path(__file__).parent)
 
 
@@ -191,7 +190,6 @@ if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     import os
 
-    os.environ.pop(ENV_BUDGET, None)
     os.chdir(Path(__file__).parent)
     argv_lines = [
         json.dumps({"argv": a, "expected": run_argv(a)}, sort_keys=True) for a in _argv_sweep()
