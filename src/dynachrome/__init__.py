@@ -13,7 +13,6 @@ from .constructions import (
     BalancedColoringResult,
     BoundRecord,
     BoundReport,
-    CertificationError,
     ConstructionError,
     KneserColoringResult,
     PreconditionError,
@@ -59,6 +58,7 @@ from .formats import (
     write_edge_list,
 )
 from .graphs import (
+    GeneratorGaveUp,
     Graph,
     Hypergraph,
     KneserSpec,
@@ -90,6 +90,7 @@ from .lll import (
     select_sublists,
 )
 from .verify import (
+    CertificationError,
     Coloring,
     ListAssignment,
     Violation,

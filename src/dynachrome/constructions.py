@@ -1,9 +1,9 @@
 """Assembling certified dynamic colorings from partitions and products.
 
-Every routine here re-checks its own output through the verify module
-before returning it: a construction whose result fails verification is an
-internal bug and raises CertificationError (never a silent bad coloring).
-Bad *inputs* raise PreconditionError carrying the violation list.
+Every routine here checks its own output once through the verify module
+before returning it: a result that fails is an internal bug and raises
+``verify.CertificationError`` (never a silent bad coloring).  Bad *inputs*
+raise PreconditionError carrying the violation list.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ from .lll import (
     moser_tardos_2color,
 )
 from .verify import (
+    CertificationError,
     Coloring,
     Violation,
+    certify,
     check_domination,
     check_dynamic,
     check_hypergraph_2coloring,
@@ -48,7 +50,6 @@ from .verify import (
 __all__ = [
     "PreconditionError",
     "ConstructionError",
-    "CertificationError",
     "compose_disjoint_palettes",
     "product_coloring",
     "partial_product_coloring",
@@ -90,18 +91,8 @@ class ConstructionError(RuntimeError):
     example, the resampler exhausted its cap)."""
 
 
-class CertificationError(RuntimeError):
-    """A construction's own output failed verification: an internal bug."""
-
-    def __init__(self, message: str, violations: Sequence[Violation] = ()):
-        self.violations = list(violations)
-        super().__init__(message)
-
-
 def _certify_dynamic(g: Graph, c: Coloring, what: str) -> Coloring:
-    violations = check_dynamic(g, c)
-    if violations:
-        raise CertificationError(f"{what} failed its dynamic check", violations)
+    certify(check_dynamic(g, c), what)
     return c
 
 
@@ -254,14 +245,16 @@ def double_total_subset(
     exact search within ``budget`` nodes second; ConstructionError means
     both gave up.  A vertex of degree <= 1 makes the answer None at once
     (its neighborhood cannot meet both sides); the empty graph gives the
-    empty set.
+    empty set.  A T is returned only once it passes ``check_domination``.
     """
     if g.n and g.min_degree <= 1:
         return None
     f = hypergraph_2coloring(neighborhood_hypergraph(g), budget, seed)
     if f is None:
         return None
-    return VertexSubset(frozenset(v for v in range(g.n) if f[v] == 1), g.n)
+    t = VertexSubset(frozenset(v for v in range(g.n) if f[v] == 1), g.n)
+    certify(check_domination(g, t), "double total set")
+    return t
 
 
 @dataclass(frozen=True)
@@ -351,17 +344,18 @@ def double_total_coloring(
 ) -> tuple[Coloring, VertexSubset]:
     """Dynamic coloring on chi witnesses of G[T] and G[V - T], and its T.
 
-    T comes from :func:`double_total_subset`; :func:`chi_witness`
-    colorings of both sides are glued by :func:`compose_disjoint_palettes`.
-    A certified absence of T, a vertex of degree <= 1 included, raises
-    PreconditionError, and resampling exhausted with the exact search over
-    budget ConstructionError.
+    T comes from :func:`double_total_subset`, which certified it; the
+    :func:`chi_witness` colorings of both sides are glued on disjoint
+    palettes and certified dynamic.  A certified absence of T, a vertex of
+    degree <= 1 included, raises PreconditionError, and resampling
+    exhausted with the exact search over budget ConstructionError.
     """
     subset = double_total_subset(g, budget, seed)
     if subset is None:
         raise PreconditionError("no double total dominating set exists (certified)")
     (c_in, _), (c_out, _) = _split_witnesses(g, subset, budget)
-    return compose_disjoint_palettes(g, subset, c_in, c_out), subset
+    glued = _glue(subset, c_in, c_out)
+    return _certify_dynamic(g, glued, "double total coloring"), subset
 
 
 @dataclass(frozen=True)

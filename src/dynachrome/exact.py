@@ -9,7 +9,8 @@ by id).  Runs are deterministic, and budgets are explored node counts,
 not wall-clock, again for reproducibility.  A solver that exhausts its
 budget reports that distinctly from a certified "none": the two outcomes
 must never be conflated, because these functions serve as oracles for the
-randomized modules.  The hypergraph search is also the exact fallback of
+randomized modules, and the two chromatic solvers certify each witness they
+return.  The hypergraph search is also the exact fallback of
 constructions.hypergraph_2coloring, which is how double total dominating
 sets reach it.
 """
@@ -22,7 +23,7 @@ from typing import Collection, Optional, Sequence
 
 from .graphs import Graph, Hypergraph, bipartition, dsatur
 from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
-from .verify import Coloring, ListAssignment
+from .verify import Coloring, ListAssignment, certify, check_dynamic, check_proper
 
 __all__ = [
     "SolveResult",
@@ -200,14 +201,17 @@ def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
     backtracking, so the refuted size value - 1 certifies optimality.
     """
     if g.n == 0:
-        return SolveResult(0, Coloring((), 0), 0)
-    if g.edge_count == 0:
-        return SolveResult(1, Coloring((0,) * g.n, 1), 0)
-    bip = bipartition(g)
-    if bip is not None:
-        return SolveResult(2, Coloring.total(bip, 2), 0)
-    order, colors = dsatur(g)
-    return _min_palette(g, order, max(colors) + 1, budget, [])
+        res = SolveResult(0, Coloring((), 0), 0)
+    elif g.edge_count == 0:
+        res = SolveResult(1, Coloring((0,) * g.n, 1), 0)
+    elif (bip := bipartition(g)) is not None:
+        res = SolveResult(2, Coloring.total(bip, 2), 0)
+    else:
+        order, colors = dsatur(g)
+        res = _min_palette(g, order, max(colors) + 1, budget, [])
+    if res.witness is not None:
+        certify(check_proper(g, res.witness), "chi witness")
+    return res
 
 
 def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
@@ -219,10 +223,13 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
     That refutes palettes 1 and 2 without search.
     """
     if g.max_degree <= 1:
-        # No vertex is constrained, so this is plain proper coloring.
+        # No vertex is constrained: proper coloring, where check_proper suffices.
         return chromatic_number(g, budget)
     groups = neighborhood_hypergraph(g).edges
-    return _min_palette(g, dsatur(g)[0], g.n, budget, groups)
+    res = _min_palette(g, dsatur(g)[0], g.n, budget, groups)
+    if res.witness is not None:
+        certify(check_dynamic(g, res.witness), "chid witness")
+    return res
 
 
 def list_dynamic_coloring(

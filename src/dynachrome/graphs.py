@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
+    "GeneratorGaveUp",
     "Graph",
     "Hypergraph",
     "KneserSpec",
@@ -206,6 +207,10 @@ class KneserSpec:
 # ======================================================================
 
 
+class GeneratorGaveUp(RuntimeError):
+    """A randomized generator used up its restarts without producing a graph."""
+
+
 def cycle(n: int) -> Graph:
     """The cycle on n >= 3 vertices, edges (i, i+1 mod n)."""
     if n < 3:
@@ -322,7 +327,7 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
             stubs = list(left.elements())
         else:
             return Graph.from_edges(n, ((u, v) for u in range(n) for v in higher[u]))
-    raise RuntimeError(f"random_regular({n},{k}) gave up after {max_retries} restarts")
+    raise GeneratorGaveUp(f"random_regular({n},{k}) gave up after {max_retries} restarts")
 
 
 _SPEC_FAMILIES = {
@@ -398,21 +403,21 @@ def neighborhood_hypergraph(
 
     With ``target`` given, only neighborhoods entirely inside the target
     survive, and the result lives on the target relabeled 0..|T|-1 in
-    ascending member order.
+    ascending member order.  Adjacency tuples are ascending and the
+    relabeling keeps order, so no edge needs :meth:`Hypergraph.from_edges`.
     """
     if target is None:
-        edges = [a for a in g.adjacency if len(a) >= 2]
-        return Hypergraph.from_edges(g.n, edges)
+        return Hypergraph(g.n, tuple(a for a in g.adjacency if len(a) >= 2))
 
     if target.n != g.n:
         raise ValueError("target subset belongs to a different host size")
     index = {old: new for new, old in enumerate(target)}
-    edges = [
-        [index[u] for u in a]
+    edges = tuple(
+        tuple(index[u] for u in a)
         for a in g.adjacency
-        if len(a) >= 2 and all(u in target.members for u in a)
-    ]
-    return Hypergraph.from_edges(len(target), edges)
+        if len(a) >= 2 and all(u in index for u in a)
+    )
+    return Hypergraph(len(index), edges)
 
 
 def vertices_in_triangles(g: Graph) -> VertexSubset:

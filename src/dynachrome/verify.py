@@ -3,7 +3,7 @@
 Checkers are pure functions returning the *exhaustive* list of violations
 (never just the first failure) in a stable order, so randomized
 constructions can be debugged from a single run.  An empty list is the
-certificate of validity.
+certificate of validity; ``certify`` makes a nonempty one an error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 from .graphs import Graph, Hypergraph, VertexSubset
 
 __all__ = [
+    "CertificationError",
     "Coloring",
     "ListAssignment",
     "Violation",
@@ -119,6 +120,20 @@ class Violation:
 
 def violations_to_json(violations: Sequence[Violation]) -> list[dict]:
     return [{"kind": v.kind, "witness": list(v.witness)} for v in violations]
+
+
+class CertificationError(RuntimeError):
+    """An answer failed its own certification: an internal bug."""
+
+    def __init__(self, message: str, violations: Sequence[Violation] = ()):
+        self.violations = list(violations)
+        super().__init__(message)
+
+
+def certify(violations: Sequence[Violation], what: str) -> None:
+    """Refuse an answer, named by ``what``, whose check found ``violations``."""
+    if violations:
+        raise CertificationError(f"{what} failed its check", violations)
 
 
 def _require_total(g_size: int, c: Coloring) -> None:

@@ -36,8 +36,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Collection, Optional, Sequence
 
-from dynachrome import Coloring, Graph, Hypergraph, SearchBudgetExceeded, Violation
-from dynachrome import read_edge_list
+from dynachrome import Coloring, GeneratorGaveUp, Graph, Hypergraph, SearchBudgetExceeded
+from dynachrome import Violation, read_edge_list
 
 
 def adjacency(g: Graph) -> list[tuple[int, ...]]:
@@ -269,7 +269,7 @@ def random_regular_reference(
         edges = try_once()
         if edges is not None:
             return Graph.from_edges(n, edges)
-    raise RuntimeError(f"random_regular({n},{k}) gave up after {max_retries} restarts")
+    raise GeneratorGaveUp(f"random_regular({n},{k}) gave up after {max_retries} restarts")
 
 
 def search_reference(

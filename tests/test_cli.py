@@ -11,8 +11,8 @@ import pytest
 from dynachrome import (
     Coloring,
     Graph,
-    SolveResult,
     VertexSubset,
+    Violation,
     check_domination,
     coloring_to_json_dict,
     cycle,
@@ -110,25 +110,40 @@ def test_solve_chi_large_cubic_graph_exits_0(capsys):
     assert json.loads(out)["value"] == 3
 
 
-# Each solver replaced by one that answers with a witness its check rejects:
-# an improper coloring, a proper one with a monochromatic neighborhood, and
-# a set with no member next to vertex 0.
-_BAD_ANSWERS = [
-    ("chi", "chromatic_number", SolveResult(3, Coloring.total([0] * 5), 0)),
-    ("chid", "dynamic_chromatic_number",
-     SolveResult(3, Coloring.total([0, 1, 2, 0, 1]), 0)),
-    ("double-total", "double_total_subset", VertexSubset(frozenset({0}), 5)),
+# Each printed answer is certified once, by the library function that made
+# it.  With that module's checker reporting one violation, the command
+# prints nothing and exits 3.
+_REFUSED = [
+    ("exact", "check_proper", ["solve", "chi", "--graph", "cycle:5"]),
+    ("exact", "check_proper", ["solve", "chi", "--graph", "cycle:6"]),
+    ("exact", "check_dynamic", ["solve", "chid", "--graph", "cycle:5"]),
+    ("constructions", "check_domination", ["solve", "double-total", "--graph", "cycle:8"]),
+    ("constructions", "check_dynamic", ["construct", "kneser", "--m", "7", "--n", "3"]),
+    ("constructions", "check_dynamic", ["construct", "product", "--graph", "cycle:8"]),
+    ("constructions", "check_dynamic", ["construct", "compose", "--graph", "cycle:8"]),
+    ("constructions", "check_dynamic",
+     ["construct", "balanced", "--graph", "complete_bipartite:16,16", "--clamp-p"]),
 ]
 
 
-@pytest.mark.parametrize("problem, solver, answer", _BAD_ANSWERS)
+@pytest.mark.parametrize("module, checker, argv", _REFUSED)
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_solve_rechecks_witness(capsys, monkeypatch, problem, solver, answer, fmt):
-    module = cli_module.constructions if problem == "double-total" else cli_module.exact
-    monkeypatch.setattr(module, solver, lambda g, *_: answer)
-    code, out, err = run(capsys, "solve", problem, "--graph", "cycle:5", "--format", fmt)
+def test_answer_failing_its_producers_check_exits_3(
+    capsys, monkeypatch, module, checker, argv, fmt
+):
+    monkeypatch.setattr(
+        getattr(cli_module, module), checker,
+        lambda *_: [Violation("improper_edge", (0, 1))],
+    )
+    code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == 3 and out == ""
     assert err.startswith("internal verification failure:")
+
+
+def test_generator_give_up_exits_2(capsys):
+    code, out, err = run(capsys, "gen", "random_regular:40,36", "--seed", "4")
+    assert code == 2 and out == ""
+    assert err == "budget exhausted: random_regular(40,36) gave up after 1000 restarts\n"
 
 
 def test_solve_budget_exhausted_exits_2(capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynachrome import (
+    CertificationError,
     Coloring,
     ConstructionError,
     DegenerateParamsError,
@@ -18,6 +19,7 @@ from dynachrome import (
     LllParams,
     PreconditionError,
     VertexSubset,
+    Violation,
     balanced_coloring,
     balanced_subset_coloring,
     bound_report,
@@ -299,6 +301,22 @@ def test_double_total_low_degree_none():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert double_total_subset(path) is None
     assert double_total_subset(complete_bipartite(1, 3), budget=0) is None
+
+
+def test_double_total_subset_certifies_its_set(monkeypatch):
+    monkeypatch.setattr(constructions, "check_domination",
+                        lambda *_: [Violation("empty_T_neighborhood", (0,))])
+    with pytest.raises(CertificationError, match="double total set failed its check"):
+        double_total_subset(cycle(8))
+
+
+def test_certified_none_runs_no_check(monkeypatch):
+    def unexpected(*_):
+        raise AssertionError("a certified None has no set to check")
+
+    monkeypatch.setattr(constructions, "check_domination", unexpected)
+    assert double_total_subset(cycle(6)) is None
+    assert double_total_subset(complete_bipartite(1, 3)) is None
 
 
 @st.composite

@@ -3,12 +3,14 @@
 import pytest
 
 from dynachrome import (
+    CertificationError,
     Coloring,
     Graph,
     Hypergraph,
     ListAssignment,
     SearchBudgetExceeded,
     VertexSubset,
+    Violation,
     check_domination,
     check_dynamic,
     check_hypergraph_2coloring,
@@ -29,6 +31,7 @@ from dynachrome import (
     neighborhood_hypergraph,
     random_regular,
 )
+from dynachrome import exact
 from helpers import (
     brute_force_double_total_sets,
     fano_plane,
@@ -330,6 +333,33 @@ def test_determinism():
     a = dynamic_chromatic_number(kneser(5, 2))
     b = dynamic_chromatic_number(kneser(5, 2))
     assert a == b
+
+
+# Every witness, the structural shortcuts' included, passes its check
+# before it is returned: with the checker reporting a violation, the
+# solver raises instead.
+@pytest.mark.parametrize("solver, checker, g", [
+    (chromatic_number, "check_proper", cycle(5)),
+    (chromatic_number, "check_proper", cycle(6)),
+    (chromatic_number, "check_proper", Graph.from_edges(3, [])),
+    (chromatic_number, "check_proper", Graph.from_edges(0, [])),
+    (dynamic_chromatic_number, "check_dynamic", cycle(5)),
+    (dynamic_chromatic_number, "check_proper", Graph.from_edges(4, [(0, 1), (2, 3)])),
+])
+def test_solvers_certify_their_witness(monkeypatch, solver, checker, g):
+    monkeypatch.setattr(exact, checker, lambda *_: [Violation("improper_edge", (0, 1))])
+    with pytest.raises(CertificationError, match="witness failed its check"):
+        solver(g)
+
+
+def test_exhausted_solves_run_no_check(monkeypatch):
+    def unexpected(*_):
+        raise AssertionError("an exhausted result has no witness to check")
+
+    monkeypatch.setattr(exact, "check_proper", unexpected)
+    monkeypatch.setattr(exact, "check_dynamic", unexpected)
+    assert chromatic_number(kneser(6, 2), budget=5).exhausted
+    assert dynamic_chromatic_number(kneser(6, 2), budget=5).exhausted
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynachrome import (
+    GeneratorGaveUp,
     Graph,
     Hypergraph,
     KneserSpec,
@@ -211,7 +212,7 @@ def test_random_regular_error_paths_match_reference():
         for seed in range(40):
             gave_up += isinstance(_outcome(random_regular, 10, 7, seed, max_retries=retries), tuple)
     assert 0 < gave_up < 80
-    with pytest.raises(RuntimeError, match="gave up after 1 restarts"):
+    with pytest.raises(GeneratorGaveUp, match="gave up after 1 restarts"):
         random_regular(10, 7, seed=0, max_retries=1)
 
 
@@ -336,6 +337,21 @@ def test_neighborhood_hypergraph_regular_graph():
     h = neighborhood_hypergraph(g)
     assert all(len(f) == 3 for f in h.edges)
     assert h.vertex_degrees() == [3] * g.n
+
+
+@given(graphs_with_subsets())
+@example((kneser(5, 2), frozenset(range(10))))
+@example((complete(4), frozenset({1, 2, 3})))
+def test_neighborhood_hypergraph_matches_from_edges(case):
+    """Built without Hypergraph.from_edges, the edges still are what it
+    makes of the neighborhoods (fed here in descending order)."""
+    g, members = case
+    nbhds = [a[::-1] for a in g.adjacency if len(a) >= 2]
+    assert neighborhood_hypergraph(g) == Hypergraph.from_edges(g.n, nbhds)
+    index = {old: new for new, old in enumerate(sorted(members))}
+    inside = [[index[u] for u in a] for a in nbhds if members.issuperset(a)]
+    expected = Hypergraph.from_edges(len(members), inside)
+    assert neighborhood_hypergraph(g, VertexSubset(members, g.n)) == expected
 
 
 def test_hypergraph_validation():
