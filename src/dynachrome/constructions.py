@@ -118,6 +118,11 @@ def _glue(t: VertexSubset, inside: Coloring, outside: Coloring) -> Coloring:
     return Coloring(colors, shift + outside.palette_size)
 
 
+def _pair(c: Coloring, f: Coloring) -> Coloring:
+    """Give v the injective pair code 2*c(v) + f(v) on 2*palette(c) colors."""
+    return Coloring(tuple(2 * a + b for a, b in zip(c.colors, f.colors)), 2 * c.palette_size)
+
+
 # ======================================================================
 # Palette compositions
 # ======================================================================
@@ -155,15 +160,12 @@ def product_coloring(g: Graph, c: Coloring, f: Coloring) -> Coloring:
     bad = check_proper(g, c)
     if bad:
         raise PreconditionError("base coloring is not proper", bad)
-    h = neighborhood_hypergraph(g)
-    bad = check_hypergraph_2coloring(h, f)
+    bad = check_hypergraph_2coloring(neighborhood_hypergraph(g), f)
     if bad:
         raise PreconditionError(
             "f is not a valid 2-coloring of the neighborhood hypergraph", bad
         )
-    colors = tuple(2 * c[v] + f[v] for v in range(g.n))
-    paired = Coloring(colors, 2 * c.palette_size)
-    return _certify_dynamic(g, paired, "product coloring")
+    return _certify_dynamic(g, _pair(c, f), "product coloring")
 
 
 def partial_product_coloring(
@@ -185,17 +187,13 @@ def partial_product_coloring(
     if dom:
         raise PreconditionError("subset is not total dominating", dom)
     _check_sides(g, t, c_t, c_out)
-    h_t = neighborhood_hypergraph(g, target=t)
-    bad = check_hypergraph_2coloring(h_t, f)
+    bad = check_hypergraph_2coloring(neighborhood_hypergraph(g, target=t), f)
     if bad:
         raise PreconditionError(
             "f is not a valid 2-coloring of the T-restricted neighborhood hypergraph",
             bad,
         )
-    pairs = Coloring(
-        tuple(2 * a + b for a, b in zip(c_t.colors, f.colors)), 2 * c_t.palette_size
-    )
-    return _certify_dynamic(g, _glue(t, pairs, c_out), "partial product coloring")
+    return _certify_dynamic(g, _glue(t, _pair(c_t, f), c_out), "partial product coloring")
 
 
 # ======================================================================
@@ -265,9 +263,18 @@ class KneserColoringResult:
     graph: Graph
     tail_subset: VertexSubset
     coloring: Coloring
-    colors_used: int
-    max_colors: int           # t + 4
-    chromatic_number: int     # m - 2n + 2, by the known formula
+
+    @property
+    def colors_used(self) -> int:
+        return self.coloring.colors_used
+
+    @property
+    def max_colors(self) -> int:
+        return self.spec.t + 4
+
+    @property
+    def chromatic_number(self) -> int:  # m - 2n + 2, by the known formula
+        return self.spec.t + 2
 
     @property
     def gap(self) -> int:
@@ -285,40 +292,27 @@ def kneser_dynamic_coloring(
     inside {t+1..m}, so a BFS 2-coloring shows it bipartite (checked at
     runtime, not assumed).  Outside T the minimum element, shifted to
     0-based, is a proper t-coloring.  The T-restricted neighborhood
-    hypergraph is 2-colored by :func:`hypergraph_2coloring`.
+    hypergraph is 2-colored by :func:`hypergraph_2coloring`.  The parts are
+    glued as in :func:`partial_product_coloring`, but certified only once glued.
     """
     t = spec.t
     if not 1 <= t < spec.n:
         raise ValueError(f"need 2n < m < 3n, got m={spec.m}, n={spec.n}")
     g = spec.graph()
     subsets = spec.vertex_subsets()
-    tail = VertexSubset(
-        frozenset(i for i, a in enumerate(subsets) if min(a) > t), g.n
-    )
-    g_tail, _ = induced_subgraph(g, tail)
-    two = bipartition(g_tail)
+    tail = VertexSubset(frozenset(i for i, a in enumerate(subsets) if min(a) > t), g.n)
+    two = bipartition(induced_subgraph(g, tail)[0])
     if two is None:
         raise CertificationError(
             f"induced graph on the tail subset of KG({spec.m},{spec.n}) is not bipartite"
         )
-    c_t = Coloring.total(two, 2)
-    comp = tail.complement()
-    c_out = Coloring.total([min(subsets[old]) - 1 for old in comp], t)
+    c_out = Coloring.total([min(subsets[old]) - 1 for old in tail.complement()], t)
     f = hypergraph_2coloring(neighborhood_hypergraph(g, target=tail), budget, seed)
     if f is None:
-        raise CertificationError(
-            "T-restricted neighborhood hypergraph is not 2-colorable"
-        )
-    coloring = partial_product_coloring(g, tail, c_t, f, c_out)
-    return KneserColoringResult(
-        spec=spec,
-        graph=g,
-        tail_subset=tail,
-        coloring=coloring,
-        colors_used=coloring.colors_used,
-        max_colors=t + 4,
-        chromatic_number=t + 2,
-    )
+        raise CertificationError("T-restricted neighborhood hypergraph is not 2-colorable")
+    pairs = _pair(Coloring.total(two, 2), f)
+    coloring = _certify_dynamic(g, _glue(tail, pairs, c_out), "partial product coloring")
+    return KneserColoringResult(spec, g, tail, coloring)
 
 
 def neighborhood_product_coloring(
@@ -326,9 +320,10 @@ def neighborhood_product_coloring(
 ) -> Coloring:
     """Dynamic coloring on twice a chi witness's palette.
 
-    A :func:`chi_witness` of ``g`` is paired by :func:`product_coloring`
-    with a 2-coloring of the neighborhood hypergraph from
-    :func:`hypergraph_2coloring`.  PreconditionError means that hypergraph
+    A :func:`chi_witness` of ``g`` is paired, as in :func:`product_coloring`
+    but without its precondition checks, with a 2-coloring of the
+    neighborhood hypergraph from :func:`hypergraph_2coloring`; only the
+    pair coloring is certified.  PreconditionError means that hypergraph
     is certified not 2-colorable; ConstructionError means its search and
     resampling both gave up.
     """
@@ -336,7 +331,7 @@ def neighborhood_product_coloring(
     f = hypergraph_2coloring(neighborhood_hypergraph(g), budget, seed)
     if f is None:
         raise PreconditionError("neighborhood hypergraph is not 2-colorable (certified)")
-    return product_coloring(g, c, f)
+    return _certify_dynamic(g, _pair(c, f), "product coloring")
 
 
 def double_total_coloring(
@@ -382,6 +377,11 @@ def balanced_subset_coloring(
     bad = check_proper(g, chi_witness)
     if bad:
         raise PreconditionError("chi witness is not a proper coloring", bad)
+    return _balanced_subset(g, params, chi_witness)
+
+
+def _balanced_subset(g: Graph, params: LllParams, witness: Coloring) -> BalancedColoringResult:
+    """:func:`balanced_subset_coloring` on a ``witness`` already known proper."""
     subset, log = find_balanced_subset(g, params)
     if subset is None:
         raise ConstructionError(
@@ -389,13 +389,11 @@ def balanced_subset_coloring(
             f"{log.resample_count} resamples (seed {log.seed})"
         )
     g_t, _ = induced_subgraph(g, subset)
-    rest = Coloring(
-        tuple(chi_witness[v] for v in subset.complement()), chi_witness.palette_size
-    )
+    rest = Coloring(tuple(witness[v] for v in subset.complement()), witness.palette_size)
     combined = _glue(subset, Coloring.total(dsatur(g_t)[1]), rest)
     _certify_dynamic(g, combined, "balanced subset coloring")
     k = params.k
-    bound = chi_witness.palette_size + math.floor(2 * params.c_prime * math.log(k)) + 1
+    bound = witness.palette_size + math.floor(2 * params.c_prime * math.log(k)) + 1
     if combined.palette_size > bound:
         raise CertificationError(
             f"palette {combined.palette_size} exceeds the bound {bound}"
@@ -415,8 +413,9 @@ def balanced_coloring(
 
     :meth:`LllParams.for_degree` sets the subset sampler's bias c' ln(k)/k
     and ``seed``; with ``clamp_p`` a bias of 1 or more is clamped to 1/2,
-    which ``resample_log.params["p_clamped"]`` records.  Then
-    :func:`balanced_subset_coloring` runs.  A graph that is not regular,
+    which ``resample_log.params["p_clamped"]`` records.  Then the subset
+    is found and glued as in :func:`balanced_subset_coloring`, without
+    re-checking the witness it just made.  A graph that is not regular,
     and parameters that ``for_degree`` rejects, raise ValueError; an
     unclamped bias of 1 or more raises DegenerateParamsError.
     """
@@ -425,7 +424,7 @@ def balanced_coloring(
         raise ValueError("balanced construction needs a regular graph")
     params = LllParams.for_degree(k, c_prime=c_prime, seed=seed, clamp_p=clamp_p)
     witness, _ = chi_witness(g, budget)
-    return balanced_subset_coloring(g, params, witness)
+    return _balanced_subset(g, params, witness)
 
 
 # ======================================================================

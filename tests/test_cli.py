@@ -140,6 +140,30 @@ def test_answer_failing_its_producers_check_exits_3(
     assert err.startswith("internal verification failure:")
 
 
+# A pipeline's own part gone wrong is its bug, not bad input: with an
+# all-zero chi witness or tail bipartition, the glued answer fails its one
+# certification and the command exits 3.
+_BROKEN_PARTS = [
+    ("chi_witness", ["construct", "product", "--graph", "cycle:8"]),
+    ("chi_witness",
+     ["construct", "balanced", "--graph", "complete_bipartite:16,16", "--clamp-p"]),
+    ("bipartition", ["construct", "kneser", "--m", "7", "--n", "3"]),
+]
+_ALL_ZERO = {
+    "chi_witness": lambda g, *_: (Coloring((0,) * g.n, 1), "exact"),
+    "bipartition": lambda g: [0] * g.n,
+}
+
+
+@pytest.mark.parametrize("part, argv", _BROKEN_PARTS, ids=["product", "balanced", "kneser"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pipeline_with_a_broken_part_exits_3(capsys, monkeypatch, part, argv, fmt):
+    monkeypatch.setattr(cli_module.constructions, part, _ALL_ZERO[part])
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 3 and out == ""
+    assert err.startswith("internal verification failure:")
+
+
 def test_generator_give_up_exits_2(capsys):
     code, out, err = run(capsys, "gen", "random_regular:40,36", "--seed", "4")
     assert code == 2 and out == ""

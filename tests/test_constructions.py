@@ -163,11 +163,13 @@ def test_product_cycle6_has_no_f():
     assert hypergraph_2color_exact(neighborhood_hypergraph(cycle(6))) is None
 
 
-def test_product_rejects_bad_f():
-    g = cycle(8)
-    c = Coloring.total([v % 2 for v in range(8)], 2)
-    with pytest.raises(PreconditionError):
-        product_coloring(g, c, Coloring((0,) * 8, 2))
+@pytest.mark.parametrize("c, f, refusal", [
+    (two_coloring(0, 1, 0, 1, 0, 1, 0, 1), Coloring((0,) * 8, 2), "f is not a valid"),
+    (Coloring((0,) * 8, 1), two_coloring(0, 0, 1, 1, 0, 0, 1, 1), "base coloring is not proper"),
+], ids=["bad f", "improper base"])
+def test_product_rejects_bad_parts(c, f, refusal):
+    with pytest.raises(PreconditionError, match=refusal):
+        product_coloring(cycle(8), c, f)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +321,30 @@ def test_certified_none_runs_no_check(monkeypatch):
     assert double_total_subset(complete_bipartite(1, 3)) is None
 
 
+# A pipeline certifies the coloring it glued, once, and re-checks none of
+# the parts it made; each structure it needs is built once.
+@pytest.mark.parametrize("build, built", [
+    (lambda: kneser_dynamic_coloring(KneserSpec(9, 4)),
+     {"neighborhood_hypergraph": 1, "induced_subgraph": 1}),
+    (lambda: neighborhood_product_coloring(cycle(8)),
+     {"neighborhood_hypergraph": 1, "induced_subgraph": 0}),
+    (lambda: balanced_coloring(complete_bipartite(16, 16), clamp_p=True),
+     {"neighborhood_hypergraph": 0, "induced_subgraph": 1}),
+], ids=["kneser", "product", "balanced"])
+def test_pipelines_check_each_part_once(monkeypatch, build, built):
+    def unexpected(*_):
+        raise AssertionError("a pipeline re-checked a part it made")
+
+    for name in ("check_domination", "check_hypergraph_2coloring", "check_proper"):
+        monkeypatch.setattr(constructions, name, unexpected)
+    spies = {name: mock.Mock(wraps=getattr(constructions, name))
+             for name in ("check_dynamic", "neighborhood_hypergraph", "induced_subgraph")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(constructions, name, spy)
+    build()
+    assert {name: spy.call_count for name, spy in spies.items()} == {"check_dynamic": 1, **built}
+
+
 @st.composite
 def small_graphs(draw, max_n=8):
     """Any graph on up to ``max_n`` vertices, or, on a drawn flag, one with
@@ -366,17 +392,21 @@ def test_partial_product_k4():
     assert check_dynamic(g, combined) == []
 
 
-def test_partial_product_rejects_non_dominating():
-    g = cycle(8)
-    t = VertexSubset.of(g, {0})
-    with pytest.raises(PreconditionError):
-        partial_product_coloring(
-            g,
-            t,
-            Coloring.total([0], 1),
-            Coloring((), 2),
-            Coloring.total(list(range(7)), 7),
-        )
+# On K4 with T = {0,1,2}, the one restricted neighborhood is N(3) = T; on
+# C8 with T = {0,1,4,5}, G[T] and G[V - T] are two edges each.
+@pytest.mark.parametrize("g, members, c_t, f, c_out, refusal", [
+    (cycle(8), {0}, Coloring.total([0], 1), Coloring((), 2),
+     Coloring.total(list(range(7)), 7), "not total dominating"),
+    (complete(4), {0, 1, 2}, Coloring.total([0, 1, 2], 3), two_coloring(0, 0, 0),
+     Coloring.total([0], 1), "T-restricted neighborhood hypergraph"),
+    (complete(4), {0, 1, 2}, two_coloring(0, 0, 1), two_coloring(0, 0, 1),
+     Coloring.total([0], 1), "inside coloring is not proper"),
+    (cycle(8), {0, 1, 4, 5}, two_coloring(0, 1, 0, 1), two_coloring(0, 0, 0, 0),
+     two_coloring(0, 0, 1, 0), "outside coloring is not proper"),
+], ids=["non-dominating", "monochromatic edge", "improper inside", "improper outside"])
+def test_partial_product_rejects_bad_parts(g, members, c_t, f, c_out, refusal):
+    with pytest.raises(PreconditionError, match=refusal):
+        partial_product_coloring(g, VertexSubset.of(g, members), c_t, f, c_out)
 
 
 # ----------------------------------------------------------------------
