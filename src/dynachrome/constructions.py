@@ -1,9 +1,12 @@
 """Assembling certified dynamic colorings from partitions and products.
 
-Every routine here checks its own output once through the verify module
-before returning it: a result that fails is an internal bug and raises
-``verify.CertificationError`` (never a silent bad coloring).  Bad *inputs*
-raise PreconditionError carrying the violation list.
+Every coloring that a composition or pipeline returns is checked once
+through the verify module first: one that fails is an internal bug and
+raises ``verify.CertificationError`` (never a silent bad coloring).  Two
+routines return parts that their callers certify: :func:`chi_witness`
+(whose greedy path is unchecked) and :func:`hypergraph_2coloring` (whose
+coloring comes from the resampler's final scan or from exact search).
+Bad *inputs* raise PreconditionError carrying the violation list.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .lll import (
     LllParams,
     ResampleLog,
     find_balanced_subset,
+    lll_condition_hypergraph,
     moser_tardos_2color,
 )
 from .verify import (
@@ -437,8 +441,11 @@ class TriangleCertificate:
     """Whether every vertex lies in a triangle (making any proper coloring
     dynamic); ``uncovered`` lists the vertices outside all triangles."""
 
-    certified: bool
     uncovered: tuple[int, ...]
+
+    @property
+    def certified(self) -> bool:
+        return not self.uncovered
 
 
 def triangle_certificate(g: Graph, c: Coloring) -> TriangleCertificate:
@@ -454,28 +461,31 @@ def triangle_certificate(g: Graph, c: Coloring) -> TriangleCertificate:
         raise PreconditionError("coloring is not proper", improper)
     covered = vertices_in_triangles(g)
     uncovered = tuple(v for v in range(g.n) if v not in covered)
-    certified = not uncovered
-    if certified and violations:
+    if not uncovered and violations:
         raise CertificationError(
             "every vertex lies in a triangle yet the proper coloring "
             "failed the dynamic check",
             violations,
         )
-    return TriangleCertificate(certified, uncovered)
+    return TriangleCertificate(uncovered)
 
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """One upper-bound formula: whether its hypothesis holds here, and its
-    value when it does.  ``basis`` notes how any chromatic numbers inside
-    the formula were obtained (exact or greedy over-estimate; "computed"
-    for a criticality the report decided itself)."""
+    """One upper-bound formula: ``name``, ``source``, ``value`` and ``basis``
+    are stored, and ``applicable`` is ``value is not None``, since a formula
+    whose hypothesis fails here claims no value.  ``basis`` notes how any
+    chromatic numbers inside the formula were obtained (exact or greedy
+    over-estimate; "computed" for a criticality the report decided itself)."""
 
     name: str
-    applicable: bool
-    value: Optional[int]
     source: str
+    value: Optional[int] = None
     basis: Optional[str] = None
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
 
 @dataclass(frozen=True)
@@ -487,8 +497,7 @@ class BoundReport:
         return [r for r in self.records if r.applicable]
 
     def best(self) -> Optional[int]:
-        values = [r.value for r in self.applicable() if r.value is not None]
-        return min(values, default=None)
+        return min((r.value for r in self.applicable()), default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -529,14 +538,6 @@ def _split_witnesses(
     return chi_witness(inside, budget), chi_witness(outside, budget)
 
 
-def _record(name: str, source: str, ok: bool, evaluate, *args) -> BoundRecord:
-    """One bound record; ``evaluate(*args) -> (value, basis)`` runs only
-    when the hypothesis holds, since a failed hypothesis claims no value
-    and no basis."""
-    value, basis = evaluate(*args) if ok else (None, None)
-    return BoundRecord(name, ok, value, source, basis)
-
-
 def bound_report(
     g: Graph,
     budget: Optional[int] = None,
@@ -557,15 +558,22 @@ def bound_report(
     a valid upper bound).  Criticality is computed only up to
     CRITICALITY_LIMIT vertices.
     """
-    delta = g.max_degree
+    delta, dmin = g.max_degree, g.min_degree
     connected = is_connected(g)
     is_c5 = g.n == 5 and g.edge_count == 5 and g.regular_degree() == 2 and connected
-    # e * Δ² <= 2^(δ-1), scaled by 2^-(δ-1) so that a large δ cannot overflow.
-    doubling_ok = g.n > 0 and math.e * delta * delta * 0.5 ** (g.min_degree - 1) <= 1.0
+    # e·Δ² ≤ 2^(δ−1) is the LLL condition on the neighborhood hypergraph (edge sizes
+    # δ..Δ, degree Δ); the edgeless graph has nothing to 2-color, and δ ≤ 1 fails it.
+    doubling_ok = g.n > 0 and (
+        delta == 0 or dmin >= 2 and lll_condition_hypergraph(dmin, delta, delta).holds
+    )
 
-    def split(t: VertexSubset, inside_weight: int):
+    def split(t: Optional[VertexSubset], weight: int, mode: str):
+        """χ(G[V−T]) + weight·χ(G[T]) and its basis, or (None, None) unless T
+        passes check_domination in ``mode``."""
+        if t is None or check_domination(g, t, mode):
+            return None, None
         (c_in, b_in), (c_out, b_out) = _split_witnesses(g, t, budget)
-        return c_out.palette_size + inside_weight * c_in.palette_size, f"{b_out}/{b_in}"
+        return c_out.palette_size + weight * c_in.palette_size, f"{b_out}/{b_in}"
 
     witness, basis = chi_witness(g, budget) if doubling_ok else (None, None)
     critical = False
@@ -574,65 +582,38 @@ def bound_report(
             critical = is_k_critical(g, budget)
         except SearchBudgetExceeded:
             pass
-    records = [
-        _record(
-            "max_degree_plus_one",
-            "Δ+1 for connected graphs with Δ ≥ 4",
-            connected and delta >= 4,
-            lambda: (delta + 1, None),
-        ),
-        _record(
-            "low_max_degree",
-            "4 for connected graphs with Δ ≤ 3, the 5-cycle excepted",
-            connected and g.n > 0 and delta <= 3 and not is_c5,
-            lambda: (4, None),
-        ),
-        _record(
-            "five_cycle_exact", "the 5-cycle needs exactly 5 colors", is_c5, lambda: (5, None)
-        ),
-        _record(
-            "neighborhood_two_coloring",
-            "2χ when e·Δ² ≤ 2^(δ−1)",
-            doubling_ok,
-            lambda: (2 * witness.palette_size, basis),
-        ),
-        _record(
-            "double_total_split",
-            "χ(G[V−T]) + χ(G[T]) for a double total dominating T",
-            double_total is not None and not check_domination(g, double_total),
-            split,
-            double_total,
-            1,
-        ),
-        _record(
-            "total_split_doubled",
-            "χ(G[V−T]) + 2χ(G[T]) for a total dominating T under e·Δ² ≤ 2^(δ−1)",
-            total is not None and doubling_ok and not check_domination(g, total, "total"),
-            split,
-            total,
-            2,
-        ),
-        _record(
-            "kneser_partition",
-            "t+4 for the disjointness graph with 2n < m < 3n",
-            kneser is not None and 1 <= kneser.t < kneser.n and g == kneser.graph(),
-            lambda: (kneser.t + 4, None),
-        ),
-        _record(
-            "critical_doubling",
-            "2k−2 for k-critical graphs under e·Δ² ≤ 2^(δ−1)",
-            # k = chi(g): is_k_critical decided chi within budget, and
-            # CRITICALITY_LIMIT <= EXACT_LIMIT, so the witness is exact.
-            critical and witness.palette_size >= 2,
-            lambda: (2 * witness.palette_size - 2, "computed"),
-        ),
-    ]
+    # k = chi(g): is_k_critical decided chi within budget, and
+    # CRITICALITY_LIMIT <= EXACT_LIMIT, so the witness is exact.
+    critical_bound = ((2 * witness.palette_size - 2, "computed")
+                      if critical and witness.palette_size >= 2 else (None, None))
+    on_kneser = kneser is not None and 1 <= kneser.t < kneser.n and g == kneser.graph()
+    records = (
+        BoundRecord("max_degree_plus_one", "Δ+1 for connected graphs with Δ ≥ 4",
+                    delta + 1 if connected and delta >= 4 else None),
+        BoundRecord("low_max_degree",
+                    "4 for connected graphs with Δ ≤ 3, the 5-cycle excepted",
+                    4 if connected and g.n > 0 and delta <= 3 and not is_c5 else None),
+        BoundRecord("five_cycle_exact", "the 5-cycle needs exactly 5 colors",
+                    5 if is_c5 else None),
+        BoundRecord("neighborhood_two_coloring", "2χ when e·Δ² ≤ 2^(δ−1)",
+                    2 * witness.palette_size if doubling_ok else None, basis),
+        BoundRecord("double_total_split",
+                    "χ(G[V−T]) + χ(G[T]) for a double total dominating T",
+                    *split(double_total, 1, "double_total")),
+        BoundRecord("total_split_doubled",
+                    "χ(G[V−T]) + 2χ(G[T]) for a total dominating T under e·Δ² ≤ 2^(δ−1)",
+                    *split(total if doubling_ok else None, 2, "total")),
+        BoundRecord("kneser_partition", "t+4 for the disjointness graph with 2n < m < 3n",
+                    kneser.t + 4 if on_kneser else None),
+        BoundRecord("critical_doubling", "2k−2 for k-critical graphs under e·Δ² ≤ 2^(δ−1)",
+                    *critical_bound),
+    )
 
     summary = {
         "n": g.n,
         "edges": g.edge_count,
         "max_degree": delta,
-        "min_degree": g.min_degree,
+        "min_degree": dmin,
         "connected": connected,
     }
-    return BoundReport(tuple(records), summary)
+    return BoundReport(records, summary)

@@ -46,19 +46,23 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of an exact solve.
+    """Outcome of an exact solve: ``value``, ``witness``, ``nodes_explored``
+    and ``bounds`` are stored, and ``exhausted`` is ``value is None``.
 
     ``value`` is the optimal invariant with ``witness`` attaining it, and
     optimality is certified by the failed exhaustive search at value - 1.
-    When the budget ran out instead, ``exhausted`` is set, ``value`` is
-    None, and ``bounds`` gives the best-known (lower, upper) interval.
+    When the budget ran out instead, ``value`` is None and ``bounds``
+    gives the best-known (lower, upper) interval.
     """
 
     value: Optional[int]
     witness: Optional[Coloring]
     nodes_explored: int
-    exhausted: bool = False
     bounds: Optional[tuple[int, int]] = None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.value is None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -185,9 +189,7 @@ def _min_palette(
                 order, [range(k)] * g.n, g.adjacency, groups, True, budget, nodes
             )
         except SearchBudgetExceeded as exc:
-            return SolveResult(
-                None, None, exc.nodes_explored, exhausted=True, bounds=(k, upper)
-            )
+            return SolveResult(None, None, exc.nodes_explored, (k, upper))
         if found is not None:
             return SolveResult(k, Coloring.total(found, k), nodes)
         k += 1

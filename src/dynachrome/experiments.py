@@ -44,11 +44,10 @@ class ExperimentReport:
     master_seed: int
     trials: tuple[dict, ...]
     aggregates: dict
-    schema: str = REPORT_SCHEMA
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": REPORT_SCHEMA,
             "name": self.name,
             "parameters": self.parameters,
             "master_seed": self.master_seed,

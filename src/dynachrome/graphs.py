@@ -49,19 +49,17 @@ class Graph:
 
     Build instances through :meth:`from_edges` or the generator functions;
     they validate that the edge set is simple (no loops, no duplicates)
-    and keep the adjacency symmetric.
+    and keep the adjacency symmetric.  Only the adjacency is stored; the
+    vertex and edge counts are read off it.
     """
 
-    n: int
     adjacency: tuple[tuple[int, ...], ...]
-    edge_count: int
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -71,8 +69,15 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             adj[u].add(v)
             adj[v].add(u)
-            m += 1
-        return cls(n, tuple(tuple(sorted(a)) for a in adj), m)
+        return cls(tuple(tuple(sorted(a)) for a in adj))
+
+    @property
+    def n(self) -> int:
+        return len(self.adjacency)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -383,12 +388,13 @@ def induced_subgraph(
     keeps it sorted and symmetric.
     """
     members = subset.members if isinstance(subset, VertexSubset) else frozenset(subset)
-    if any(not (0 <= v < g.n) for v in members):
+    n = g.n
+    if any(not (0 <= v < n) for v in members):
         raise ValueError("subset vertex out of range")
     mapping = tuple(sorted(members))
     index = {old: new for new, old in enumerate(mapping)}
     adj = tuple(tuple(index[u] for u in g.adjacency[v] if u in index) for v in mapping)
-    return Graph(len(mapping), adj, sum(map(len, adj)) // 2), mapping
+    return Graph(adj), mapping
 
 
 def neighborhood_hypergraph(

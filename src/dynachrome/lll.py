@@ -66,14 +66,17 @@ class InfeasibleStructureError(ValueError):
 class ConditionCheck:
     """Result of an exact survival-condition evaluation.
 
-    ``margin`` is the left-hand side of the inequality (holds iff <= 1).
-    For the list condition, ``threshold`` is the equivalent minimum list
-    size m that would satisfy it.
+    ``margin`` is the left-hand side of the inequality, which ``holds``
+    iff it is <= 1.  For the list condition, ``threshold`` is the
+    equivalent minimum list size m that would satisfy it.
     """
 
-    holds: bool
     margin: float
     threshold: Optional[float] = None
+
+    @property
+    def holds(self) -> bool:
+        return self.margin <= 1.0
 
 
 def lll_condition_hypergraph(r1: int, r2: int, delta_h: int) -> ConditionCheck:
@@ -84,7 +87,7 @@ def lll_condition_hypergraph(r1: int, r2: int, delta_h: int) -> ConditionCheck:
     if delta_h < 1:
         raise ValueError("max degree must be at least 1")
     margin = math.e * r2 * delta_h * 0.5 ** (r1 - 1)
-    return ConditionCheck(margin <= 1.0, margin)
+    return ConditionCheck(margin)
 
 
 def lll_condition_list(k: int, l: int, m: int) -> ConditionCheck:
@@ -96,28 +99,27 @@ def lll_condition_list(k: int, l: int, m: int) -> ConditionCheck:
         raise ValueError("need 1 <= l <= m")
     margin = math.e * k * k * m * (l / m) ** k
     threshold = l * (math.e * l * k * k) ** (1.0 / (k - 1))
-    return ConditionCheck(margin <= 1.0, margin, threshold)
+    return ConditionCheck(margin, threshold)
 
 
 @dataclass(frozen=True)
 class LllParams:
     """Parameters of the biased-subset sampler on a k-regular graph.
 
-    ``p`` is the membership probability c' * ln(k) / k; at small k this
-    exceeds 1 and the sampler refuses to run unless the params were built
-    with clamp_p=True (which caps p at 0.5 and records the fact).  ``lam``
-    is the smallest deviation bound lambda with
-    3 c' ln(k) (1 + ln 2 + ln(k^2+1)) <= lambda^2, and ``window_nonempty``
-    records whether some such lambda also satisfies lambda < c' ln(k); the
-    concentration guarantee only kicks in for k large enough that it does.
+    Stored are c', k, the ``clamp_p`` request, the seed and the resample
+    cap; ``p``, ``p_clamped``, ``lam`` and ``window_nonempty`` derive from
+    them.  ``p`` is the membership probability c' * ln(k) / k; at small k
+    this exceeds 1 and the sampler refuses to run unless ``clamp_p`` caps
+    it at 0.5, which sets ``p_clamped``.  ``lam`` is the smallest deviation
+    bound lambda with 3 c' ln(k) (1 + ln 2 + ln(k^2+1)) <= lambda^2, and
+    ``window_nonempty`` says whether some such lambda also satisfies
+    lambda < c' ln(k); the concentration guarantee only kicks in for k
+    large enough that it does.
     """
 
     c_prime: float
     k: int
-    p: float
-    p_clamped: bool
-    lam: float
-    window_nonempty: bool
+    clamp_p: bool = False
     seed: int = 0
     max_resamples: Optional[int] = None
 
@@ -137,24 +139,31 @@ class LllParams:
         _cap(max_resamples, 0)  # raises on a negative cap
         lnk = math.log(k)
         # Rejects NaN and infinite c', and a c' so large that the
-        # (c' ln k)^2 of window_nonempty below overflows.
+        # (c' ln k)^2 of window_nonempty overflows.
         if not math.isfinite((c_prime * lnk) * (c_prime * lnk)):
             raise ValueError(f"c_prime must keep (c' ln k)^2 finite, got {c_prime} at k={k}")
-        p = c_prime * lnk / k
-        clamped = bool(clamp_p) and p >= 1.0
-        if clamped:
-            p = 0.5
-        lam_sq = 3 * c_prime * lnk * (1 + math.log(2) + math.log(k * k + 1))
-        return cls(
-            c_prime=c_prime,
-            k=k,
-            p=p,
-            p_clamped=clamped,
-            lam=math.sqrt(lam_sq),
-            window_nonempty=lam_sq < (c_prime * lnk) ** 2,
-            seed=seed,
-            max_resamples=max_resamples,
-        )
+        return cls(c_prime, k, bool(clamp_p), seed, max_resamples)
+
+    @property
+    def p_clamped(self) -> bool:
+        return self.clamp_p and self.c_prime * math.log(self.k) / self.k >= 1.0
+
+    @property
+    def p(self) -> float:
+        return 0.5 if self.p_clamped else self.c_prime * math.log(self.k) / self.k
+
+    @property
+    def _lam_sq(self) -> float:
+        k = self.k
+        return 3 * self.c_prime * math.log(k) * (1 + math.log(2) + math.log(k * k + 1))
+
+    @property
+    def lam(self) -> float:
+        return math.sqrt(self._lam_sq)
+
+    @property
+    def window_nonempty(self) -> bool:
+        return self._lam_sq < (self.c_prime * math.log(self.k)) ** 2
 
     def to_json_dict(self) -> dict:
         return {
@@ -305,9 +314,10 @@ def find_balanced_subset(
         raise ValueError("need regular degree k >= 2")
     if params.k != k:
         raise ValueError(f"params were built for degree {params.k}, graph has {k}")
-    if params.p >= 1.0:
+    p = params.p
+    if p >= 1.0:
         raise DegenerateParamsError(
-            f"membership probability {params.p:.3f} >= 1 at k={k}; "
+            f"membership probability {p:.3f} >= 1 at k={k}; "
             "rebuild params with clamp_p=True to run a clamped experiment"
         )
     upper = 2.0 * params.c_prime * math.log(k)
@@ -317,7 +327,7 @@ def find_balanced_subset(
         d = sum(1 for u in g.adjacency[v] if in_t[u])
         return d == 0 or d >= upper or d == k
 
-    log = _resample(g.adjacency, g.adjacency, lambda v: rng.random() < params.p, unbalanced,
+    log = _resample(g.adjacency, g.adjacency, lambda v: rng.random() < p, unbalanced,
                     params.max_resamples, params.seed, _members, params.to_json_dict())
     return (VertexSubset(frozenset(log.final_state), g.n) if log.success else None), log
 

@@ -585,6 +585,13 @@ def test_bound_report_nine_regular():
     assert doubling.basis == "exact"
     plus_one = by_name(report, "max_degree_plus_one")
     assert plus_one.applicable and plus_one.value == 10
+    # At the hypothesis's edges: an edgeless graph has no neighbourhood to
+    # 2-color, and a vertex of degree 1 has one that cannot be split.
+    for g in (Graph.from_edges(3, []), complete(1)):
+        doubling = by_name(bound_report(g), "neighborhood_two_coloring")
+        assert doubling.applicable and doubling.value == 2
+    star = by_name(bound_report(complete_bipartite(1, 3)), "neighborhood_two_coloring")
+    assert not star.applicable and star.value is None
 
 
 def test_bound_report_double_total_split():
