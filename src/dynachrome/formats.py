@@ -146,15 +146,9 @@ def write_edge_list(g: Graph) -> str:
 
 
 def read_graph_text(text: str) -> Graph:
-    """Sniff DIMACS vs. edge-list content and parse accordingly."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(("c", "p", "e")) and not line.startswith("#"):
-            return read_dimacs(text)
-        return read_edge_list(text)
-    return read_edge_list(text)
+    """Sniff DIMACS vs. edge-list content from the first non-blank line."""
+    first = next((line for line in map(str.strip, text.splitlines()) if line), "")
+    return (read_dimacs if first.startswith(("c", "p", "e")) else read_edge_list)(text)
 
 
 def graph_id(g: Graph) -> str:

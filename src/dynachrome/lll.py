@@ -123,6 +123,19 @@ class LllParams:
     seed: int = 0
     max_resamples: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        c_prime, k = self.c_prime, self.k
+        if c_prime <= 6:
+            raise ValueError("c_prime must exceed 6")
+        if k < 2:
+            raise ValueError("need degree k >= 2")
+        _cap(self.max_resamples, 0)  # raises on a negative cap
+        lnk = math.log(k)
+        # Rejects NaN and infinite c', and a c' so large that the
+        # (c' ln k)^2 of window_nonempty overflows.
+        if not math.isfinite((c_prime * lnk) * (c_prime * lnk)):
+            raise ValueError(f"c_prime must keep (c' ln k)^2 finite, got {c_prime} at k={k}")
+
     @classmethod
     def for_degree(
         cls,
@@ -132,16 +145,6 @@ class LllParams:
         max_resamples: Optional[int] = None,
         clamp_p: bool = False,
     ) -> "LllParams":
-        if c_prime <= 6:
-            raise ValueError("c_prime must exceed 6")
-        if k < 2:
-            raise ValueError("need degree k >= 2")
-        _cap(max_resamples, 0)  # raises on a negative cap
-        lnk = math.log(k)
-        # Rejects NaN and infinite c', and a c' so large that the
-        # (c' ln k)^2 of window_nonempty overflows.
-        if not math.isfinite((c_prime * lnk) * (c_prime * lnk)):
-            raise ValueError(f"c_prime must keep (c' ln k)^2 finite, got {c_prime} at k={k}")
         return cls(c_prime, k, bool(clamp_p), seed, max_resamples)
 
     @property

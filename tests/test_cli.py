@@ -435,10 +435,8 @@ def test_unknown_argument_exits_1(capsys):
 
 
 def test_certification_failure_exits_3(capsys, monkeypatch):
-    from dynachrome import CertificationError
-
     def explode(*args, **kwargs):
-        raise CertificationError("simulated self-check failure")
+        raise cli_module.CertificationError("simulated self-check failure")
 
     monkeypatch.setattr(cli_module.constructions, "kneser_dynamic_coloring", explode)
     code, _, err = run(capsys, "construct", "kneser", "--m", "7", "--n", "3")

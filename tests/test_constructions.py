@@ -278,8 +278,6 @@ def test_double_total_coloring_resampled_subset():
 
 
 def test_double_total_coloring_exact_fallback(monkeypatch):
-    from dynachrome import constructions
-
     monkeypatch.setattr(constructions, "moser_tardos_2color",
                         lambda h, seed: (None, None))
     g = cycle(8)

@@ -192,6 +192,8 @@ def test_list_dynamic_single_vertex():
     g = Graph.from_edges(1, [])
     c = list_dynamic_coloring(g, ListAssignment.of([{7}]))
     assert c is not None and c[0] == 7
+    with pytest.raises(ValueError, match="cover all vertices"):
+        list_dynamic_coloring(g, ListAssignment.of([]))
 
 
 def test_list_dynamic_budget_distinct_from_none():

@@ -96,6 +96,8 @@ def test_conjecture_scan_validation():
         conjecture_scan("mystery", seed=0)
     with pytest.raises(ValueError):
         conjecture_scan("random_regular", seed=0)  # needs n
+    with pytest.raises(ValueError, match="n >= 4"):
+        conjecture_scan("all_cubic_connected", seed=0, max_n=3)
 
 
 @pytest.mark.parametrize("family, kwargs", [

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -21,6 +22,20 @@ def test_every_library_module_declares_all():
 
 @pytest.mark.parametrize("name", MODULES)
 def test_package_reexports_module_all_unchanged(name):
+    # Look both up afresh: a test elsewhere may have re-imported the package.
+    package = importlib.import_module("dynachrome")
     module = importlib.import_module(f"dynachrome.{name}")
     for public in module.__all__:
-        assert getattr(dynachrome, public, None) is getattr(module, public), public
+        assert getattr(package, public, None) is getattr(module, public), public
+
+
+def test_package_public_names_are_exactly_the_module_alls():
+    package = importlib.import_module("dynachrome")
+    public = {
+        n for n, v in vars(package).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    declared = set()
+    for name in MODULES:
+        declared.update(importlib.import_module(f"dynachrome.{name}").__all__)
+    assert public == declared

@@ -69,6 +69,16 @@ def test_dimacs_malformed_header():
         read_dimacs("p edge 3 5\ne 1 2\n")  # count mismatch
     with pytest.raises(FormatError):
         read_dimacs("")
+    for text, line in [
+        ("p edge 2 0\np edge 2 0\n", 2),  # second header
+        ("p edge -1 0\n", 1),
+        ("p edge 2 1\ne 1\n", 2),  # wrong arity
+        ("p edge 2 1\ne 1 x\n", 2),
+        ("p edge 2 0\nx 1 2\n", 2),  # unrecognized line
+    ]:
+        with pytest.raises(FormatError) as err:
+            read_dimacs(text)
+        assert err.value.line == line, text
 
 
 def test_dimacs_comments_ignored():
@@ -112,6 +122,9 @@ def test_edge_list_rejects():
         read_edge_list("0 1 2\n")
     with pytest.raises(FormatError):
         read_edge_list("0 -1\n")
+    with pytest.raises(FormatError) as err:
+        read_edge_list("0 1\n0 x\n")
+    assert err.value.line == 2
 
 
 def test_edge_list_comments_and_blanks():
@@ -122,6 +135,8 @@ def test_edge_list_comments_and_blanks():
 def test_read_graph_text_sniffs_format():
     assert read_graph_text(K3_DIMACS) == complete(3)
     assert read_graph_text("0 1\n1 2\n0 2\n") == complete(3)
+    assert read_graph_text("") == Graph.from_edges(0, [])
+    assert read_graph_text("\n  \n" + K3_DIMACS) == complete(3)
 
 
 def test_graph_id_stable_and_distinct():

@@ -73,6 +73,10 @@ def test_complete_and_bipartite():
     kb = complete_bipartite(3, 4)
     assert kb.edge_count == 12
     assert kb.max_degree == 4 and kb.min_degree == 3
+    with pytest.raises(ValueError, match="n >= 1"):
+        complete(0)
+    with pytest.raises(ValueError, match="both sides nonempty"):
+        complete_bipartite(0, 3)
 
 
 def test_kneser_petersen_counts():
@@ -124,6 +128,8 @@ def test_gnp_reproducible():
     assert a != c
     with pytest.raises(ValueError):
         gnp(5, 1.5, seed=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gnp(-1, 0.5, seed=0)
 
 
 def test_random_regular_properties():
@@ -235,6 +241,8 @@ def test_graph_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 5)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph.from_edges(-1, [])
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +338,8 @@ def test_neighborhood_hypergraph_with_target():
     ht = neighborhood_hypergraph(star, t)
     assert ht.n == 4
     assert [sorted(f) for f in ht.edges] == [[0, 1, 2, 3]]
+    with pytest.raises(ValueError, match="different host size"):
+        neighborhood_hypergraph(cycle(6), target)
 
 
 def test_neighborhood_hypergraph_regular_graph():
@@ -364,6 +374,8 @@ def test_hypergraph_validation():
             Hypergraph.from_edges(3, [edge])
     with pytest.raises(ValueError, match=r"hyperedge \[-1, 2\] out of range"):
         Hypergraph.from_edges(3, [(2, -1, 2)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Hypergraph.from_edges(-1, [])
 
 
 def test_hypergraph_edges_are_ascending_tuples_of_distinct_vertices():

@@ -15,6 +15,7 @@ from dynachrome import (
     VertexSubset,
     check_domination,
     check_hypergraph_2coloring,
+    complete,
     complete_bipartite,
     cycle,
     double_total_subset,
@@ -114,10 +115,25 @@ def test_params_window_flag():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    # The checks hold however the params are built: the factory, the
+    # constructor, or dataclasses.replace on valid params.
+    valid = LllParams.for_degree(16, clamp_p=True)
+    with pytest.raises(ValueError, match="exceed 6"):
         LllParams.for_degree(16, c_prime=6.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceed 6"):
+        LllParams(6.0, 16)
+    with pytest.raises(ValueError, match="exceed 6"):
+        dataclasses.replace(valid, c_prime=3.0)
+    with pytest.raises(ValueError, match="k >= 2"):
         LllParams.for_degree(1)
+    with pytest.raises(ValueError, match="k >= 2"):
+        LllParams(7.0, 1)
+    with pytest.raises(ValueError, match="k >= 2"):
+        dataclasses.replace(valid, k=1)
+    with pytest.raises(ValueError, match="max_resamples"):
+        LllParams(7.0, 16, max_resamples=-1)
+    with pytest.raises(ValueError, match="max_resamples"):
+        dataclasses.replace(valid, max_resamples=-1)
 
 
 @pytest.mark.parametrize("k,c_prime", [(3, math.nan), (3, math.inf), (16, 1e308),
@@ -125,6 +141,10 @@ def test_params_validation():
 def test_params_reject_non_finite_c_prime(k, c_prime):
     with pytest.raises(ValueError, match="finite"):
         LllParams.for_degree(k, c_prime=c_prime, clamp_p=True)
+    with pytest.raises(ValueError, match="finite"):
+        LllParams(c_prime, k, clamp_p=True)
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(LllParams.for_degree(k, clamp_p=True), c_prime=c_prime)
 
 
 @pytest.mark.parametrize("cap", [-1, -7])
@@ -285,6 +305,8 @@ def test_balanced_requires_regular():
     g = random_regular(20, 4, seed=0)
     with pytest.raises(ValueError):
         find_balanced_subset(g, params)  # params built for k=16, graph has k=4
+    with pytest.raises(ValueError, match="need regular degree k >= 2"):
+        find_balanced_subset(complete(2), LllParams.for_degree(2, clamp_p=True))
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +361,8 @@ def test_sublists_validation():
         select_sublists(g, ListAssignment.uniform(4, {0, 1}), l=3)
     with pytest.raises(ValueError):
         select_sublists(g, ListAssignment.of([{0}, {0, 1}, {0}, {0, 1}]), l=1)
+    with pytest.raises(ValueError, match="cover all vertices"):
+        select_sublists(g, ListAssignment.uniform(3, {0, 1}), l=1)
     irregular = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         select_sublists(irregular, ListAssignment.uniform(3, {0, 1}), l=1)

@@ -174,6 +174,8 @@ def test_domination_mode_validation():
     g = cycle(4)
     with pytest.raises(ValueError):
         check_domination(g, VertexSubset.of(g, {0}), "half_total")
+    with pytest.raises(ValueError, match="different host size"):
+        check_domination(g, VertexSubset.of(cycle(5), {0}))
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +187,8 @@ def test_list_respecting_ok():
     g = cycle(4)
     lists = ListAssignment.uniform(4, {0, 1})
     assert check_list_respecting(g, lists, col(0, 1, 0, 1)) == []
+    with pytest.raises(ValueError, match="cover all vertices"):
+        check_list_respecting(g, ListAssignment.uniform(3, {0, 1}), col(0, 1, 0, 1))
 
 
 def test_list_respecting_violation():
@@ -252,6 +256,8 @@ def test_violation_kind_validation():
 def test_coloring_invariants():
     with pytest.raises(ValueError):
         Coloring((0, 3), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Coloring((), -1)
     c = Coloring.total([0, 1, 1], 5)
     assert c.colors_used == 2
     assert c.palette_size == 5
