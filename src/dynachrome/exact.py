@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Collection, Optional, Sequence
 
 from .graphs import Graph, Hypergraph, bipartition, dsatur
@@ -93,7 +94,11 @@ def _search(
     search first reaches a vertex, only its neighbors that come before it in
     ``order`` can be colored (the later ones are always uncolored, -1, which
     no palette holds), so those lists are built once per call and a first
-    visit reads only their colors.  A branch dies as soon as one of
+    visit reads only their colors, in one call of a per-depth
+    ``operator.itemgetter`` that returns them as a tuple.  The tuple stands
+    in for the set of colors a vertex must avoid: a repeated color is
+    harmless, and the colors it holds stay put while the search is at that
+    depth or deeper, so a backtrack reuses it.  A branch dies as soon as one of
     ``groups`` is fully colored in a single color.  As the order is fixed, a
     group closes (becomes fully colored) exactly at the depth of its last
     member in ``order``.  Each group is filed once, under that depth, as the
@@ -119,7 +124,13 @@ def _search(
     for i, v in enumerate(order):
         at[v] = i
     earlier = [[u for u in adj[v] if at[u] < i] for i, v in enumerate(order)]
-    colored = color.__getitem__
+    # seen[i](color): the colors of earlier[i] as one tuple.  itemgetter
+    # returns a tuple only from two indices up, so a shorter list is padded
+    # with v itself, which is uncolored (-1) whenever seen[i] is read.
+    seen = [
+        itemgetter(*e) if len(e) > 1 else itemgetter(*e, v) if e else itemgetter(v, v)
+        for e, v in zip(earlier, order)
+    ]
     closing: list[list[list[int]]] = [[] for _ in range(depth)]
     for grp in groups:
         if grp:
@@ -136,14 +147,14 @@ def _search(
     limit = float("inf") if budget is None else budget
     top = [0] * (depth + 1)  # top[i]: ends index for the colors of order[:i]
     resume = [0] * depth  # palette index past the color taken at each depth
-    used_at: list[set[int]] = [set()] * depth  # neighbor colors at entry
+    used_at: list[tuple[int, ...]] = [()] * depth  # neighbor colors at entry
     i = 0
     while 0 <= i < depth:
         v = order[i]
         palette = palettes[v]
         if color[v] < 0:  # first visit at this depth
             j = 0
-            used = used_at[i] = set(map(colored, earlier[i]))
+            used = used_at[i] = seen[i](color)
         else:  # back from a dead subtree: uncolor v, resume past its color
             j = resume[i]
             color[v] = -1

@@ -1,13 +1,17 @@
 """The exact layer's backtracker against its earlier form, and the node
-counts and witnesses of the benchmark's six ``solve`` instances.
+counts and witnesses of the benchmark's six ``solve`` instances and of its
+conjecture scan.
 
 ``helpers.search_reference`` is ``exact._search`` as it was when every
-colored vertex updated a count of uncolored members for each of its groups
-and every visit bisected its palette.  The library search files each group
-under the depth at which it closes instead, and reads only the colors of
-neighbors that come earlier in the order; the two must agree on the colors
-found, on the node total and on where a budget runs out, for any neighbor
-lists, not only a graph's.
+colored vertex updated a count of uncolored members for each of its groups,
+every visit bisected its palette and every first visit built a set of all
+its neighbors' colors.  The library search files each group under the depth
+at which it closes instead, and a first visit reads only the colors of
+neighbors that come earlier in the order, as one tuple from a per-depth
+``operator.itemgetter`` (repeats kept, a short list padded with the
+uncolored vertex itself).  The two must agree on the colors found, on the
+node total and on where a budget runs out, for any neighbor lists, not only
+a graph's.
 """
 
 import hashlib
@@ -83,6 +87,10 @@ _C5 += [(v, (v + 1) % 5) for v in range(5)]
 # Vertex 1 lists 0 but 0 does not list 1; then 0 and 2 list themselves.
 @example(([0, 1], [[0], [0]], [[], [0]], [], False, None, 0))
 @example(([2, 0, 1], [range(2)] * 3, [[0, 1], [0], [2, 1]], [], True, None, 0))
+# A triangle in the palette [1, 4], with no symmetry breaking: 0 has one
+# earlier neighbor, 2 lists its earlier neighbor 1 twice, and the search
+# backtracks into depths whose neighbor colors it read on entry.
+@example(([1, 0, 2], [[1, 4]] * 3, [[1], [], [0, 1, 1]], [], False, None, 0))
 def test_search_matches_reference(args):
     assert _outcome(_search, *args) == _outcome(search_reference, *args)
 
@@ -93,7 +101,7 @@ def _digest(colors) -> str:
 
 # The benchmark's `exact` solves, each on from_spec(spec, seed) with the
 # seed its row gets: value, nodes, exhausted, bounds and the witness digest,
-# recorded before the search filed groups by closing depth.
+# the first five recorded before the search filed groups by closing depth.
 BENCH_SOLVES = [
     (chromatic_number, "random_regular:500,3", 0, 20_000,
      (3, 500, False, None, "73a0c9ffba4257d1")),
@@ -104,6 +112,21 @@ BENCH_SOLVES = [
      (3, 525, False, None, "43ed69f0edd95dc8")),
     (dynamic_chromatic_number, "random_regular:60,3", 4, 20_000,
      (None, 20001, True, (3, 60), None)),
+    # `experiment conjecture-scan --family regular --k 4 --n 30 --trials 3
+    # --budget 200000` (seed 6) solves chi and chid on its three trial
+    # graphs; recorded before first visits read neighbor colors as tuples.
+    (chromatic_number, "random_regular:30,4", 6000018, 200_000,
+     (3, 52, False, None, "07c273d1abdf00be")),
+    (dynamic_chromatic_number, "random_regular:30,4", 6000018, 200_000,
+     (3, 82, False, None, "77f82d3b6ce63700")),
+    (chromatic_number, "random_regular:30,4", 6000019, 200_000,
+     (3, 30, False, None, "93beca55dce5d1a6")),
+    (dynamic_chromatic_number, "random_regular:30,4", 6000019, 200_000,
+     (3, 983, False, None, "019f8a5c2f9aa9bd")),
+    (chromatic_number, "random_regular:30,4", 6000020, 200_000,
+     (3, 30, False, None, "556ff6c4b9920fe6")),
+    (dynamic_chromatic_number, "random_regular:30,4", 6000020, 200_000,
+     (3, 83, False, None, "3ef8e84d550aef69")),
 ]
 
 
