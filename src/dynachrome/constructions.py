@@ -259,14 +259,28 @@ def double_total_subset(
     return t
 
 
+def _tail(spec: KneserSpec, subsets: Sequence[frozenset[int]]) -> VertexSubset:
+    """The tail subset T of KG(m, n): the vertices whose subset avoids {1..t}."""
+    return VertexSubset(frozenset(i for i, a in enumerate(subsets) if min(a) > spec.t),
+                        len(subsets))
+
+
 @dataclass(frozen=True)
 class KneserColoringResult:
-    """Certified dynamic coloring of a triangle-free Kneser-type graph."""
+    """Certified dynamic coloring of a triangle-free Kneser-type graph.
+
+    ``graph`` is stored although ``spec`` determines it, because rebuilding
+    KG(m, n) costs about as much as the whole pipeline (KG(19,9) has 92,378
+    vertices); ``tail_subset`` is derived from ``spec`` alone.
+    """
 
     spec: KneserSpec
     graph: Graph
-    tail_subset: VertexSubset
     coloring: Coloring
+
+    @property
+    def tail_subset(self) -> VertexSubset:
+        return _tail(self.spec, self.spec.vertex_subsets())
 
     @property
     def colors_used(self) -> int:
@@ -304,7 +318,7 @@ def kneser_dynamic_coloring(
         raise ValueError(f"need 2n < m < 3n, got m={spec.m}, n={spec.n}")
     g = spec.graph()
     subsets = spec.vertex_subsets()
-    tail = VertexSubset(frozenset(i for i, a in enumerate(subsets) if min(a) > t), g.n)
+    tail = _tail(spec, subsets)
     two = bipartition(induced_subgraph(g, tail)[0])
     if two is None:
         raise CertificationError(
@@ -316,7 +330,7 @@ def kneser_dynamic_coloring(
         raise CertificationError("T-restricted neighborhood hypergraph is not 2-colorable")
     pairs = _pair(Coloring.total(two, 2), f)
     coloring = _certify_dynamic(g, _glue(tail, pairs, c_out), "partial product coloring")
-    return KneserColoringResult(spec, g, tail, coloring)
+    return KneserColoringResult(spec, g, coloring)
 
 
 def neighborhood_product_coloring(
@@ -359,12 +373,19 @@ def double_total_coloring(
 
 @dataclass(frozen=True)
 class BalancedColoringResult:
-    """Dynamic coloring built from a balanced subset of a regular graph."""
+    """Dynamic coloring built from a balanced subset of a regular graph.
+
+    ``subset``, the balanced subset T, is derived: it is the final state of
+    ``resample_log``, which lists T's members.
+    """
 
     coloring: Coloring
-    subset: VertexSubset
     resample_log: ResampleLog
     color_bound: int  # palette(chi_witness) + floor(2 c' ln k) + 1
+
+    @property
+    def subset(self) -> VertexSubset:
+        return VertexSubset(frozenset(self.resample_log.final_state), len(self.coloring))
 
 
 def balanced_subset_coloring(
@@ -402,7 +423,7 @@ def _balanced_subset(g: Graph, params: LllParams, witness: Coloring) -> Balanced
         raise CertificationError(
             f"palette {combined.palette_size} exceeds the bound {bound}"
         )
-    return BalancedColoringResult(combined, subset, log, bound)
+    return BalancedColoringResult(combined, log, bound)
 
 
 def balanced_coloring(

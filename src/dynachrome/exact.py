@@ -47,28 +47,32 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of an exact solve: ``value``, ``witness``, ``nodes_explored``
-    and ``bounds`` are stored, and ``exhausted`` is ``value is None``.
+    """Outcome of an exact solve: ``witness``, ``nodes_explored`` and
+    ``bounds`` are stored; ``value`` is the witness's palette size and
+    ``exhausted`` is ``witness is None``.
 
     ``value`` is the optimal invariant with ``witness`` attaining it, and
     optimality is certified by the failed exhaustive search at value - 1.
-    When the budget ran out instead, ``value`` is None and ``bounds``
-    gives the best-known (lower, upper) interval.
+    When the budget ran out instead, there is no witness, ``value`` is None
+    and ``bounds`` gives the best-known (lower, upper) interval.
     """
 
-    value: Optional[int]
     witness: Optional[Coloring]
     nodes_explored: int
     bounds: Optional[tuple[int, int]] = None
 
     @property
+    def value(self) -> Optional[int]:
+        return None if self.witness is None else self.witness.palette_size
+
+    @property
     def exhausted(self) -> bool:
-        return self.value is None
+        return self.witness is None
 
     def to_json_dict(self) -> dict:
         out = {
             "value": self.value,
-            "witness": list(self.witness.colors) if self.witness else None,
+            "witness": None if self.witness is None else list(self.witness.colors),
             "nodes_explored": self.nodes_explored,
             "exhausted": self.exhausted,
         }
@@ -200,9 +204,9 @@ def _min_palette(
                 order, [range(k)] * g.n, g.adjacency, groups, True, budget, nodes
             )
         except SearchBudgetExceeded as exc:
-            return SolveResult(None, None, exc.nodes_explored, (k, upper))
+            return SolveResult(None, exc.nodes_explored, (k, upper))
         if found is not None:
-            return SolveResult(k, Coloring.total(found, k), nodes)
+            return SolveResult(Coloring.total(found, k), nodes)
         k += 1
 
 
@@ -214,11 +218,11 @@ def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
     backtracking, so the refuted size value - 1 certifies optimality.
     """
     if g.n == 0:
-        res = SolveResult(0, Coloring((), 0), 0)
+        res = SolveResult(Coloring((), 0), 0)
     elif g.edge_count == 0:
-        res = SolveResult(1, Coloring((0,) * g.n, 1), 0)
+        res = SolveResult(Coloring((0,) * g.n, 1), 0)
     elif (bip := bipartition(g)) is not None:
-        res = SolveResult(2, Coloring.total(bip, 2), 0)
+        res = SolveResult(Coloring.total(bip, 2), 0)
     else:
         order, colors = dsatur(g)
         res = _min_palette(g, order, max(colors) + 1, budget, [])
@@ -233,13 +237,19 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
 
     When some vertex has degree >= 2 the value is at least 3: its two
     neighbors must differ from each other and from the vertex itself.
-    That refutes palettes 1 and 2 without search.
+    That refutes palettes 1 and 2 without search.  When the budget runs
+    out, the upper end of the bounds is the palette of the DSATUR coloring
+    if check_dynamic passes it, and n otherwise; the search never refutes
+    a palette that a dynamic coloring attains, so the bounds stay nonempty.
     """
     if g.max_degree <= 1:
         # No vertex is constrained: proper coloring, where check_proper suffices.
         return chromatic_number(g, budget)
     groups = neighborhood_hypergraph(g).edges
-    res = _min_palette(g, dsatur(g)[0], g.n, budget, groups)
+    order, colors = dsatur(g)
+    greedy = Coloring.total(colors)
+    upper = g.n if check_dynamic(g, greedy) else greedy.palette_size
+    res = _min_palette(g, order, upper, budget, groups)
     if res.witness is not None:
         certify(check_dynamic(g, res.witness), "chid witness")
     return res

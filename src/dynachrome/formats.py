@@ -115,8 +115,10 @@ def read_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             words = line[1:].split()
             if len(words) == 2 and words[0] == "vertices" and words[1].isdecimal():
-                if edges or declared is not None:
+                if edges:
                     raise FormatError("vertex count must precede the edges", lineno)
+                if declared is not None:
+                    raise FormatError("duplicate vertex count", lineno)
                 declared = int(words[1])
             continue
         parts = line.split()

@@ -181,23 +181,27 @@ class LllParams:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResampleLog:
     """Trace of one resampling run.
 
-    ``triggers`` counts how often each event index was resampled, and
-    ``final_state`` is the raw state at exit (also on exhaustion, for
-    debugging).  A "success" outcome is only reported after the final
-    state violates no event; callers re-verify through the checkers.
+    ``triggers`` counts how often each event index was resampled, so
+    ``resample_count`` is their sum, and ``final_state`` is the raw state
+    at exit (also on exhaustion, for debugging).  A "success" outcome is
+    only reported after the final state violates no event; callers
+    re-verify through the checkers.
     """
 
     outcome: str
-    resample_count: int
     triggers: dict[int, int]
     final_state: object
     seed: int
     max_resamples: int
     params: Optional[dict] = None
+
+    @property
+    def resample_count(self) -> int:
+        return sum(self.triggers.values())
 
     @property
     def success(self) -> bool:
@@ -263,7 +267,7 @@ def _resample(
                 queued[j] = True
                 heapq.heappush(heap, j)
     outcome = "exhausted" if heap else "success"
-    return ResampleLog(outcome, count, dict(triggers), snapshot(state), seed, cap, params)
+    return ResampleLog(outcome, dict(triggers), snapshot(state), seed, cap, params)
 
 
 def _members(in_t: list[bool]) -> list[int]:

@@ -65,6 +65,20 @@ def test_solve_chid_text(capsys):
     assert "chid = 5" in out
 
 
+# The empty graph is decided with an empty witness, which is no missing one.
+@pytest.mark.parametrize("problem", ["chi", "chid"])
+def test_solve_empty_graph_prints_its_empty_witness(tmp_path, capsys, problem):
+    path = tmp_path / "empty.col"
+    path.write_text("p edge 0 0\n")
+    code, out, _ = run(capsys, "solve", problem, "--graph", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"value": 0, "witness": [], "nodes_explored": 0,
+                               "exhausted": False}
+    code, out, _ = run(capsys, "solve", problem, "--graph", str(path))
+    assert code == 0
+    assert out == f"{problem} = 0 (0 nodes explored)\nwitness: []\n"
+
+
 def test_solve_double_total_none(capsys):
     code, out, _ = run(capsys, "solve", "double-total", "--graph", "cycle:6")
     assert code == 0

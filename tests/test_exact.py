@@ -160,6 +160,23 @@ def test_chid_known_upper_bounds():
         assert dynamic_chromatic_number(g).value <= 4
 
 
+# An exhausted chid search takes its upper end from DSATUR's coloring when
+# that coloring is dynamic (palettes 7 and 12 here), and from n when it is
+# not: DSATUR's coloring of random_regular(60,3) seed 4 fails check_dynamic.
+@pytest.mark.parametrize("spec, seed, bounds", [
+    ("kneser:11,4", 0, (3, 7)),
+    ("random_regular:400,32", 0, (4, 12)),
+    ("random_regular:60,3", 4, (3, 60)),
+])
+def test_chid_exhausted_upper_end_is_a_certified_palette(spec, seed, bounds):
+    g = from_spec(spec, seed)
+    res = dynamic_chromatic_number(g, budget=1000)
+    assert res.exhausted and res.bounds == bounds
+    greedy = Coloring.total(dsatur(g)[1])
+    dynamic = not check_dynamic(g, greedy)
+    assert res.bounds[1] == (greedy.palette_size if dynamic else g.n)
+
+
 def test_chid_unconstrained_graphs():
     assert dynamic_chromatic_number(Graph.from_edges(3, [])).value == 1
     matching = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -354,14 +371,19 @@ def test_solvers_certify_their_witness(monkeypatch, solver, checker, g):
         solver(g)
 
 
-def test_exhausted_solves_run_no_check(monkeypatch):
+def test_exhausted_solves_check_no_witness(monkeypatch):
     def unexpected(*_):
         raise AssertionError("an exhausted result has no witness to check")
 
     monkeypatch.setattr(exact, "check_proper", unexpected)
     monkeypatch.setattr(exact, "check_dynamic", unexpected)
     assert chromatic_number(kneser(6, 2), budget=5).exhausted
-    assert dynamic_chromatic_number(kneser(6, 2), budget=5).exhausted
+    # chid checks one coloring, DSATUR's, and only for its upper end.
+    checked = []
+    monkeypatch.setattr(exact, "check_dynamic", lambda g, c: checked.append(c) or [])
+    g = kneser(6, 2)
+    assert dynamic_chromatic_number(g, budget=5).bounds == (3, 4)
+    assert checked == [Coloring.total(dsatur(g)[1])]
 
 
 # ----------------------------------------------------------------------

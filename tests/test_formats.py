@@ -105,6 +105,12 @@ def test_edge_list_header_bounds_ids():
     with pytest.raises(FormatError) as err:
         read_edge_list("# vertices 3\n0 1\n1 3\n")
     assert err.value.line == 3
+    with pytest.raises(FormatError, match="vertex count must precede the edges") as err:
+        read_edge_list("# vertices 3\n0 1\n# vertices 3\n")
+    assert err.value.line == 3
+    with pytest.raises(FormatError, match="duplicate vertex count") as err:
+        read_edge_list("# vertices 3\n\n# vertices 4\n0 1\n")
+    assert err.value.line == 3
     with pytest.raises(FormatError):
         read_edge_list("0 1\n# vertices 3\n")
     # Without the header the count is still the largest id plus one.

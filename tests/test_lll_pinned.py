@@ -76,13 +76,14 @@ def _encode(result):
 
 def run_case(case: dict) -> dict:
     routine, seed, cap = case["routine"], case["seed"], case["cap"]
+    final_state = None
     if routine == "moser_tardos_2color":
         out, log = moser_tardos_2color(_hypergraph(case["input"]), seed, cap)
     elif routine == "find_double_total_dominating":
         g = from_spec(case["input"], seed=0)
         f, log = moser_tardos_2color(neighborhood_hypergraph(g), seed, cap)
-        log.final_state = [v for v in range(g.n) if log.final_state[v] == 1]
-        out = None if f is None else VertexSubset.of(g, log.final_state)
+        final_state = [v for v in range(g.n) if log.final_state[v] == 1]
+        out = None if f is None else VertexSubset.of(g, final_state)
     elif routine == "find_balanced_subset":
         g = from_spec(case["input"], seed=0)
         params = LllParams.for_degree(
@@ -94,7 +95,9 @@ def run_case(case: dict) -> dict:
         out, log = select_sublists(g, _lists(g.n, case["lists"]), case["l"], seed, cap)
     else:
         raise ValueError(routine)
-    return {"result": _encode(out), "log": log.to_json_dict(), "final_state": log.final_state}
+    if final_state is None:  # only the double-total replay maps the log's state
+        final_state = log.final_state
+    return {"result": _encode(out), "log": log.to_json_dict(), "final_state": final_state}
 
 
 def _sweep() -> list[dict]:

@@ -1,38 +1,68 @@
 """Records store only independent values; every derived value follows its definition."""
 
 import dataclasses
+import importlib
 import math
 
 import pytest
 
 from dynachrome import (
+    BalancedColoringResult,
     BoundRecord,
+    BoundReport,
+    Coloring,
     ConditionCheck,
     ExperimentReport,
     Graph,
+    Hypergraph,
+    KneserColoringResult,
+    KneserSpec,
+    ListAssignment,
     LllParams,
+    ResampleLog,
     SolveResult,
     TriangleCertificate,
+    VertexSubset,
+    Violation,
+    balanced_coloring,
     bound_report,
     chromatic_number,
     complete,
     complete_bipartite,
     cycle,
     dynamic_chromatic_number,
+    find_balanced_subset,
+    from_spec,
     kneser,
+    kneser_dynamic_coloring,
     lll_condition_hypergraph,
     lll_condition_list,
+    moser_tardos_2color,
+    neighborhood_hypergraph,
     random_regular,
+    select_sublists,
     triangle_certificate,
 )
+from helpers import fano_plane
+from test_exact_search import BENCH_SOLVES
 
 STORED = [
     (Graph, ["adjacency"]),
+    (Hypergraph, ["n", "edges"]),
+    (VertexSubset, ["members", "n"]),
+    (KneserSpec, ["m", "n"]),
+    (Coloring, ["colors", "palette_size"]),
+    (ListAssignment, ["lists"]),
+    (Violation, ["kind", "witness"]),
     (LllParams, ["c_prime", "k", "clamp_p", "seed", "max_resamples"]),
-    (SolveResult, ["value", "witness", "nodes_explored", "bounds"]),
-    (BoundRecord, ["name", "source", "value", "basis"]),
-    (TriangleCertificate, ["uncovered"]),
     (ConditionCheck, ["margin", "threshold"]),
+    (ResampleLog, ["outcome", "triggers", "final_state", "seed", "max_resamples", "params"]),
+    (SolveResult, ["witness", "nodes_explored", "bounds"]),
+    (KneserColoringResult, ["spec", "graph", "coloring"]),
+    (BalancedColoringResult, ["coloring", "resample_log", "color_bound"]),
+    (TriangleCertificate, ["uncovered"]),
+    (BoundRecord, ["name", "source", "value", "basis"]),
+    (BoundReport, ["records", "graph_summary"]),
     (ExperimentReport, ["name", "parameters", "master_seed", "trials", "aggregates"]),
 ]
 
@@ -40,6 +70,14 @@ STORED = [
 @pytest.mark.parametrize("record,names", STORED, ids=[r.__name__ for r, _ in STORED])
 def test_records_store_only_independent_fields(record, names):
     assert [f.name for f in dataclasses.fields(record)] == names
+    assert record.__dataclass_params__.frozen
+
+
+def test_stored_covers_every_exported_record():
+    package = importlib.import_module("dynachrome")  # afresh, as in test_exports
+    exported = {name for name, obj in vars(package).items()
+                if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert exported == {record.__name__ for record, _ in STORED}
 
 
 GRAPHS = [Graph.from_edges(0, []), Graph.from_edges(3, []), complete(1), complete(4),
@@ -57,8 +95,68 @@ def test_solve_result_exhausted_is_value_none():
                dynamic_chromatic_number(cycle(5)), dynamic_chromatic_number(kneser(6, 2), 5)]
     assert [r.exhausted for r in results] == [False, True, False, True]
     for res in results:
-        assert res.exhausted == (res.value is None)
+        assert res.exhausted == (res.value is None) == (res.witness is None)
         assert res.to_json_dict()["exhausted"] == res.exhausted
+
+
+@pytest.mark.parametrize("solve, spec, seed, budget, want", BENCH_SOLVES)
+def test_solve_value_is_the_witness_palette(solve, spec, seed, budget, want):
+    res = solve(from_spec(spec, seed), budget)
+    assert res.value == want[0]
+    assert res.value == (None if res.witness is None else res.witness.palette_size)
+
+
+def _logs():
+    """Logs of the three samplers at caps None, 0 and 3, by sampler."""
+    g = random_regular(40, 9, seed=1)
+    c12, g4 = cycle(12), random_regular(20, 4, seed=1)
+    lists = ListAssignment.uniform(g4.n, range(4))
+    runs = {
+        "moser_tardos_2color": [lambda cap, h=h: moser_tardos_2color(h, 2, cap)
+                                for h in (fano_plane(), neighborhood_hypergraph(g))],
+        "find_balanced_subset": [lambda cap: find_balanced_subset(
+            c12, LllParams.for_degree(2, seed=3, max_resamples=cap, clamp_p=True))],
+        "select_sublists": [lambda cap: select_sublists(g4, lists, 2, 4, cap)],
+    }
+    return {name: [run(cap)[1] for run in fs for cap in (None, 0, 3)]
+            for name, fs in runs.items()}
+
+
+def test_resample_count_is_the_sum_of_triggers():
+    for name, logs in _logs().items():
+        assert {log.outcome for log in logs} == {"success", "exhausted"}, name
+        assert max(log.resample_count for log in logs) > 3, name
+        for log in logs:
+            assert log.resample_count == sum(log.triggers.values())
+            assert log.resample_count <= log.max_resamples
+            assert log.to_json_dict()["resample_count"] == log.resample_count
+
+
+def test_resample_log_is_frozen():
+    log = moser_tardos_2color(fano_plane(), seed=0, max_resamples=3)[1]
+    for name in ("outcome", "triggers", "final_state", "resample_count"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(log, name, None)
+
+
+@pytest.mark.parametrize("spec, seed", [("random_regular:40,16", 3),
+                                        ("random_regular:102,50", 6)])
+def test_balanced_subset_is_the_resampled_subset(spec, seed):
+    g = from_spec(spec, seed)
+    result = balanced_coloring(g, seed=seed, clamp_p=True)
+    params = LllParams.for_degree(g.regular_degree(), seed=seed, clamp_p=True)
+    subset, log = find_balanced_subset(g, params)
+    assert result.subset == subset
+    assert result.resample_log == log
+
+
+@pytest.mark.parametrize("m, n", [(7, 3), (9, 4), (11, 5)])
+def test_kneser_tail_subset_avoids_the_first_t_elements(m, n):
+    result = kneser_dynamic_coloring(KneserSpec(m, n))
+    head = set(range(1, result.spec.t + 1))
+    subsets = result.spec.vertex_subsets()
+    assert result.tail_subset == VertexSubset.of(
+        result.graph, (v for v, a in enumerate(subsets) if not a & head))
 
 
 def test_bound_record_applicable_is_value_not_none():
