@@ -354,8 +354,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise ValueError(f"--budget must be >= 0, got {args.budget}")
         return args.handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        # Covers malformed files, bad specs, and failed preconditions.
+    except (ValueError, OSError) as exc:
+        # Covers malformed files (json.JSONDecodeError is a ValueError), bad
+        # specs, and failed preconditions.
         print(f"invalid input: {exc}", file=sys.stderr)
         return _ExitCode.INVALID
     except (exact.SearchBudgetExceeded, constructions.ConstructionError,

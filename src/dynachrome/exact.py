@@ -192,40 +192,40 @@ def _search(
 
 
 def _min_palette(
-    g: Graph, order: list[int], upper: int, budget: Optional[int], groups: Sequence
+    g: Graph, order: list[int], held: Coloring, budget: Optional[int], groups: Sequence
 ) -> SolveResult:
-    """Try palettes 3, 4, ... until one admits a coloring; ``upper`` is the
-    upper bound reported if the budget runs out first."""
+    """Search palettes 3, 4, ... below that of ``held``, a coloring already
+    in hand, and return the first that admits a coloring, or ``held`` once
+    all are refuted.  A run out of budget at palette k reports the bounds
+    (k, ``held``'s palette).  A negative budget raises ValueError."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     nodes = 0
-    k = 3
-    while True:
+    for k in range(3, held.palette_size):
         try:
             found, nodes = _search(
                 order, [range(k)] * g.n, g.adjacency, groups, True, budget, nodes
             )
         except SearchBudgetExceeded as exc:
-            return SolveResult(None, exc.nodes_explored, (k, upper))
+            return SolveResult(None, exc.nodes_explored, (k, held.palette_size))
         if found is not None:
             return SolveResult(Coloring.total(found, k), nodes)
-        k += 1
+    return SolveResult(held, nodes)
 
 
 def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
     """Exact chromatic number with a witness coloring.
 
-    Palette sizes 1 and 2 are decided structurally (edge presence,
-    bipartiteness); from 3 upward each size is settled by exhaustive
-    backtracking, so the refuted size value - 1 certifies optimality.
+    The coloring held before any search is a bipartition's on a bipartite
+    graph (edgeless ones included) and DSATUR's otherwise; each palette
+    from 3 to below the held one is settled by exhaustive backtracking, so
+    the refuted size value - 1 certifies optimality.
     """
-    if g.n == 0:
-        res = SolveResult(Coloring((), 0), 0)
-    elif g.edge_count == 0:
-        res = SolveResult(Coloring((0,) * g.n, 1), 0)
-    elif (bip := bipartition(g)) is not None:
-        res = SolveResult(Coloring.total(bip, 2), 0)
-    else:
+    order: list[int] = []  # a bipartition's palette (<= 2) leaves no search
+    colors = bipartition(g)
+    if colors is None:
         order, colors = dsatur(g)
-        res = _min_palette(g, order, max(colors) + 1, budget, [])
+    res = _min_palette(g, order, Coloring.total(colors), budget, [])
     if res.witness is not None:
         certify(check_proper(g, res.witness), "chi witness")
     return res
@@ -237,10 +237,10 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
 
     When some vertex has degree >= 2 the value is at least 3: its two
     neighbors must differ from each other and from the vertex itself.
-    That refutes palettes 1 and 2 without search.  When the budget runs
-    out, the upper end of the bounds is the palette of the DSATUR coloring
-    if check_dynamic passes it, and n otherwise; the search never refutes
-    a palette that a dynamic coloring attains, so the bounds stay nonempty.
+    That refutes palettes 1 and 2 without search.  The coloring held before
+    any search is DSATUR's if check_dynamic passes it, and the all-distinct
+    one (always dynamic) otherwise; its palette is the upper end of the
+    bounds when the budget runs out.
     """
     if g.max_degree <= 1:
         # No vertex is constrained: proper coloring, where check_proper suffices.
@@ -248,8 +248,8 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
     groups = neighborhood_hypergraph(g).edges
     order, colors = dsatur(g)
     greedy = Coloring.total(colors)
-    upper = g.n if check_dynamic(g, greedy) else greedy.palette_size
-    res = _min_palette(g, order, upper, budget, groups)
+    held = Coloring.total(range(g.n)) if check_dynamic(g, greedy) else greedy
+    res = _min_palette(g, order, held, budget, groups)
     if res.witness is not None:
         certify(check_dynamic(g, res.witness), "chid witness")
     return res

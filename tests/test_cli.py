@@ -229,9 +229,26 @@ def test_negative_budget_exits_1(capsys, argv):
 def test_zero_budget_is_valid(capsys):
     code, out, _ = run(capsys, "solve", "chi", "--graph", "kneser:5,2", "--budget", "0",
                        "--format", "json")
-    assert code == 2 and json.loads(out)["exhausted"] is True
+    assert code == 0 and json.loads(out)["value"] == 3
+    code, out, _ = run(capsys, "solve", "chi", "--graph", "kneser:9,3", "--budget", "0",
+                       "--format", "json")
+    data = json.loads(out)
+    assert code == 2 and data["exhausted"] is True and data["bounds"] == [3, 7]
     code, _, _ = run(capsys, "construct", "compose", "--graph", "cycle:8", "--budget", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, value, nodes", [
+    (["chid", "--graph", "complete:3", "--budget", "0"], 3, 0),
+    (["chi", "--graph", "complete:4", "--budget", "3"], 4, 3),
+])
+def test_solve_decides_at_the_held_palette(capsys, argv, value, nodes):
+    # DSATUR's coloring is optimal here: once the palettes below it are
+    # refuted it is the answer, whatever budget is left.
+    code, out, _ = run(capsys, "solve", *argv, "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["value"], data["nodes_explored"], data["exhausted"]) == (value, nodes, False)
 
 
 def test_solve_reads_graph_file(tmp_path, capsys):
@@ -413,6 +430,14 @@ def test_verify_rejects_non_integer_colors(tmp_path, capsys, assignment):
     assert code == 1
     assert out == ""
     assert "invalid input" in err
+
+
+def test_verify_rejects_malformed_json(tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_text('{"assignment": [0, 1,')
+    code, out, err = run(capsys, "verify", "--graph", "cycle:5", "--coloring", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input:")
 
 
 def test_experiment_gnp_csv(capsys):

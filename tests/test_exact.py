@@ -98,14 +98,47 @@ def test_negative_budget_rejected_and_zero_budget_exhausts():
         lambda b: list_dynamic_coloring(g, lists, b),
         lambda b: hypergraph_2color_exact(h, b),
     ]
-    for search in searches:
+    # Edgeless and bipartite inputs search no palette, and K3 and K4 are
+    # decided at the palette of the coloring held: all refuse a negative
+    # budget the same.
+    held = [
+        lambda b, f=f, solve=solve: solve(f, b)
+        for f in (Graph.from_edges(0, []), Graph.from_edges(4, []),
+                  complete_bipartite(2, 3), complete(3), complete(4))
+        for solve in (chromatic_number, dynamic_chromatic_number)
+    ]
+    for search in searches + held:
         for budget in (-1, -3):
             with pytest.raises(ValueError, match="budget must be >= 0"):
                 search(budget)
-    assert chromatic_number(g, 0).exhausted and dynamic_chromatic_number(g, 0).exhausted
+    # DSATUR colors the Petersen graph with chi = 3 colors, so no palette
+    # is left to search; on KG(9,3) it uses 7, above chi = 5.
+    decided = chromatic_number(g, 0)
+    assert (decided.value, decided.nodes_explored) == (3, 0)
+    exhausted = chromatic_number(kneser(9, 3), 0)
+    assert exhausted.exhausted and exhausted.bounds == (3, 7)
+    assert dynamic_chromatic_number(g, 0).exhausted
     for search in searches[2:]:
         with pytest.raises(SearchBudgetExceeded):
             search(0)
+
+
+@pytest.mark.parametrize("solve", [chromatic_number, dynamic_chromatic_number])
+@pytest.mark.parametrize("spec", ["complete:3", "complete:4", "complete:5", "cycle:5",
+                                  "kneser:5,2"])
+def test_budget_sweep_bounds_stay_open(solve, spec):
+    # An exhausted solve holds a coloring on its upper bound's palette and
+    # searches only below it, so its bounds never meet; a decided solve
+    # returns the unbounded value.
+    g = from_spec(spec)
+    value = solve(g).value
+    for budget in range(401):
+        res = solve(g, budget)
+        if res.exhausted:
+            lo, hi = res.bounds
+            assert lo <= value <= hi and lo < hi, (budget, res.bounds)
+        else:
+            assert res.value == value, budget
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,21 @@ def test_chid_matches_naive(g):
     assert check_dynamic(g, res.witness) == []
 
 
+@given(graphs(), st.integers(0, 200))
+@example(complete(3), 0)
+@example(complete(4), 3)
+@example(cycle(5), 0)
+def test_budgeted_solves_match_naive_or_leave_open_bounds(g, budget):
+    for solve, oracle in ((chromatic_number, naive_chromatic),
+                          (dynamic_chromatic_number, naive_dynamic_chromatic)):
+        res, value = solve(g, budget), oracle(g)
+        if res.exhausted:
+            lo, hi = res.bounds
+            assert lo <= value <= hi and lo < hi
+        else:
+            assert res.value == value and res.nodes_explored <= budget
+
+
 @st.composite
 def connected_graphs(draw):
     """A random spanning tree (each vertex after 0 hangs from an earlier
