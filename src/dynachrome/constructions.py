@@ -15,12 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import (
-    SearchBudgetExceeded,
-    chromatic_number,
-    hypergraph_2color_exact,
-    is_k_critical,
-)
+from .exact import SearchBudgetExceeded, _check_budget, chromatic_number
+from .exact import hypergraph_2color_exact, is_k_critical
 from .graphs import (
     Graph,
     Hypergraph,
@@ -95,6 +91,12 @@ class ConstructionError(RuntimeError):
     example, the resampler exhausted its cap)."""
 
 
+def _require(violations: Sequence[Violation], message: str) -> None:
+    """Refuse an input whose check found ``violations``, like ``verify.certify``."""
+    if violations:
+        raise PreconditionError(message, violations)
+
+
 def _certify_dynamic(g: Graph, c: Coloring, what: str) -> Coloring:
     certify(check_dynamic(g, c), what)
     return c
@@ -102,12 +104,10 @@ def _certify_dynamic(g: Graph, c: Coloring, what: str) -> Coloring:
 
 def _check_sides(g: Graph, t: VertexSubset, inside: Coloring, outside: Coloring) -> None:
     """Require ``inside`` proper on G[T] and ``outside`` on G[V - T]."""
-    bad = check_proper(induced_subgraph(g, t)[0], inside)
-    if bad:
-        raise PreconditionError("inside coloring is not proper on G[T]", bad)
-    bad = check_proper(induced_subgraph(g, t.complement())[0], outside)
-    if bad:
-        raise PreconditionError("outside coloring is not proper on G[V - T]", bad)
+    _require(check_proper(induced_subgraph(g, t)[0], inside),
+             "inside coloring is not proper on G[T]")
+    _require(check_proper(induced_subgraph(g, t.complement())[0], outside),
+             "outside coloring is not proper on G[V - T]")
 
 
 def _glue(t: VertexSubset, inside: Coloring, outside: Coloring) -> Coloring:
@@ -145,9 +145,7 @@ def compose_disjoint_palettes(
     ``c_in`` and ``c_out`` are indexed by the induced subgraphs' vertex
     ids, i.e. ascending original-id order on T and on its complement.
     """
-    dom = check_domination(g, t, "double_total")
-    if dom:
-        raise PreconditionError("subset is not double total dominating", dom)
+    _require(check_domination(g, t, "double_total"), "subset is not double total dominating")
     _check_sides(g, t, c_in, c_out)
     return _certify_dynamic(g, _glue(t, c_in, c_out), "disjoint-palette composition")
 
@@ -161,14 +159,9 @@ def product_coloring(g: Graph, c: Coloring, f: Coloring) -> Coloring:
     which f is not constant, which forces two distinct neighbor colors.
     Vertices of degree < 2 carry no hyperedge and are exempt anyway.
     """
-    bad = check_proper(g, c)
-    if bad:
-        raise PreconditionError("base coloring is not proper", bad)
-    bad = check_hypergraph_2coloring(neighborhood_hypergraph(g), f)
-    if bad:
-        raise PreconditionError(
-            "f is not a valid 2-coloring of the neighborhood hypergraph", bad
-        )
+    _require(check_proper(g, c), "base coloring is not proper")
+    _require(check_hypergraph_2coloring(neighborhood_hypergraph(g), f),
+             "f is not a valid 2-coloring of the neighborhood hypergraph")
     return _certify_dynamic(g, _pair(c, f), "product coloring")
 
 
@@ -187,16 +180,10 @@ def partial_product_coloring(
     i.e. by T's members in ascending original-id order (same order as
     ``c_t``); ``c_out`` by the complement's members likewise.
     """
-    dom = check_domination(g, t, "total")
-    if dom:
-        raise PreconditionError("subset is not total dominating", dom)
+    _require(check_domination(g, t, "total"), "subset is not total dominating")
     _check_sides(g, t, c_t, c_out)
-    bad = check_hypergraph_2coloring(neighborhood_hypergraph(g, target=t), f)
-    if bad:
-        raise PreconditionError(
-            "f is not a valid 2-coloring of the T-restricted neighborhood hypergraph",
-            bad,
-        )
+    _require(check_hypergraph_2coloring(neighborhood_hypergraph(g, target=t), f),
+             "f is not a valid 2-coloring of the T-restricted neighborhood hypergraph")
     return _certify_dynamic(g, _glue(t, _pair(c_t, f), c_out), "partial product coloring")
 
 
@@ -218,8 +205,9 @@ def hypergraph_2coloring(
     exact search, bounded by ``budget`` nodes, take over.  None from there
     means that search certified that no such coloring exists;
     ConstructionError means resampling exhausted and the search ran over
-    budget.
+    budget.  A negative ``budget`` raises ValueError before any of this.
     """
+    _check_budget(budget)
     pairs = {e for e in h.edges if len(e) == 2}  # a set: from_edges refuses repeats
     if pairs and bipartition(Graph.from_edges(h.n, pairs)) is None:
         return None
@@ -247,8 +235,10 @@ def double_total_subset(
     exact search within ``budget`` nodes second; ConstructionError means
     both gave up.  A vertex of degree <= 1 makes the answer None at once
     (its neighborhood cannot meet both sides); the empty graph gives the
-    empty set.  A T is returned only once it passes ``check_domination``.
+    empty set, and a negative ``budget`` raises ValueError.  A T is returned
+    only once it passes ``check_domination``.
     """
+    _check_budget(budget)
     if g.n and g.min_degree <= 1:
         return None
     f = hypergraph_2coloring(neighborhood_hypergraph(g), budget, seed)
@@ -399,9 +389,7 @@ def balanced_subset_coloring(
     colors; the rest keep their chi_witness colors on a shifted palette.
     Every vertex then sees both palettes in its neighborhood.
     """
-    bad = check_proper(g, chi_witness)
-    if bad:
-        raise PreconditionError("chi witness is not a proper coloring", bad)
+    _require(check_proper(g, chi_witness), "chi witness is not a proper coloring")
     return _balanced_subset(g, params, chi_witness)
 
 
@@ -477,9 +465,7 @@ def triangle_certificate(g: Graph, c: Coloring) -> TriangleCertificate:
     implication is still re-verified by running the dynamic check on ``c``.
     """
     violations = check_dynamic(g, c)
-    improper = [v for v in violations if v.kind == "improper_edge"]
-    if improper:
-        raise PreconditionError("coloring is not proper", improper)
+    _require([v for v in violations if v.kind == "improper_edge"], "coloring is not proper")
     covered = vertices_in_triangles(g)
     uncovered = tuple(v for v in range(g.n) if v not in covered)
     if not uncovered and violations:
@@ -537,16 +523,18 @@ class BoundReport:
 
 
 def chi_witness(g: Graph, budget: Optional[int] = None) -> tuple[Coloring, str]:
-    """A proper coloring of ``g`` and how it was obtained.
+    """A proper coloring of ``g`` and how it was obtained, from at most one
+    DSATUR run.
 
-    Up to EXACT_LIMIT vertices an exact solve that decides within
-    ``budget`` gives a coloring on chi(g) colors ("exact"); otherwise the
-    DSATUR greedy coloring stands in ("greedy", an over-estimate of chi).
+    Up to EXACT_LIMIT vertices it is an exact solve's within ``budget``: on
+    chi(g) colors when the solve decides ("exact"), else the DSATUR coloring
+    the solve held ("greedy", an over-estimate of chi), as beyond
+    EXACT_LIMIT.  A negative ``budget`` raises ValueError.
     """
+    _check_budget(budget)
     if g.n <= EXACT_LIMIT:
         res = chromatic_number(g, budget)
-        if not res.exhausted:
-            return res.witness, "exact"
+        return res.coloring, "greedy" if res.exhausted else "exact"
     return Coloring.total(dsatur(g)[1]), "greedy"
 
 
@@ -577,8 +565,9 @@ def bound_report(
     :func:`chi_witness` (exact up to EXACT_LIMIT vertices within
     ``budget``, a greedy over-estimate otherwise, which keeps every formula
     a valid upper bound).  Criticality is computed only up to
-    CRITICALITY_LIMIT vertices.
+    CRITICALITY_LIMIT vertices.  A negative ``budget`` raises ValueError.
     """
+    _check_budget(budget)
     delta, dmin = g.max_degree, g.min_degree
     connected = is_connected(g)
     is_c5 = g.n == 5 and g.edge_count == 5 and g.regular_degree() == 2 and connected

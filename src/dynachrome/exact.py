@@ -47,27 +47,39 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of an exact solve: ``witness``, ``nodes_explored`` and
-    ``bounds`` are stored; ``value`` is the witness's palette size and
-    ``exhausted`` is ``witness is None``.
+    """Outcome of an exact solve: the best ``coloring`` in hand, the
+    smallest palette not refuted, ``lower``, and ``nodes_explored``.
 
-    ``value`` is the optimal invariant with ``witness`` attaining it, and
-    optimality is certified by the failed exhaustive search at value - 1.
-    When the budget ran out instead, there is no witness, ``value`` is None
-    and ``bounds`` gives the best-known (lower, upper) interval.
+    When ``lower`` meets the coloring's palette, the solve decided: the
+    coloring is the optimal ``witness``, certified by the failed search at
+    ``value`` - 1.  Otherwise the budget ran out: ``exhausted`` is true,
+    there is no witness, ``value`` is None and ``bounds`` is (``lower``,
+    palette of the held coloring the search could not beat).
     """
 
-    witness: Optional[Coloring]
+    coloring: Coloring
+    lower: int
     nodes_explored: int
-    bounds: Optional[tuple[int, int]] = None
 
-    @property
-    def value(self) -> Optional[int]:
-        return None if self.witness is None else self.witness.palette_size
+    def __post_init__(self):
+        if not 0 <= self.lower <= self.coloring.palette_size:
+            raise ValueError(f"lower {self.lower} outside 0..{self.coloring.palette_size}")
 
     @property
     def exhausted(self) -> bool:
-        return self.witness is None
+        return self.lower < self.coloring.palette_size
+
+    @property
+    def witness(self) -> Optional[Coloring]:
+        return None if self.exhausted else self.coloring
+
+    @property
+    def value(self) -> Optional[int]:
+        return None if self.exhausted else self.coloring.palette_size
+
+    @property
+    def bounds(self) -> Optional[tuple[int, int]]:
+        return (self.lower, self.coloring.palette_size) if self.exhausted else None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -76,9 +88,14 @@ class SolveResult:
             "nodes_explored": self.nodes_explored,
             "exhausted": self.exhausted,
         }
-        if self.exhausted and self.bounds is not None:
+        if self.exhausted:
             out["bounds"] = list(self.bounds)
         return out
+
+
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
 
 
 def _search(
@@ -120,8 +137,7 @@ def _search(
     position just past the color taken, where the search picks up again when
     it backtracks into that depth.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {budget}")
+    _check_budget(budget)
     color = [-1] * len(palettes)
     depth = len(order)
     at = [0] * len(palettes)  # at[v]: the depth at which v is colored
@@ -195,11 +211,11 @@ def _min_palette(
     g: Graph, order: list[int], held: Coloring, budget: Optional[int], groups: Sequence
 ) -> SolveResult:
     """Search palettes 3, 4, ... below that of ``held``, a coloring already
-    in hand, and return the first that admits a coloring, or ``held`` once
-    all are refuted.  A run out of budget at palette k reports the bounds
-    (k, ``held``'s palette).  A negative budget raises ValueError."""
-    if budget is not None and budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {budget}")
+    in hand.  The result holds the best coloring and the smallest palette
+    not refuted: (found, k) at the first k that admits one, (``held``, k)
+    when the budget runs out at k, and ``held`` at its own palette once all
+    are refuted.  A negative budget raises ValueError."""
+    _check_budget(budget)
     nodes = 0
     for k in range(3, held.palette_size):
         try:
@@ -207,10 +223,10 @@ def _min_palette(
                 order, [range(k)] * g.n, g.adjacency, groups, True, budget, nodes
             )
         except SearchBudgetExceeded as exc:
-            return SolveResult(None, exc.nodes_explored, (k, held.palette_size))
+            return SolveResult(held, k, exc.nodes_explored)
         if found is not None:
-            return SolveResult(Coloring.total(found, k), nodes)
-    return SolveResult(held, nodes)
+            return SolveResult(Coloring.total(found, k), k, nodes)
+    return SolveResult(held, held.palette_size, nodes)
 
 
 def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
@@ -239,8 +255,8 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
     neighbors must differ from each other and from the vertex itself.
     That refutes palettes 1 and 2 without search.  The coloring held before
     any search is DSATUR's if check_dynamic passes it, and the all-distinct
-    one (always dynamic) otherwise; its palette is the upper end of the
-    bounds when the budget runs out.
+    one (always dynamic) otherwise; an exhausted result returns it as its
+    ``coloring``, whose palette is the upper end of the bounds.
     """
     if g.max_degree <= 1:
         # No vertex is constrained: proper coloring, where check_proper suffices.
@@ -289,6 +305,7 @@ def hypergraph_2color_exact(
     breaking pins the first vertex to color 0: swapping the two colors is
     an automorphism of the constraint.
     """
+    _check_budget(budget)
     if h.edge_count == 0:
         return Coloring((0,) * h.n, 2)
     hdeg = h.vertex_degrees()

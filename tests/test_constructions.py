@@ -38,6 +38,7 @@ from dynachrome import (
     double_total_subset,
     dsatur,
     dynamic_chromatic_number,
+    exact,
     from_spec,
     gnp,
     induced_subgraph,
@@ -240,6 +241,47 @@ def test_chi_witness_exact_then_greedy():
         assert got == basis
         assert check_proper(g, c) == []
         assert (c.palette_size == chi) if basis == "exact" else (c.palette_size >= chi)
+
+
+def test_chi_witness_runs_dsatur_once(monkeypatch):
+    # The solve on kneser(7, 2) exhausts at palette 4 within 20 nodes and
+    # returns the DSATUR coloring it held, which chi_witness passes on.
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return dsatur(g)
+
+    monkeypatch.setattr(exact, "dsatur", counted)
+    monkeypatch.setattr(constructions, "dsatur", counted)
+    c, basis = chi_witness(kneser(7, 2), 20)
+    assert (calls, basis, c.palette_size) == ([21], "greedy", 5)
+
+
+_CUBIC40 = random_regular(40, 3, seed=0)  # above the 28-vertex exact limit
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda b: chi_witness(_CUBIC40, b), id="chi_witness"),
+    pytest.param(lambda b: hypergraph_2coloring(neighborhood_hypergraph(_CUBIC40), b),
+                 id="hypergraph_2coloring"),
+    pytest.param(lambda b: hypergraph_2color_exact(Hypergraph(5, ()), b),
+                 id="hypergraph_2color_exact-edgeless"),
+    pytest.param(lambda b: double_total_subset(_CUBIC40, b), id="double_total_subset"),
+    pytest.param(lambda b: bound_report(_CUBIC40, b), id="bound_report"),
+    pytest.param(lambda b: neighborhood_product_coloring(_CUBIC40, b),
+                 id="neighborhood_product_coloring"),
+    pytest.param(lambda b: kneser_dynamic_coloring(KneserSpec(7, 3), b),
+                 id="kneser_dynamic_coloring"),
+    pytest.param(lambda b: balanced_coloring(_CUBIC40, b, clamp_p=True),
+                 id="balanced_coloring"),
+    pytest.param(lambda b: double_total_coloring(_CUBIC40, b), id="double_total_coloring"),
+])
+def test_negative_budget_refused_on_every_path(call):
+    # Whichever route the input takes (greedy witness, converged resampling,
+    # no hyperedge), a negative budget is refused before it runs.
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        call(-1)
 
 
 def test_neighborhood_product_coloring_pairs_witness_with_f():

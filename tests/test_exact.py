@@ -39,6 +39,7 @@ from helpers import (
     naive_dynamic_chromatic,
     triangle_hypergraph,
 )
+from test_records import assert_solve_derives
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +88,14 @@ def test_chi_budget_exhaustion_reports_bounds():
     assert lo <= 4 <= hi
     data = res.to_json_dict()
     assert data["exhausted"] is True and "bounds" in data
+
+
+def test_exhausted_chi_returns_the_dsatur_coloring_it_holds():
+    # DSATUR colors KG(7,2) on chi = 5 colors, but 20 nodes cannot refute 4.
+    g = kneser(7, 2)
+    res = chromatic_number(g, 20)
+    assert res.coloring == Coloring.total(dsatur(g)[1])
+    assert res.bounds == (4, 5) and res.witness is None
 
 
 def test_negative_budget_rejected_and_zero_budget_exhausts():
@@ -139,6 +148,7 @@ def test_budget_sweep_bounds_stay_open(solve, spec):
             assert lo <= value <= hi and lo < hi, (budget, res.bounds)
         else:
             assert res.value == value, budget
+        assert_solve_derives(res)
 
 
 # ----------------------------------------------------------------------
@@ -193,9 +203,10 @@ def test_chid_known_upper_bounds():
         assert dynamic_chromatic_number(g).value <= 4
 
 
-# An exhausted chid search takes its upper end from DSATUR's coloring when
-# that coloring is dynamic (palettes 7 and 12 here), and from n when it is
-# not: DSATUR's coloring of random_regular(60,3) seed 4 fails check_dynamic.
+# An exhausted chid search holds DSATUR's coloring when that coloring is
+# dynamic (palettes 7 and 12 here), and the all-distinct one on n colors when
+# it is not: DSATUR's coloring of random_regular(60,3) seed 4 fails
+# check_dynamic.  The held coloring's palette is the upper end.
 @pytest.mark.parametrize("spec, seed, bounds", [
     ("kneser:11,4", 0, (3, 7)),
     ("random_regular:400,32", 0, (4, 12)),
@@ -208,6 +219,7 @@ def test_chid_exhausted_upper_end_is_a_certified_palette(spec, seed, bounds):
     greedy = Coloring.total(dsatur(g)[1])
     dynamic = not check_dynamic(g, greedy)
     assert res.bounds[1] == (greedy.palette_size if dynamic else g.n)
+    assert res.coloring == (greedy if dynamic else Coloring.total(range(g.n)))
 
 
 def test_chid_unconstrained_graphs():

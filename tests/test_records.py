@@ -57,7 +57,7 @@ STORED = [
     (LllParams, ["c_prime", "k", "clamp_p", "seed", "max_resamples"]),
     (ConditionCheck, ["margin", "threshold"]),
     (ResampleLog, ["outcome", "triggers", "final_state", "seed", "max_resamples", "params"]),
-    (SolveResult, ["witness", "nodes_explored", "bounds"]),
+    (SolveResult, ["coloring", "lower", "nodes_explored"]),
     (KneserColoringResult, ["spec", "graph", "coloring"]),
     (BalancedColoringResult, ["coloring", "resample_log", "color_bound"]),
     (TriangleCertificate, ["uncovered"]),
@@ -99,11 +99,31 @@ def test_solve_result_exhausted_is_value_none():
         assert res.to_json_dict()["exhausted"] == res.exhausted
 
 
+def assert_solve_derives(res):
+    """``exhausted``, ``value``, ``witness`` and ``bounds`` follow from the
+    stored ``coloring`` and ``lower``."""
+    palette = res.coloring.palette_size
+    exhausted = res.lower < palette
+    assert res.exhausted == exhausted
+    assert res.value == (None if exhausted else palette)
+    assert res.witness == (None if exhausted else res.coloring)
+    assert res.bounds == ((res.lower, palette) if exhausted else None)
+
+
 @pytest.mark.parametrize("solve, spec, seed, budget, want", BENCH_SOLVES)
 def test_solve_value_is_the_witness_palette(solve, spec, seed, budget, want):
     res = solve(from_spec(spec, seed), budget)
     assert res.value == want[0]
     assert res.value == (None if res.witness is None else res.witness.palette_size)
+    assert_solve_derives(res)
+
+
+def test_solve_result_refuses_lower_outside_its_palette():
+    c = Coloring.total([0, 1, 2])
+    assert SolveResult(c, 0, 0).exhausted and not SolveResult(c, 3, 0).exhausted
+    for lower in (4, -1):
+        with pytest.raises(ValueError, match="lower"):
+            SolveResult(c, lower, 0)
 
 
 def _logs():
