@@ -58,7 +58,7 @@ print(f"C6: {log.outcome} after {log.resample_count} resamples (double_total_sub
 # Balanced subsets of a 16-regular graph.  The bias p = c' ln(k)/k exceeds
 # 1 at k = 16, so the params must be clamped to run the experiment.
 g = random_regular(200, 16, seed=5)
-params = LllParams.for_degree(16, c_prime=7.0, seed=5, clamp_p=True)
+params = LllParams(16, c_prime=7.0, seed=5, clamp_p=True)
 print(f"\nk=16: raw p would be {7.0 * math.log(16) / 16:.2f}, "
       f"clamped to {params.p}; deviation window nonempty: {params.window_nonempty}")
 t, log = find_balanced_subset(g, params)

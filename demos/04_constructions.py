@@ -52,7 +52,7 @@ for m, n in [(7, 3), (8, 3), (9, 4)]:
 # Balanced-subset coloring: DSATUR on the low-degree inside part, the
 # original witness (shifted) outside.
 g = random_regular(200, 16, seed=11)
-params = LllParams.for_degree(16, c_prime=7.0, seed=11, clamp_p=True)
+params = LllParams(16, c_prime=7.0, seed=11, clamp_p=True)
 witness, _ = chi_witness(g)
 result = balanced_subset_coloring(g, params, witness)
 print(f"\n16-regular n=200: {result.coloring.palette_size} colors "

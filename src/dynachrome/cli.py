@@ -163,9 +163,9 @@ def _cmd_construct(args) -> int:
             "pass --clamp-p to run a clamped experiment"
         ) from None
     params = result.resample_log.params
-    if params["p_clamped"]:
+    if params.p_clamped:
         print(
-            f"note: membership probability c' ln(k)/k >= 1 at k={params['k']}; "
+            f"note: membership probability c' ln(k)/k >= 1 at k={params.k}; "
             "clamped to 0.5",
             file=sys.stderr,
         )

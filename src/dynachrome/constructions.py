@@ -424,18 +424,18 @@ def balanced_coloring(
     """Dynamic coloring of a k-regular graph on a :func:`chi_witness`
     within ``budget`` plus at most floor(2 c' ln k) + 1 colors.
 
-    :meth:`LllParams.for_degree` sets the subset sampler's bias c' ln(k)/k
-    and ``seed``; with ``clamp_p`` a bias of 1 or more is clamped to 1/2,
-    which ``resample_log.params["p_clamped"]`` records.  Then the subset
-    is found and glued as in :func:`balanced_subset_coloring`, without
+    :class:`LllParams` sets the subset sampler's bias c' ln(k)/k and
+    ``seed``; with ``clamp_p`` a bias of 1 or more is clamped to 1/2,
+    which ``resample_log.params.p_clamped`` records.  Then the subset is
+    found and glued as in :func:`balanced_subset_coloring`, without
     re-checking the witness it just made.  A graph that is not regular,
-    and parameters that ``for_degree`` rejects, raise ValueError; an
+    and parameters that ``LllParams`` rejects, raise ValueError; an
     unclamped bias of 1 or more raises DegenerateParamsError.
     """
     k = g.regular_degree()
     if k is None:
         raise ValueError("balanced construction needs a regular graph")
-    params = LllParams.for_degree(k, c_prime=c_prime, seed=seed, clamp_p=clamp_p)
+    params = LllParams(k, c_prime=c_prime, seed=seed, clamp_p=clamp_p)
     witness, _ = chi_witness(g, budget)
     return _balanced_subset(g, params, witness)
 

@@ -152,17 +152,16 @@ def conjecture_scan(
         if max_n < 4:
             raise ValueError("cubic graphs need n >= 4")
         orders = range(4, max_n + 1, 2)
-        seen: set[tuple[tuple[int, int], ...]] = set()
+        seen: set[Graph] = set()
         for i in range(trials):
             trial_seed = derive_seed(seed, i)
             order_n = orders[i % len(orders)]
             g = _sample_cubic_connected(order_n, trial_seed)
             if g is None:
                 continue
-            key = tuple(g.edges())
-            if key in seen:
+            if g in seen:
                 continue
-            seen.add(key)
+            seen.add(g)
             instances.append((trial_seed, g))
     else:
         if n is None:

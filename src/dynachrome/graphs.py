@@ -97,10 +97,6 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def neighbor_sets(self) -> list[set[int]]:
-        """Fresh mutable neighbor sets, handy for intersection-heavy loops."""
-        return [set(a) for a in self.adjacency]
-
     def regular_degree(self) -> Optional[int]:
         """The common degree if the graph is regular, else None."""
         if self.n == 0:
@@ -239,16 +235,17 @@ def kneser(m: int, n: int) -> Graph:
     """Graph on the n-subsets of {1..m}; vertices adjacent iff disjoint.
 
     Each subset's partners are the n-subsets of its complement, looked up
-    by their ascending tuple, so the work is one lookup per edge end.
+    by their ascending tuple, so the work is one lookup per edge end.  They
+    come in lexicographic order, as the ids do, so each adjacency tuple is
+    already sorted.
     """
     KneserSpec(m, n)  # checks m >= 2n >= 2
     ground = range(1, m + 1)
     index = {a: i for i, a in enumerate(itertools.combinations(ground, n))}
-    edges = []
-    for a, i in index.items():
-        rest = [x for x in ground if x not in a]
-        edges.extend((i, j) for b in itertools.combinations(rest, n) if (j := index[b]) > i)
-    return Graph.from_edges(len(index), edges)
+    return Graph(tuple(
+        tuple(index[b] for b in itertools.combinations([x for x in ground if x not in a], n))
+        for a in index
+    ))
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -429,7 +426,7 @@ def neighborhood_hypergraph(
 def vertices_in_triangles(g: Graph) -> VertexSubset:
     """The set of vertices that lie in at least one triangle."""
     marked: set[int] = set()
-    adj = g.neighbor_sets()
+    adj = [set(a) for a in g.adjacency]
     for u, v in g.edges():
         common = adj[u] & adj[v]
         if common:

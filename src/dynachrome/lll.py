@@ -106,22 +106,22 @@ def lll_condition_list(k: int, l: int, m: int) -> ConditionCheck:
 class LllParams:
     """Parameters of the biased-subset sampler on a k-regular graph.
 
-    Stored are c', k, the ``clamp_p`` request, the seed and the resample
-    cap; ``p``, ``p_clamped``, ``lam`` and ``window_nonempty`` derive from
-    them.  ``p`` is the membership probability c' * ln(k) / k; at small k
-    this exceeds 1 and the sampler refuses to run unless ``clamp_p`` caps
-    it at 0.5, which sets ``p_clamped``.  ``lam`` is the smallest deviation
+    Stored are k, c', the seed, the resample cap and the ``clamp_p``
+    request; ``p``, ``p_clamped``, ``lam`` and ``window_nonempty`` derive
+    from them.  ``p`` is the membership probability c' * ln(k) / k; at
+    small k this exceeds 1 and the sampler refuses to run unless
+    ``clamp_p`` caps it at 0.5, which sets ``p_clamped`` (a bool).  ``lam`` is the smallest deviation
     bound lambda with 3 c' ln(k) (1 + ln 2 + ln(k^2+1)) <= lambda^2, and
     ``window_nonempty`` says whether some such lambda also satisfies
     lambda < c' ln(k); the concentration guarantee only kicks in for k
     large enough that it does.
     """
 
-    c_prime: float
     k: int
-    clamp_p: bool = False
+    c_prime: float = 7.0
     seed: int = 0
     max_resamples: Optional[int] = None
+    clamp_p: bool = False
 
     def __post_init__(self) -> None:
         c_prime, k = self.c_prime, self.k
@@ -136,20 +136,9 @@ class LllParams:
         if not math.isfinite((c_prime * lnk) * (c_prime * lnk)):
             raise ValueError(f"c_prime must keep (c' ln k)^2 finite, got {c_prime} at k={k}")
 
-    @classmethod
-    def for_degree(
-        cls,
-        k: int,
-        c_prime: float = 7.0,
-        seed: int = 0,
-        max_resamples: Optional[int] = None,
-        clamp_p: bool = False,
-    ) -> "LllParams":
-        return cls(c_prime, k, bool(clamp_p), seed, max_resamples)
-
     @property
     def p_clamped(self) -> bool:
-        return self.clamp_p and self.c_prime * math.log(self.k) / self.k >= 1.0
+        return bool(self.clamp_p) and self.c_prime * math.log(self.k) / self.k >= 1.0
 
     @property
     def p(self) -> float:
@@ -187,9 +176,11 @@ class ResampleLog:
 
     ``triggers`` counts how often each event index was resampled, so
     ``resample_count`` is their sum, and ``final_state`` is the raw state
-    at exit (also on exhaustion, for debugging).  A "success" outcome is
-    only reported after the final state violates no event; callers
-    re-verify through the checkers.
+    at exit (also on exhaustion, for debugging).  ``params`` is the
+    :class:`LllParams` of a balanced-subset run, else None; the JSON form
+    writes it out with its derived values.  A "success" outcome is only
+    reported after the final state violates no event; callers re-verify
+    through the checkers.
     """
 
     outcome: str
@@ -197,7 +188,7 @@ class ResampleLog:
     final_state: object
     seed: int
     max_resamples: int
-    params: Optional[dict] = None
+    params: Optional[LllParams] = None
 
     @property
     def resample_count(self) -> int:
@@ -214,7 +205,7 @@ class ResampleLog:
             "triggers": {str(k): v for k, v in sorted(self.triggers.items())},
             "seed": self.seed,
             "max_resamples": self.max_resamples,
-            "params": self.params,
+            "params": None if self.params is None else self.params.to_json_dict(),
         }
 
 
@@ -230,7 +221,7 @@ def _resample(
     event_vars: Sequence[Sequence[int]], var_events: Sequence[Sequence[int]],
     draw: Callable[[int], object], violated: Callable[[list, int], bool],
     max_resamples: Optional[int], seed: int, snapshot: Callable[[list], object],
-    params: Optional[dict] = None,
+    params: Optional[LllParams] = None,
 ) -> ResampleLog:
     """Draw ``state[v] = draw(v)`` for every variable, then resample until
     ``violated(state, i)`` holds for no event i or the cap is spent.
@@ -335,7 +326,7 @@ def find_balanced_subset(
         return d == 0 or d >= upper or d == k
 
     log = _resample(g.adjacency, g.adjacency, lambda v: rng.random() < p, unbalanced,
-                    params.max_resamples, params.seed, _members, params.to_json_dict())
+                    params.max_resamples, params.seed, _members, params)
     return (VertexSubset(frozenset(log.final_state), g.n) if log.success else None), log
 
 

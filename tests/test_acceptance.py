@@ -204,7 +204,7 @@ def test_criterion_07_balanced_subset_pipeline():
     failures = []
     for seed in range(20):
         g = random_regular(200, k, seed=2000 + seed)
-        params = LllParams.for_degree(k, c_prime=7.0, seed=seed, clamp_p=True)
+        params = LllParams(k, c_prime=7.0, seed=seed, clamp_p=True)
         assert params.p_clamped
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         witness = first_fit_coloring(g, order)

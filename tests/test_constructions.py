@@ -485,7 +485,7 @@ def test_kneser_out_of_regime():
 
 def test_balanced_coloring_16_regular():
     g = random_regular(200, 16, seed=5)
-    params = LllParams.for_degree(16, c_prime=7.0, seed=5, clamp_p=True)
+    params = LllParams(16, c_prime=7.0, seed=5, clamp_p=True)
     assert params.p_clamped
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     witness = first_fit_coloring(g, order)
@@ -500,7 +500,7 @@ def test_balanced_coloring_16_regular():
 
 def test_balanced_coloring_complete_bipartite():
     g = complete_bipartite(16, 16)
-    params = LllParams.for_degree(16, c_prime=7.0, seed=2, clamp_p=True)
+    params = LllParams(16, c_prime=7.0, seed=2, clamp_p=True)
     assert params.p_clamped
     witness = Coloring.total([0] * 16 + [1] * 16, 2)
     result = balanced_subset_coloring(g, params, witness)
@@ -526,8 +526,7 @@ def test_balanced_coloring_is_the_hand_assembly(spec, clamp_p, seed):
     g = from_spec(spec, seed)
 
     def by_hand():
-        params = LllParams.for_degree(g.regular_degree(), c_prime=7.0, seed=seed,
-                                      clamp_p=clamp_p)
+        params = LllParams(g.regular_degree(), c_prime=7.0, seed=seed, clamp_p=clamp_p)
         witness, _ = chi_witness(g, None)
         return balanced_subset_coloring(g, params, witness)
 
@@ -537,7 +536,7 @@ def test_balanced_coloring_is_the_hand_assembly(spec, clamp_p, seed):
         assert expected[0] is DegenerateParamsError
     else:
         assert check_dynamic(g, expected.coloring) == []
-        assert expected.resample_log.params["p_clamped"] == clamp_p
+        assert expected.resample_log.params.p_clamped == clamp_p
 
 
 def test_balanced_coloring_requires_a_regular_graph():
@@ -547,7 +546,7 @@ def test_balanced_coloring_requires_a_regular_graph():
 
 def test_balanced_coloring_degenerate_params_propagate():
     g = random_regular(12, 3, seed=1)
-    params = LllParams.for_degree(3, c_prime=7.0)
+    params = LllParams(3, c_prime=7.0)
     witness, _ = chi_witness(g)
     with pytest.raises(DegenerateParamsError):
         balanced_subset_coloring(g, params, witness)
@@ -555,7 +554,7 @@ def test_balanced_coloring_degenerate_params_propagate():
 
 def test_balanced_coloring_rejects_improper_witness():
     g = random_regular(20, 4, seed=1)
-    params = LllParams.for_degree(4, c_prime=7.0, clamp_p=True)
+    params = LllParams(4, c_prime=7.0, clamp_p=True)
     assert params.p_clamped
     with pytest.raises(PreconditionError):
         balanced_subset_coloring(g, params, Coloring((0,) * 20, 1))

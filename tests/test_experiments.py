@@ -1,5 +1,8 @@
 """Experiment harnesses: reproducibility and recomputable aggregates."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from dynachrome import (
@@ -68,6 +71,14 @@ def test_conjecture_scan_cubic():
         if not record["exhausted"]:
             assert record["gap"] == record["chi_d"] - record["chi"]
             assert 0 <= record["gap"] <= 2
+
+
+def test_conjecture_scan_cubic_report_is_pinned():
+    # 3 of the 20 sampled graphs repeat an earlier one and are skipped.
+    report = conjecture_scan("all_cubic_connected", seed=3, max_n=12, trials=20)
+    assert report.aggregates["instances"] == 17
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == (Path(__file__).parent / "data" / "conjecture_scan_cubic.json").read_text()
 
 
 def test_conjecture_scan_c5_gap_two():

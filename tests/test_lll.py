@@ -97,41 +97,43 @@ def test_list_condition_validation():
 
 
 def test_params_degenerate_at_small_k():
-    params = LllParams.for_degree(3, c_prime=7.0)
+    params = LllParams(3, c_prime=7.0)
     assert params.p == pytest.approx(7 * math.log(3) / 3)
     assert params.p > 1 and not params.p_clamped
 
 
 def test_params_clamping_recorded():
-    params = LllParams.for_degree(16, c_prime=7.0, clamp_p=True)
+    params = LllParams(16, c_prime=7.0, clamp_p=True)
     assert params.p == 0.5 and params.p_clamped
 
 
 def test_params_window_flag():
     # The deviation window only opens at large degree (around k ~ 190 for c' = 7).
-    small = LllParams.for_degree(16, c_prime=7.0, clamp_p=True)
+    small = LllParams(16, c_prime=7.0, clamp_p=True)
     assert small.p_clamped and not small.window_nonempty
-    assert LllParams.for_degree(200, c_prime=7.0).window_nonempty
+    assert LllParams(200, c_prime=7.0).window_nonempty
 
 
 def test_params_validation():
-    # The checks hold however the params are built: the factory, the
-    # constructor, or dataclasses.replace on valid params.
-    valid = LllParams.for_degree(16, clamp_p=True)
+    # The checks hold however the params are built: the constructor, with
+    # positional or keyword arguments, or dataclasses.replace on valid params.
+    valid = LllParams(16, clamp_p=True)
     with pytest.raises(ValueError, match="exceed 6"):
-        LllParams.for_degree(16, c_prime=6.0)
+        LllParams(16, 6.0)
     with pytest.raises(ValueError, match="exceed 6"):
-        LllParams(6.0, 16)
+        LllParams(k=16, c_prime=6.0)
     with pytest.raises(ValueError, match="exceed 6"):
         dataclasses.replace(valid, c_prime=3.0)
     with pytest.raises(ValueError, match="k >= 2"):
-        LllParams.for_degree(1)
+        LllParams(1)
     with pytest.raises(ValueError, match="k >= 2"):
-        LllParams(7.0, 1)
+        LllParams(1, 7.0)
     with pytest.raises(ValueError, match="k >= 2"):
         dataclasses.replace(valid, k=1)
     with pytest.raises(ValueError, match="max_resamples"):
-        LllParams(7.0, 16, max_resamples=-1)
+        LllParams(16, 7.0, max_resamples=-1)
+    with pytest.raises(ValueError, match="max_resamples"):
+        LllParams(16, 7.0, 0, -1)
     with pytest.raises(ValueError, match="max_resamples"):
         dataclasses.replace(valid, max_resamples=-1)
 
@@ -140,11 +142,11 @@ def test_params_validation():
                                        (16, 1e154), (2, 1e155)])
 def test_params_reject_non_finite_c_prime(k, c_prime):
     with pytest.raises(ValueError, match="finite"):
-        LllParams.for_degree(k, c_prime=c_prime, clamp_p=True)
+        LllParams(k, c_prime=c_prime, clamp_p=True)
     with pytest.raises(ValueError, match="finite"):
-        LllParams(c_prime, k, clamp_p=True)
+        LllParams(k, c_prime, clamp_p=True)
     with pytest.raises(ValueError, match="finite"):
-        dataclasses.replace(LllParams.for_degree(k, clamp_p=True), c_prime=c_prime)
+        dataclasses.replace(LllParams(k, clamp_p=True), c_prime=c_prime)
 
 
 @pytest.mark.parametrize("cap", [-1, -7])
@@ -160,8 +162,8 @@ def test_negative_resample_cap_rejected(cap):
     with pytest.raises(ValueError):
         select_sublists(cycle(4), ListAssignment.uniform(4, range(4)), 1, max_resamples=cap)
     with pytest.raises(ValueError):
-        LllParams.for_degree(16, clamp_p=True, max_resamples=cap)
-    params = LllParams.for_degree(16, clamp_p=True)
+        LllParams(16, clamp_p=True, max_resamples=cap)
+    params = LllParams(16, clamp_p=True)
     assert params.p_clamped
     with pytest.raises(ValueError):
         find_balanced_subset(random_regular(40, 16, seed=0),
@@ -269,12 +271,12 @@ def test_dtd_deterministic():
 def test_balanced_degenerate_p_reported():
     g = random_regular(12, 3, seed=0)
     with pytest.raises(DegenerateParamsError):
-        find_balanced_subset(g, LllParams.for_degree(3, c_prime=7.0))
+        find_balanced_subset(g, LllParams(3, c_prime=7.0))
 
 
 def test_balanced_16_regular():
     g = random_regular(200, 16, seed=7)
-    params = LllParams.for_degree(16, c_prime=7.0, seed=7, clamp_p=True)
+    params = LllParams(16, c_prime=7.0, seed=7, clamp_p=True)
     assert params.p_clamped
     t, log = find_balanced_subset(g, params)
     assert log.success
@@ -283,12 +285,13 @@ def test_balanced_16_regular():
         inside = deg_into(g, t, v)
         assert 0 < inside < upper
         assert inside < g.degree(v)  # at least one neighbor outside
-    assert log.params["lambda"] == pytest.approx(params.lam)
+    assert log.params == params
+    assert log.to_json_dict()["params"] == params.to_json_dict()
 
 
 def test_balanced_complete_bipartite():
     g = complete_bipartite(16, 16)
-    params = LllParams.for_degree(16, c_prime=7.0, seed=1, clamp_p=True)
+    params = LllParams(16, c_prime=7.0, seed=1, clamp_p=True)
     assert params.p_clamped
     t, log = find_balanced_subset(g, params)
     assert log.success
@@ -298,7 +301,7 @@ def test_balanced_complete_bipartite():
 
 def test_balanced_requires_regular():
     irregular = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    params = LllParams.for_degree(16, clamp_p=True)
+    params = LllParams(16, clamp_p=True)
     assert params.p_clamped
     with pytest.raises(ValueError):
         find_balanced_subset(irregular, params)
@@ -306,7 +309,7 @@ def test_balanced_requires_regular():
     with pytest.raises(ValueError):
         find_balanced_subset(g, params)  # params built for k=16, graph has k=4
     with pytest.raises(ValueError, match="need regular degree k >= 2"):
-        find_balanced_subset(complete(2), LllParams.for_degree(2, clamp_p=True))
+        find_balanced_subset(complete(2), LllParams(2, clamp_p=True))
 
 
 # ----------------------------------------------------------------------

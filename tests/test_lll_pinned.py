@@ -86,7 +86,7 @@ def run_case(case: dict) -> dict:
         out = None if f is None else VertexSubset.of(g, final_state)
     elif routine == "find_balanced_subset":
         g = from_spec(case["input"], seed=0)
-        params = LllParams.for_degree(
+        params = LllParams(
             g.regular_degree(), seed=seed, max_resamples=cap, clamp_p=case["clamp"]
         )
         out, log = find_balanced_subset(g, params)

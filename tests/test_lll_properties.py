@@ -75,7 +75,7 @@ def test_moser_tardos_2color_matches_oracle(h, seed, cap):
 @given(regular_graphs(min_k=2), st.sampled_from([6.5, 7.0, 10.0]), seeds, caps)
 def test_find_balanced_subset_matches_oracle(g, c_prime, seed, cap):
     k = len(g.adjacency[0])
-    params = LllParams.for_degree(k, c_prime, seed, cap, clamp_p=True)
+    params = LllParams(k, c_prime, seed, cap, clamp_p=True)
     upper = 2 * c_prime * math.log(k)
     rng = random.Random(seed)
     in_t = [rng.random() < params.p for _ in range(g.n)]
@@ -90,7 +90,7 @@ def test_find_balanced_subset_matches_oracle(g, c_prime, seed, cap):
     oracle = naive_resample(g.adjacency, violated, redraw, cap)
     t, log = find_balanced_subset(g, params)
     members = [v for v in range(g.n) if in_t[v]]
-    assert_log_matches(log, oracle, seed, members, params.to_json_dict())
+    assert_log_matches(log, oracle, seed, members, params)
     if oracle[0] == "success":
         assert sorted(t.members) == members and t.n == g.n
     else:

@@ -54,7 +54,7 @@ STORED = [
     (Coloring, ["colors", "palette_size"]),
     (ListAssignment, ["lists"]),
     (Violation, ["kind", "witness"]),
-    (LllParams, ["c_prime", "k", "clamp_p", "seed", "max_resamples"]),
+    (LllParams, ["k", "c_prime", "seed", "max_resamples", "clamp_p"]),
     (ConditionCheck, ["margin", "threshold"]),
     (ResampleLog, ["outcome", "triggers", "final_state", "seed", "max_resamples", "params"]),
     (SolveResult, ["coloring", "lower", "nodes_explored"]),
@@ -135,7 +135,7 @@ def _logs():
         "moser_tardos_2color": [lambda cap, h=h: moser_tardos_2color(h, 2, cap)
                                 for h in (fano_plane(), neighborhood_hypergraph(g))],
         "find_balanced_subset": [lambda cap: find_balanced_subset(
-            c12, LllParams.for_degree(2, seed=3, max_resamples=cap, clamp_p=True))],
+            c12, LllParams(2, seed=3, max_resamples=cap, clamp_p=True))],
         "select_sublists": [lambda cap: select_sublists(g4, lists, 2, 4, cap)],
     }
     return {name: [run(cap)[1] for run in fs for cap in (None, 0, 3)]
@@ -152,6 +152,16 @@ def test_resample_count_is_the_sum_of_triggers():
             assert log.to_json_dict()["resample_count"] == log.resample_count
 
 
+def test_resample_log_keeps_its_params_record():
+    for name, logs in _logs().items():
+        for log in logs:
+            if name == "find_balanced_subset":
+                assert isinstance(log.params, LllParams)
+                assert log.to_json_dict()["params"] == log.params.to_json_dict()
+            else:
+                assert log.params is None and log.to_json_dict()["params"] is None
+
+
 def test_resample_log_is_frozen():
     log = moser_tardos_2color(fano_plane(), seed=0, max_resamples=3)[1]
     for name in ("outcome", "triggers", "final_state", "resample_count"):
@@ -164,7 +174,7 @@ def test_resample_log_is_frozen():
 def test_balanced_subset_is_the_resampled_subset(spec, seed):
     g = from_spec(spec, seed)
     result = balanced_coloring(g, seed=seed, clamp_p=True)
-    params = LllParams.for_degree(g.regular_degree(), seed=seed, clamp_p=True)
+    params = LllParams(g.regular_degree(), seed=seed, clamp_p=True)
     subset, log = find_balanced_subset(g, params)
     assert result.subset == subset
     assert result.resample_log == log
@@ -186,11 +196,14 @@ def test_bound_record_applicable_is_value_not_none():
 
 
 @pytest.mark.parametrize("k,c_prime,clamp_p", [(3, 7.0, False), (3, 7.0, True), (16, 7.0, True),
-                                               (16, 9.5, False), (200, 7.0, False)])
+                                               (16, 9.5, False), (200, 7.0, False),
+                                               (2, 7.0, 0), (2, 7.0, 1), (200, 7.0, 1)])
 def test_lll_params_derive_from_c_prime_and_k(k, c_prime, clamp_p):
-    params = LllParams.for_degree(k, c_prime=c_prime, clamp_p=clamp_p)
+    params = LllParams(k=k, c_prime=c_prime, clamp_p=clamp_p)
     raw = c_prime * math.log(k) / k
-    assert params.p_clamped == (clamp_p and raw >= 1.0)
+    # p_clamped is a bool whatever the type of clamp_p, in JSON too.
+    assert params.p_clamped is (bool(clamp_p) and raw >= 1.0)
+    assert params.to_json_dict()["p_clamped"] is params.p_clamped
     assert params.p == (0.5 if params.p_clamped else raw)
     lam_sq = 3 * c_prime * math.log(k) * (1 + math.log(2) + math.log(k * k + 1))
     assert params.lam == math.sqrt(lam_sq)
