@@ -1,9 +1,10 @@
 """Command-line surface: gen, solve, bounds, construct, verify, experiment.
 
-Exit codes: 0 success, 1 invalid input or unsatisfiable request, 2 budget
-or resample cap exhausted, 3 an answer failed its own certification (a bug
-in this package, please report it).  The library functions certify what
-they return, so this module checks nothing itself except in ``verify``.
+Exit codes: 0 success, 1 invalid input or unsatisfiable request, 2 budget,
+resample cap or restart limit exhausted (``SearchBudgetExceeded``), 3 an
+answer failed its own certification (a bug in this package, please report
+it).  The library functions certify what they return, so this module
+checks nothing itself except in ``verify``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import constructions, exact, experiments, formats
-from .graphs import Graph, GeneratorGaveUp, KneserSpec, from_spec
+from .graphs import Graph, KneserSpec, SearchBudgetExceeded, from_spec
 from .lll import DegenerateParamsError
 from .verify import CertificationError, check_dynamic, check_proper, violations_to_json
 
@@ -359,8 +360,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # specs, and failed preconditions.
         print(f"invalid input: {exc}", file=sys.stderr)
         return _ExitCode.INVALID
-    except (exact.SearchBudgetExceeded, constructions.ConstructionError,
-            GeneratorGaveUp) as exc:
+    except SearchBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return _ExitCode.EXHAUSTED
     except CertificationError as exc:

@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import SearchBudgetExceeded, _check_budget, chromatic_number
-from .exact import hypergraph_2color_exact, is_k_critical
+from .exact import _check_budget, chromatic_number, hypergraph_2color_exact, is_k_critical
 from .graphs import (
     Graph,
     Hypergraph,
     KneserSpec,
+    SearchBudgetExceeded,
     VertexSubset,
     bipartition,
     dsatur,
@@ -49,7 +49,6 @@ from .verify import (
 
 __all__ = [
     "PreconditionError",
-    "ConstructionError",
     "compose_disjoint_palettes",
     "product_coloring",
     "partial_product_coloring",
@@ -84,11 +83,6 @@ class PreconditionError(ValueError):
         if self.violations:
             message = f"{message}: {self.violations}"
         super().__init__(message)
-
-
-class ConstructionError(RuntimeError):
-    """The pipeline could not produce its intermediate structure (for
-    example, the resampler exhausted its cap)."""
 
 
 def _require(violations: Sequence[Violation], message: str) -> None:
@@ -204,8 +198,9 @@ def hypergraph_2coloring(
     returned whenever it converges.  Only when it exhausts its cap does an
     exact search, bounded by ``budget`` nodes, take over.  None from there
     means that search certified that no such coloring exists;
-    ConstructionError means resampling exhausted and the search ran over
-    budget.  A negative ``budget`` raises ValueError before any of this.
+    SearchBudgetExceeded, carrying the search's ``nodes_explored``, means
+    resampling exhausted and the search ran over budget.  A negative
+    ``budget`` raises ValueError before any of this.
     """
     _check_budget(budget)
     pairs = {e for e in h.edges if len(e) == 2}  # a set: from_edges refuses repeats
@@ -217,10 +212,10 @@ def hypergraph_2coloring(
     try:
         return hypergraph_2color_exact(h, budget)
     except SearchBudgetExceeded as exc:
-        raise ConstructionError(
+        raise SearchBudgetExceeded(
             f"hypergraph 2-coloring: resampling exhausted after "
             f"{log.resample_count} resamples and exact search over budget "
-            f"after {exc.nodes_explored} nodes"
+            f"after {exc.nodes_explored} nodes", exc.nodes_explored
         ) from exc
 
 
@@ -232,8 +227,8 @@ def double_total_subset(
 
     T holds the vertices colored 1 by :func:`hypergraph_2coloring` of the
     neighborhood hypergraph, so resampling from ``seed`` runs first and an
-    exact search within ``budget`` nodes second; ConstructionError means
-    both gave up.  A vertex of degree <= 1 makes the answer None at once
+    exact search within ``budget`` nodes second; SearchBudgetExceeded
+    means both gave up.  A vertex of degree <= 1 makes the answer None at once
     (its neighborhood cannot meet both sides); the empty graph gives the
     empty set, and a negative ``budget`` raises ValueError.  A T is returned
     only once it passes ``check_domination``.
@@ -332,7 +327,7 @@ def neighborhood_product_coloring(
     but without its precondition checks, with a 2-coloring of the
     neighborhood hypergraph from :func:`hypergraph_2coloring`; only the
     pair coloring is certified.  PreconditionError means that hypergraph
-    is certified not 2-colorable; ConstructionError means its search and
+    is certified not 2-colorable; SearchBudgetExceeded means its search and
     resampling both gave up.
     """
     c, _ = chi_witness(g, budget)
@@ -351,7 +346,7 @@ def double_total_coloring(
     :func:`chi_witness` colorings of both sides are glued on disjoint
     palettes and certified dynamic.  A certified absence of T, a vertex of
     degree <= 1 included, raises PreconditionError, and resampling
-    exhausted with the exact search over budget ConstructionError.
+    exhausted with the exact search over budget SearchBudgetExceeded.
     """
     subset = double_total_subset(g, budget, seed)
     if subset is None:
@@ -387,7 +382,8 @@ def balanced_subset_coloring(
     inside-degree below 2 c' ln k) bounds the degree of G[T], so DSATUR,
     a greedy coloring, colors it with at most floor(2 c' ln k) + 1 fresh
     colors; the rest keep their chi_witness colors on a shifted palette.
-    Every vertex then sees both palettes in its neighborhood.
+    Every vertex then sees both palettes in its neighborhood.  Resampling
+    that exhausts its cap raises SearchBudgetExceeded.
     """
     _require(check_proper(g, chi_witness), "chi witness is not a proper coloring")
     return _balanced_subset(g, params, chi_witness)
@@ -397,7 +393,7 @@ def _balanced_subset(g: Graph, params: LllParams, witness: Coloring) -> Balanced
     """:func:`balanced_subset_coloring` on a ``witness`` already known proper."""
     subset, log = find_balanced_subset(g, params)
     if subset is None:
-        raise ConstructionError(
+        raise SearchBudgetExceeded(
             f"balanced subset unavailable: resampling exhausted after "
             f"{log.resample_count} resamples (seed {log.seed})"
         )

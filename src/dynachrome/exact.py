@@ -22,27 +22,18 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Collection, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, bipartition, dsatur
+from .graphs import Graph, Hypergraph, SearchBudgetExceeded, bipartition, dsatur
 from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
 from .verify import Coloring, ListAssignment, certify, check_dynamic, check_proper
 
 __all__ = [
     "SolveResult",
-    "SearchBudgetExceeded",
     "chromatic_number",
     "dynamic_chromatic_number",
     "list_dynamic_coloring",
     "hypergraph_2color_exact",
     "is_k_critical",
 ]
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """The node budget ran out before the search could decide."""
-
-    def __init__(self, message: str, nodes_explored: int = 0):
-        super().__init__(message)
-        self.nodes_explored = nodes_explored
 
 
 @dataclass(frozen=True)

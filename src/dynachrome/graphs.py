@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
-    "GeneratorGaveUp",
     "Graph",
     "Hypergraph",
     "KneserSpec",
+    "SearchBudgetExceeded",
     "VertexSubset",
     "cycle",
     "complete",
@@ -36,6 +36,17 @@ __all__ = [
     "bipartition",
     "dsatur",
 ]
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """A budget ran out before the answer was decided: an exact search's
+    node budget, a resampler's cap or a generator's restart limit, never a
+    certified "none".  ``nodes_explored`` counts the exact-search nodes
+    spent, 0 where no search ran."""
+
+    def __init__(self, message: str, nodes_explored: int = 0):
+        super().__init__(message)
+        self.nodes_explored = nodes_explored
 
 
 # ======================================================================
@@ -208,10 +219,6 @@ class KneserSpec:
 # ======================================================================
 
 
-class GeneratorGaveUp(RuntimeError):
-    """A randomized generator used up its restarts without producing a graph."""
-
-
 def cycle(n: int) -> Graph:
     """The cycle on n >= 3 vertices, edges (i, i+1 mod n)."""
     if n < 3:
@@ -297,7 +304,8 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
     Stubs are matched in shuffled rounds; pairs that would create a loop or
     a duplicate edge are thrown back and rematched in the next round.  A
     round that gets stuck (every remaining pair is unusable) restarts the
-    pairing from scratch, up to ``max_retries`` restarts.  The shuffles
+    pairing from scratch, up to ``max_retries`` restarts, and raises
+    SearchBudgetExceeded once they are spent.  The shuffles
     replay ``random.Random(seed).shuffle`` from bulk draws, so the graph
     for a given seed is the one ``shuffle`` would give.
     """
@@ -329,7 +337,7 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
             stubs = list(left.elements())
         else:
             return Graph.from_edges(n, ((u, v) for u in range(n) for v in higher[u]))
-    raise GeneratorGaveUp(f"random_regular({n},{k}) gave up after {max_retries} restarts")
+    raise SearchBudgetExceeded(f"random_regular({n},{k}) gave up after {max_retries} restarts")
 
 
 _SPEC_FAMILIES = {

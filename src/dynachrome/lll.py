@@ -41,7 +41,6 @@ __all__ = [
     "LllParams",
     "ResampleLog",
     "DegenerateParamsError",
-    "InfeasibleStructureError",
     "lll_condition_hypergraph",
     "lll_condition_list",
     "moser_tardos_2color",
@@ -55,11 +54,6 @@ DEFAULT_CAP_PER_EVENT = 1000
 class DegenerateParamsError(ValueError):
     """The membership probability is >= 1, so the biased sampling is
     meaningless; build the params with clamp_p=True to run anyway."""
-
-
-class InfeasibleStructureError(ValueError):
-    """The graph contains a vertex whose degree makes the target
-    structurally impossible, regardless of randomness."""
 
 
 @dataclass(frozen=True)
@@ -174,25 +168,27 @@ class LllParams:
 class ResampleLog:
     """Trace of one resampling run.
 
-    ``triggers`` counts how often each event index was resampled, so
-    ``resample_count`` is their sum, and ``final_state`` is the raw state
-    at exit (also on exhaustion, for debugging).  ``params`` is the
-    :class:`LllParams` of a balanced-subset run, else None; the JSON form
-    writes it out with its derived values.  A "success" outcome is only
+    ``triggers`` pairs each resampled event index, in ascending order, with
+    how often it was resampled, so ``resample_count`` is the sum of the
+    counts.  ``final_state`` is the state at exit (also on exhaustion, for
+    debugging), as a tuple: the 0/1 colors, T's members, or each sublist
+    as a sorted tuple.  ``params`` is the :class:`LllParams` of a
+    balanced-subset run, else None; the JSON form writes it out with its
+    derived values.  A "success" outcome is only
     reported after the final state violates no event; callers re-verify
     through the checkers.
     """
 
     outcome: str
-    triggers: dict[int, int]
-    final_state: object
+    triggers: tuple[tuple[int, int], ...]
+    final_state: tuple
     seed: int
     max_resamples: int
     params: Optional[LllParams] = None
 
     @property
     def resample_count(self) -> int:
-        return sum(self.triggers.values())
+        return sum(count for _, count in self.triggers)
 
     @property
     def success(self) -> bool:
@@ -202,7 +198,7 @@ class ResampleLog:
         return {
             "outcome": self.outcome,
             "resample_count": self.resample_count,
-            "triggers": {str(k): v for k, v in sorted(self.triggers.items())},
+            "triggers": {str(i): count for i, count in self.triggers},
             "seed": self.seed,
             "max_resamples": self.max_resamples,
             "params": None if self.params is None else self.params.to_json_dict(),
@@ -220,7 +216,7 @@ def _cap(max_resamples: Optional[int], n_events: int) -> int:
 def _resample(
     event_vars: Sequence[Sequence[int]], var_events: Sequence[Sequence[int]],
     draw: Callable[[int], object], violated: Callable[[list, int], bool],
-    max_resamples: Optional[int], seed: int, snapshot: Callable[[list], object],
+    max_resamples: Optional[int], seed: int, snapshot: Callable[[list], tuple],
     params: Optional[LllParams] = None,
 ) -> ResampleLog:
     """Draw ``state[v] = draw(v)`` for every variable, then resample until
@@ -233,7 +229,7 @@ def _resample(
     n = len(event_vars)
     cap = _cap(max_resamples, n)
     state = [draw(v) for v in range(len(var_events))]
-    triggers: Counter[int] = Counter()
+    counts: Counter[int] = Counter()  # resamples by event
     count = 0
     heap: list[int] = []
     while True:
@@ -250,7 +246,7 @@ def _resample(
         if count >= cap:
             break
         count += 1
-        triggers[bad] += 1
+        counts[bad] += 1
         for v in event_vars[bad]:
             state[v] = draw(v)
         for j in {j for v in event_vars[bad] for j in var_events[v]}:
@@ -258,11 +254,11 @@ def _resample(
                 queued[j] = True
                 heapq.heappush(heap, j)
     outcome = "exhausted" if heap else "success"
-    return ResampleLog(outcome, dict(triggers), snapshot(state), seed, cap, params)
+    return ResampleLog(outcome, tuple(sorted(counts.items())), snapshot(state), seed, cap, params)
 
 
-def _members(in_t: list[bool]) -> list[int]:
-    return [v for v, inside in enumerate(in_t) if inside]
+def _members(in_t: list[bool]) -> tuple[int, ...]:
+    return tuple(v for v, inside in enumerate(in_t) if inside)
 
 
 def moser_tardos_2color(
@@ -290,8 +286,8 @@ def moser_tardos_2color(
         return True
 
     log = _resample(edges, incident, lambda v: rng.randrange(2), monochromatic,
-                    max_resamples, seed, list.copy)
-    return (Coloring.total(log.final_state, 2) if log.success else None), log
+                    max_resamples, seed, tuple)
+    return (Coloring(log.final_state, 2) if log.success else None), log
 
 
 def find_balanced_subset(
@@ -346,14 +342,14 @@ def select_sublists(
     from the sublists is automatically dynamic.
 
     At degree 1 a vertex's one neighbor's sublist is the intersection, and
-    it is never empty: that raises InfeasibleStructureError rather than
-    burning the resample cap.
+    it is never empty: that raises ValueError rather than burning the
+    resample cap.
     """
     k = g.regular_degree()
     if k is None or k < 1:
         raise ValueError("graph must be regular with degree >= 1")
     if k == 1:
-        raise InfeasibleStructureError(
+        raise ValueError(
             "every vertex has a single neighbor, whose sublist always "
             "leaves a color common to the neighborhood"
         )
@@ -377,5 +373,6 @@ def select_sublists(
         return bool(inter)
 
     log = _resample(g.adjacency, g.adjacency, lambda v: frozenset(rng.sample(pool[v], l)),
-                    shared_color, max_resamples, seed, lambda sub: [sorted(s) for s in sub])
+                    shared_color, max_resamples, seed,
+                    lambda sub: tuple(tuple(sorted(s)) for s in sub))
     return (ListAssignment.of(log.final_state) if log.success else None), log

@@ -40,7 +40,7 @@ VIOLATION_KINDS = (
 class Coloring:
     """A total assignment of color ids to vertices.
 
-    ``colors[v]`` is the color of vertex v, an int in ``range(palette_size)``.
+    ``colors[v]`` is the color of vertex v, an int (not a bool) in ``range(palette_size)``.
     """
 
     colors: tuple[int, ...]
@@ -50,16 +50,17 @@ class Coloring:
         if self.palette_size < 0:
             raise ValueError("palette size must be nonnegative")
         for v, c in enumerate(self.colors):
-            if not isinstance(c, int) or not 0 <= c < self.palette_size:
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < self.palette_size:
                 raise ValueError(
                     f"color {c!r} of vertex {v} outside palette of size {self.palette_size}"
                 )
 
     @classmethod
     def total(cls, colors: Sequence[int], palette_size: Optional[int] = None) -> "Coloring":
-        colors = tuple(int(c) for c in colors)
+        """The palette defaults to one above the largest int color; a non-int is refused."""
+        colors = tuple(colors)
         if palette_size is None:
-            palette_size = max(colors) + 1 if colors else 0
+            palette_size = max((c for c in colors if isinstance(c, int)), default=-1) + 1
         return cls(colors, palette_size)
 
     def __getitem__(self, v: int) -> int:

@@ -36,7 +36,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Collection, Optional, Sequence
 
-from dynachrome import Coloring, GeneratorGaveUp, Graph, Hypergraph, SearchBudgetExceeded
+from dynachrome import Coloring, Graph, Hypergraph, SearchBudgetExceeded
 from dynachrome import Violation, read_edge_list
 
 
@@ -269,7 +269,7 @@ def random_regular_reference(
         edges = try_once()
         if edges is not None:
             return Graph.from_edges(n, edges)
-    raise GeneratorGaveUp(f"random_regular({n},{k}) gave up after {max_retries} restarts")
+    raise SearchBudgetExceeded(f"random_regular({n},{k}) gave up after {max_retries} restarts")
 
 
 def search_reference(

@@ -8,9 +8,15 @@ from pathlib import Path
 
 import pytest
 
+import dynachrome
 from dynachrome import (
+    CertificationError,
     Coloring,
+    DegenerateParamsError,
+    FormatError,
     Graph,
+    PreconditionError,
+    SearchBudgetExceeded,
     VertexSubset,
     Violation,
     check_domination,
@@ -21,6 +27,8 @@ from dynachrome import (
 )
 from dynachrome import cli as cli_module
 from dynachrome.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -182,6 +190,42 @@ def test_generator_give_up_exits_2(capsys):
     code, out, err = run(capsys, "gen", "random_regular:40,36", "--seed", "4")
     assert code == 2 and out == ""
     assert err == "budget exhausted: random_regular(40,36) gave up after 1000 restarts\n"
+
+
+def test_compose_with_resampling_and_search_exhausted_exits_2(capsys):
+    code, out, err = run(capsys, "construct", "compose", "--graph",
+                         str(DATA / "heawood.txt"), "--budget", "1")
+    assert code == 2 and out == ""
+    assert err == ("budget exhausted: hypergraph 2-coloring: resampling exhausted after "
+                   "14000 resamples and exact search over budget after 2 nodes\n")
+
+
+# The exit code of each exception class the package exports.
+_EXIT_CODES = {
+    SearchBudgetExceeded: 2,
+    CertificationError: 3,
+    PreconditionError: 1,
+    DegenerateParamsError: 1,
+    FormatError: 1,
+}
+
+
+def test_every_exported_exception_has_an_exit_code():
+    exported = {value for value in vars(dynachrome).values()
+                if isinstance(value, type) and issubclass(value, Exception)}
+    assert exported == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls, code", [*_EXIT_CODES.items(), (ValueError, 1)],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_raised_exception_class_sets_the_exit_code(capsys, monkeypatch, cls, code):
+    def raise_it(*args, **kwargs):
+        raise cls("simulated")
+
+    monkeypatch.setattr(cli_module.constructions, "double_total_coloring", raise_it)
+    got, out, err = run(capsys, "construct", "compose", "--graph", "cycle:8")
+    assert got == code and out == ""
+    assert err.endswith(": simulated\n")
 
 
 def test_solve_budget_exhausted_exits_2(capsys):

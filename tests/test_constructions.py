@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from dynachrome import (
     CertificationError,
     Coloring,
-    ConstructionError,
     DegenerateParamsError,
     Graph,
     Hypergraph,
     KneserSpec,
     LllParams,
     PreconditionError,
+    SearchBudgetExceeded,
     VertexSubset,
     Violation,
     balanced_coloring,
@@ -183,7 +183,7 @@ def test_hypergraph_2coloring_outcomes():
     f = hypergraph_2coloring(h, budget=1)  # resampling succeeds; no search runs
     assert f is not None and check_hypergraph_2coloring(h, f) == []
     assert hypergraph_2coloring(neighborhood_hypergraph(cycle(6))) is None
-    with pytest.raises(ConstructionError):
+    with pytest.raises(SearchBudgetExceeded):
         hypergraph_2coloring(fano_plane(), budget=3)
 
 
@@ -221,7 +221,7 @@ def test_hypergraph_2coloring_resamples_first(h, budget, seed):
     resampled, log = moser_tardos_2color(h, seed)
     try:
         f = hypergraph_2coloring(h, budget, seed)
-    except ConstructionError:
+    except SearchBudgetExceeded:
         assert not log.success and budget is not None
         return
     if log.success:
@@ -298,7 +298,7 @@ def test_neighborhood_product_coloring_certified_none_and_exhaustion():
     for budget in (None, 1):
         with pytest.raises(PreconditionError, match="not 2-colorable"):
             neighborhood_product_coloring(cycle(6), budget)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(SearchBudgetExceeded):
         neighborhood_product_coloring(heawood(), budget=1)
 
 
@@ -333,7 +333,7 @@ def test_double_total_coloring_certified_none_exhaustion_and_infeasible():
     for budget in (None, 1):
         with pytest.raises(PreconditionError, match="certified"):
             double_total_coloring(cycle(6), budget)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(SearchBudgetExceeded):
         double_total_coloring(heawood(), budget=1)
     with pytest.raises(PreconditionError, match="certified"):
         double_total_coloring(complete_bipartite(1, 3))
@@ -410,7 +410,7 @@ def test_double_total_subset_matches_oracle(g, budget, seed):
         resampled, _ = moser_tardos_2color(neighborhood_hypergraph(g), seed)
     try:
         t = double_total_subset(g, budget, seed)
-    except ConstructionError:
+    except SearchBudgetExceeded:
         assert budget is not None and g.min_degree >= 2 and resampled is None
         return
     assert (t is None) == (not sets)
@@ -512,7 +512,7 @@ def _outcome(build):
     """What ``build()`` returns, or the type and text of what it raises."""
     try:
         return build()
-    except (ValueError, ConstructionError) as exc:
+    except (ValueError, SearchBudgetExceeded) as exc:
         return type(exc), str(exc)
 
 

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynachrome import (
-    GeneratorGaveUp,
     Graph,
     Hypergraph,
     KneserSpec,
+    SearchBudgetExceeded,
     VertexSubset,
     bipartition,
     complete,
@@ -218,7 +218,7 @@ def test_random_regular_error_paths_match_reference():
         for seed in range(40):
             gave_up += isinstance(_outcome(random_regular, 10, 7, seed, max_retries=retries), tuple)
     assert 0 < gave_up < 80
-    with pytest.raises(GeneratorGaveUp, match="gave up after 1 restarts"):
+    with pytest.raises(SearchBudgetExceeded, match="gave up after 1 restarts"):
         random_regular(10, 7, seed=0, max_retries=1)
 
 

@@ -96,7 +96,7 @@ def run_case(case: dict) -> dict:
     else:
         raise ValueError(routine)
     if final_state is None:  # only the double-total replay maps the log's state
-        final_state = log.final_state
+        final_state = json.loads(json.dumps(log.final_state))  # tuples as JSON lists
     return {"result": _encode(out), "log": log.to_json_dict(), "final_state": final_state}
 
 

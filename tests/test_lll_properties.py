@@ -46,8 +46,9 @@ def assert_log_matches(log, oracle, seed, final_state, params=None):
     outcome, count, triggers, cap = oracle
     assert log.outcome == outcome
     assert log.resample_count == count
-    assert log.triggers == triggers
-    assert log.final_state == final_state
+    assert dict(log.triggers) == triggers
+    assert [i for i, _ in log.triggers] == sorted(triggers)
+    assert list(log.final_state) == final_state
     assert log.seed == seed
     assert log.max_resamples == cap
     assert log.params == params
@@ -115,7 +116,7 @@ def test_select_sublists_matches_oracle(g, data, seed, cap):
 
     oracle = naive_resample(g.adjacency, violated, redraw, cap)
     out, log = select_sublists(g, ListAssignment.of(lists), l, seed, cap)
-    assert_log_matches(log, oracle, seed, [sorted(s) for s in sub])
+    assert_log_matches(log, oracle, seed, [tuple(sorted(s)) for s in sub])
     if oracle[0] == "success":
         assert out.lists == tuple(sub)
     else:

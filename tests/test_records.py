@@ -147,9 +147,17 @@ def test_resample_count_is_the_sum_of_triggers():
         assert {log.outcome for log in logs} == {"success", "exhausted"}, name
         assert max(log.resample_count for log in logs) > 3, name
         for log in logs:
-            assert log.resample_count == sum(log.triggers.values())
+            assert log.resample_count == sum(count for _, count in log.triggers)
             assert log.resample_count <= log.max_resamples
             assert log.to_json_dict()["resample_count"] == log.resample_count
+
+
+def test_resample_logs_and_balanced_results_hash():
+    for logs in _logs().values():
+        for log in logs:
+            assert hash(log) == hash(dataclasses.replace(log))
+    result = balanced_coloring(random_regular(40, 16, seed=3), seed=3, clamp_p=True)
+    assert hash(result) == hash(dataclasses.replace(result))
 
 
 def test_resample_log_keeps_its_params_record():

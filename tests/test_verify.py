@@ -266,6 +266,18 @@ def test_coloring_invariants():
             Coloring(colors, 1)
 
 
+# Coloring.total infers the palette and converts no color, and a bool is no
+# color: a float was rounded down, a string parsed and a bool accepted.
+@pytest.mark.parametrize("make", [
+    lambda: Coloring.total([0.9, 1.7]),
+    lambda: Coloring.total(["1", "0"]),
+    lambda: Coloring((True, False, True, False), 2),
+], ids=["floats", "strings", "bools"])
+def test_coloring_refuses_colors_that_are_not_ints(make):
+    with pytest.raises(ValueError, match="of vertex 0 outside palette"):
+        make()
+
+
 def test_list_assignment_helpers():
     lists = ListAssignment.uniform(3, {1, 4})
     assert lists.uniform_size() == 2
