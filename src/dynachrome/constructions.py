@@ -244,9 +244,9 @@ def double_total_subset(
     return t
 
 
-def _tail(spec: KneserSpec, subsets: Sequence[frozenset[int]]) -> VertexSubset:
-    """The tail subset T of KG(m, n): the vertices whose subset avoids {1..t}."""
-    return VertexSubset(frozenset(i for i, a in enumerate(subsets) if min(a) > spec.t),
+def _tail(spec: KneserSpec, subsets: Sequence[tuple[int, ...]]) -> VertexSubset:
+    """The tail subset T of KG(m, n): the vertices whose least element ``a[0]`` exceeds t."""
+    return VertexSubset(frozenset(i for i, a in enumerate(subsets) if a[0] > spec.t),
                         len(subsets))
 
 
@@ -256,7 +256,7 @@ class KneserColoringResult:
 
     ``graph`` is stored although ``spec`` determines it, because rebuilding
     KG(m, n) costs about as much as the whole pipeline (KG(19,9) has 92,378
-    vertices); ``tail_subset`` is derived from ``spec`` alone.
+    vertices); ``tail_subset`` is derived from ``spec.vertex_subsets()``.
     """
 
     spec: KneserSpec
@@ -293,8 +293,8 @@ def kneser_dynamic_coloring(
     The tail subset T holds the vertices avoiding {1..t}; it is always
     total dominating, and G[T] pairs each subset with its complement
     inside {t+1..m}, so a BFS 2-coloring shows it bipartite (checked at
-    runtime, not assumed).  Outside T the minimum element, shifted to
-    0-based, is a proper t-coloring.  The T-restricted neighborhood
+    runtime, not assumed).  Outside T the least element ``a[0]``, shifted
+    to 0-based, is a proper t-coloring.  The T-restricted neighborhood
     hypergraph is 2-colored by :func:`hypergraph_2coloring`.  The parts are
     glued as in :func:`partial_product_coloring`, but certified only once glued.
     """
@@ -309,7 +309,7 @@ def kneser_dynamic_coloring(
         raise CertificationError(
             f"induced graph on the tail subset of KG({spec.m},{spec.n}) is not bipartite"
         )
-    c_out = Coloring.total([min(subsets[old]) - 1 for old in tail.complement()], t)
+    c_out = Coloring.total([subsets[old][0] - 1 for old in tail.complement()], t)
     f = hypergraph_2coloring(neighborhood_hypergraph(g, target=tail), budget, seed)
     if f is None:
         raise CertificationError("T-restricted neighborhood hypergraph is not 2-colorable")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .verify import Coloring
 
 __all__ = [
@@ -173,10 +173,6 @@ def coloring_to_json_dict(
     }
 
 
-def _is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def coloring_from_json_dict(data: dict) -> Coloring:
     """Read a coloring record: ``assignment`` must be a list of JSON
     integers and ``palette_size`` an integer; a null, float, boolean or
@@ -186,8 +182,8 @@ def coloring_from_json_dict(data: dict) -> Coloring:
         palette = data["palette_size"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed coloring record: {exc}") from None
-    if not isinstance(assignment, list) or not all(map(_is_json_int, assignment)):
+    if not isinstance(assignment, list) or not all(map(_is_int, assignment)):
         raise FormatError("assignment must be a list of integers")
-    if not _is_json_int(palette):
+    if not _is_int(palette):
         raise FormatError(f"palette_size must be an integer, got {palette!r}")
     return Coloring(tuple(assignment), palette)

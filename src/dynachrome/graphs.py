@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: the one form of a vertex id, count or colour."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class SearchBudgetExceeded(RuntimeError):
     """A budget ran out before the answer was decided: an exact search's
     node budget, a resampler's cap or a generator's restart limit, never a
@@ -158,14 +163,14 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class VertexSubset:
-    """A subset T of the vertices of some host graph of size ``n``."""
+    """A subset T of the vertices ``range(n)`` of some host graph; ids and ``n`` are ints."""
 
     members: frozenset[int]
     n: int
 
     def __post_init__(self) -> None:
-        if any(not (0 <= v < self.n) for v in self.members):
-            raise ValueError("subset member out of range")
+        if not (_is_int(self.n) and all(_is_int(v) and 0 <= v < self.n for v in self.members)):
+            raise ValueError(f"need an int n and int members in range(n), got n={self.n!r}")
 
     @classmethod
     def of(cls, g: Graph, members: Iterable[int]) -> "VertexSubset":
@@ -188,9 +193,9 @@ class VertexSubset:
 class KneserSpec:
     """Parameters (m, n) of the graph on n-subsets of {1..m} joining disjoint pairs.
 
-    Vertex ids enumerate the n-subsets in lexicographic order, so ids are
-    stable across runs.  ``t = m - 2n`` is the spread parameter; the graph
-    is triangle-free exactly when m < 3n.
+    Vertex ids enumerate the n-subsets in lexicographic order (see
+    :meth:`vertex_subsets`), so ids are stable across runs.  ``t = m - 2n``
+    is the spread parameter; the graph is triangle-free exactly when m < 3n.
     """
 
     m: int
@@ -204,11 +209,9 @@ class KneserSpec:
     def t(self) -> int:
         return self.m - 2 * self.n
 
-    def vertex_subsets(self) -> tuple[frozenset[int], ...]:
-        """The n-subsets of {1..m} in lexicographic order, one per vertex id."""
-        return tuple(
-            frozenset(c) for c in itertools.combinations(range(1, self.m + 1), self.n)
-        )
+    def vertex_subsets(self) -> tuple[tuple[int, ...], ...]:
+        """The n-subsets of {1..m} as ascending tuples, entry i that of vertex i."""
+        return tuple(itertools.combinations(range(1, self.m + 1), self.n))
 
     def graph(self) -> Graph:
         return kneser(self.m, self.n)
@@ -241,17 +244,17 @@ def complete_bipartite(a: int, b: int) -> Graph:
 def kneser(m: int, n: int) -> Graph:
     """Graph on the n-subsets of {1..m}; vertices adjacent iff disjoint.
 
-    Each subset's partners are the n-subsets of its complement, looked up
-    by their ascending tuple, so the work is one lookup per edge end.  They
-    come in lexicographic order, as the ids do, so each adjacency tuple is
-    already sorted.
+    Vertex i is ``KneserSpec(m, n).vertex_subsets()[i]``.  Its partners
+    are the n-subsets of its complement, looked up by their ascending tuple,
+    one lookup per edge end, and come in lexicographic order, as the ids
+    do, so each adjacency tuple is already sorted.
     """
-    KneserSpec(m, n)  # checks m >= 2n >= 2
+    subsets = KneserSpec(m, n).vertex_subsets()  # checks m >= 2n >= 2
+    index = {a: i for i, a in enumerate(subsets)}
     ground = range(1, m + 1)
-    index = {a: i for i, a in enumerate(itertools.combinations(ground, n))}
     return Graph(tuple(
         tuple(index[b] for b in itertools.combinations([x for x in ground if x not in a], n))
-        for a in index
+        for a in subsets
     ))
 
 

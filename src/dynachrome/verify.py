@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, VertexSubset
+from .graphs import Graph, Hypergraph, VertexSubset, _is_int
 
 __all__ = [
     "CertificationError",
@@ -40,17 +40,17 @@ VIOLATION_KINDS = (
 class Coloring:
     """A total assignment of color ids to vertices.
 
-    ``colors[v]`` is the color of vertex v, an int (not a bool) in ``range(palette_size)``.
+    ``colors[v]``, the color of vertex v, is an int in ``range(palette_size)``; no bool.
     """
 
     colors: tuple[int, ...]
     palette_size: int
 
     def __post_init__(self) -> None:
-        if self.palette_size < 0:
-            raise ValueError("palette size must be nonnegative")
+        if not _is_int(self.palette_size) or self.palette_size < 0:
+            raise ValueError(f"palette size must be a nonnegative int, got {self.palette_size!r}")
         for v, c in enumerate(self.colors):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < self.palette_size:
+            if not _is_int(c) or not 0 <= c < self.palette_size:
                 raise ValueError(
                     f"color {c!r} of vertex {v} outside palette of size {self.palette_size}"
                 )

@@ -153,6 +153,33 @@ def test_pinned_bound_report(entry):
     assert run_report(entry["case"]) == entry["expected"]
 
 
+# The sweep's Kneser graphs have t = 1, but for KG(8,3); these have t = 2,
+# 3 and 4, so the colouring outside the tail subset uses more colours.
+KNESER_WIDER_T = {
+    (12, 5, 0, "json"): "9995f080aa238596d1025309233f2961390d85e0560a2c5bd136a90f08ad8e85",
+    (12, 5, 0, "text"): "f45d73b7a15129187b3d653e5197d04880056f7fbe535e7da501753c84242cba",
+    (12, 5, 1, "json"): "08bdcbff2373339cfcc25d1d667cb14e6435cf76a15bb02194a4b5d9d2410a80",
+    (12, 5, 1, "text"): "869a569b7671b728d6a4c4e68be6e7e3c2d8c41d2f774572e21701539dec695b",
+    (11, 4, 0, "json"): "3a28610e553fa3aa19473caa447cc68635019b27bc16563651f74a219abdbdb6",
+    (11, 4, 0, "text"): "c91b14cfd8987388fe4f1618c0ccdd970f42ca2f41879d2f97bcacb7df4fa09b",
+    (11, 4, 1, "json"): "4050c8f4eab8376495512b84588460443f94836e1451279cd6ef6977d049a75c",
+    (11, 4, 1, "text"): "9d27e13e0f083621bef0b4f54c0721bda3844fa084960316f8c74fb6841c25a2",
+    (14, 5, 0, "json"): "4ea71c2497ef7d366756c446c5d2351a46793c6629c54815644ef202fd6694c0",
+    (14, 5, 0, "text"): "06f7679b00cc8a9598902c57f362f650e1f4a67fcac106dae365b03705c7b3f9",
+    (14, 5, 1, "json"): "92d2de89b5960bd83061e67fe91078e0bc7e96c7c509fcdd9d2b9aaee93a0ab9",
+    (14, 5, 1, "text"): "51677499166923f506984d5c0c9d9d28f3780693aca7bd0cb8b063fee517c9d7",
+}
+
+
+@pytest.mark.parametrize("m, n, seed, fmt", list(KNESER_WIDER_T),
+                         ids=lambda v: str(v))
+def test_pinned_kneser_with_wider_t(m, n, seed, fmt):
+    argv = ["construct", "kneser", "--m", str(m), "--n", str(n), "--seed", str(seed),
+            "--format", fmt]
+    expected = {"code": 0, "stdout_sha256": KNESER_WIDER_T[m, n, seed, fmt]}
+    assert run_argv(argv) == expected
+
+
 def test_pinned_sweep_covers_every_outcome():
     data = _load()
     assert [e["argv"] for e in data["argv"]] == _argv_sweep()

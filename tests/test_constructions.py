@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -469,6 +470,24 @@ def test_kneser_pipeline_matches_exact_on_petersen_scale():
     # KG(7,3) has chi = 3 by the exact solver; the pipeline's formula agrees.
     result = kneser_dynamic_coloring(KneserSpec(7, 3))
     assert chromatic_number(result.graph).value == result.chromatic_number
+
+
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kneser_pipeline_memory_stays_near_its_graphs():
+    # The pipeline reads each vertex's subset only for its least element, so
+    # its peak stays within twice that of building KG(15,7) alone; one set
+    # object per vertex on top of the graph would take it to about 3.9 times.
+    graph = _peak_traced_bytes(lambda: kneser(15, 7))
+    pipeline = _peak_traced_bytes(lambda: kneser_dynamic_coloring(KneserSpec(15, 7)))
+    assert pipeline <= 2 * graph
 
 
 def test_kneser_out_of_regime():

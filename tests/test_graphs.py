@@ -97,12 +97,14 @@ def test_kneser_adjacency_is_disjointness():
     spec = KneserSpec(6, 2)
     subsets = spec.vertex_subsets()
     g = spec.graph()
-    # Lexicographic vertex order is part of the contract.
-    assert subsets[0] == frozenset({1, 2})
-    assert subsets[-1] == frozenset({5, 6})
+    # Lexicographic vertex order, each subset an ascending tuple, is part of
+    # the contract.
+    assert subsets == tuple(itertools.combinations(range(1, 7), 2))
+    assert subsets[0] == (1, 2)
+    assert subsets[-1] == (5, 6)
     adj = [set(a) for a in g.adjacency]
     for i, j in itertools.combinations(range(g.n), 2):
-        assert (j in adj[i]) == (not subsets[i] & subsets[j])
+        assert (j in adj[i]) == set(subsets[i]).isdisjoint(subsets[j])
 
 
 def test_kneser_matches_all_pairs_definition():
@@ -418,6 +420,19 @@ def test_vertex_subset_basics():
     assert len(t) == 4 and 4 in t and 2 not in t
     with pytest.raises(ValueError):
         VertexSubset(frozenset({9}), 4)
+
+
+# Vertex ids and counts are ints, not bools, so a member True cannot pass
+# for vertex 1 nor a float for an id.
+@pytest.mark.parametrize("members, n", [
+    (frozenset({1.5, True}), 3),
+    (frozenset({True}), 3),
+    (frozenset(), 3.0),
+    (frozenset({0}), True),
+], ids=["float-and-bool-members", "bool-member", "float-count", "bool-count"])
+def test_vertex_subset_refuses_ids_that_are_not_ints(members, n):
+    with pytest.raises(ValueError, match="int"):
+        VertexSubset(members, n)
 
 
 def test_connectivity_and_bipartition():

@@ -188,13 +188,13 @@ def test_balanced_subset_is_the_resampled_subset(spec, seed):
     assert result.resample_log == log
 
 
-@pytest.mark.parametrize("m, n", [(7, 3), (9, 4), (11, 5)])
+@pytest.mark.parametrize("m, n", [(7, 3), (9, 4), (11, 5), (8, 3), (11, 4), (14, 5)])
 def test_kneser_tail_subset_avoids_the_first_t_elements(m, n):
     result = kneser_dynamic_coloring(KneserSpec(m, n))
     head = set(range(1, result.spec.t + 1))
     subsets = result.spec.vertex_subsets()
     assert result.tail_subset == VertexSubset.of(
-        result.graph, (v for v, a in enumerate(subsets) if not a & head))
+        result.graph, (v for v, a in enumerate(subsets) if head.isdisjoint(a)))
 
 
 def test_bound_record_applicable_is_value_not_none():

@@ -278,6 +278,15 @@ def test_coloring_refuses_colors_that_are_not_ints(make):
         make()
 
 
+# A palette size is an int, not a bool, as coloring_from_json_dict demands
+# of the records that a Coloring writes.
+@pytest.mark.parametrize("colors, palette", [((0, 1), 2.5), ((0,), True), ((), False)],
+                         ids=["float", "true", "false"])
+def test_coloring_refuses_a_palette_size_that_is_not_an_int(colors, palette):
+    with pytest.raises(ValueError, match="palette size must be a nonnegative int"):
+        Coloring(colors, palette)
+
+
 def test_list_assignment_helpers():
     lists = ListAssignment.uniform(3, {1, 4})
     assert lists.uniform_size() == 2
