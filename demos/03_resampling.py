@@ -1,8 +1,6 @@
 """Resampling in action: when the survival conditions hold, random states
 converge to violation-free ones after a handful of targeted re-draws."""
 
-import math
-
 from dynachrome import (
     Hypergraph,
     cycle,
@@ -55,12 +53,12 @@ _, log = moser_tardos_2color(neighborhood_hypergraph(cycle(6)), seed=0, max_resa
 print(f"C6: {log.outcome} after {log.resample_count} resamples (double_total_subset: "
       f"{double_total_subset(cycle(6))}, i.e. certified none)")
 
-# Balanced subsets of a 16-regular graph.  The bias p = c' ln(k)/k exceeds
-# 1 at k = 16, so the params must be clamped to run the experiment.
+# Balanced subsets of a 16-regular graph.  The membership probability p
+# and the degree cap D come from k alone, by the symmetric Local Lemma.
 g = random_regular(200, 16, seed=5)
-params = LllParams(16, c_prime=7.0, seed=5, clamp_p=True)
-print(f"\nk=16: raw p would be {7.0 * math.log(16) / 16:.2f}, "
-      f"clamped to {params.p}; deviation window nonempty: {params.window_nonempty}")
+params = LllParams(16, seed=5)
+print(f"\nk=16: window p = {params.p}, D = {params.degree_cap} "
+      f"(LLL margin {params.condition.margin:.3f}, holds: {params.condition.holds})")
 t, log = find_balanced_subset(g, params)
 inside = [sum(1 for u in g.adjacency[v] if u in t) for v in range(g.n)]
 print(f"balanced subset after {log.resample_count} resamples; "

@@ -50,13 +50,14 @@ for m, n in [(7, 3), (8, 3), (9, 4)]:
           f"(cap {res.max_colors}, chi {res.chromatic_number}, gap {res.gap})")
 
 # Balanced-subset coloring: DSATUR on the low-degree inside part, the
-# original witness (shifted) outside.
+# original witness (shifted) outside.  The bound is the witness plus D.
 g = random_regular(200, 16, seed=11)
-params = LllParams(16, c_prime=7.0, seed=11, clamp_p=True)
+params = LllParams(16, seed=11)
 witness, _ = chi_witness(g)
 result = balanced_subset_coloring(g, params, witness)
-print(f"\n16-regular n=200: {result.coloring.palette_size} colors "
-      f"(bound {result.color_bound}, witness used {witness.palette_size})")
+print(f"\n16-regular n=200: window p = {params.p}, D = {params.degree_cap}; "
+      f"{result.coloring.palette_size} colors (bound {result.color_bound}, "
+      f"witness used {witness.palette_size})")
 
 # Triangle certificates: in dense random graphs every vertex lies in a
 # triangle, so any proper coloring is already dynamic.

@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import constructions, exact, experiments, formats
 from .graphs import Graph, KneserSpec, SearchBudgetExceeded, from_spec
-from .lll import DegenerateParamsError
 from .verify import CertificationError, check_dynamic, check_proper, violations_to_json
 
 
@@ -154,22 +153,7 @@ def _cmd_construct(args) -> int:
         return _ExitCode.OK
 
     # balanced
-    try:
-        result = constructions.balanced_coloring(
-            g, budget, args.seed, args.c_prime, args.clamp_p
-        )
-    except DegenerateParamsError:
-        raise ValueError(
-            f"membership probability c' ln(k)/k >= 1 at k={g.regular_degree()}; "
-            "pass --clamp-p to run a clamped experiment"
-        ) from None
-    params = result.resample_log.params
-    if params.p_clamped:
-        print(
-            f"note: membership probability c' ln(k)/k >= 1 at k={params.k}; "
-            "clamped to 0.5",
-            file=sys.stderr,
-        )
+    result = constructions.balanced_coloring(g, budget, args.seed)
     extra = {
         "subset": list(result.subset),
         "color_bound": result.color_bound,
@@ -298,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         pc = kinds.add_parser(kind, help=help_text)
         _add_common(pc)
-        if kind == "balanced":
-            pc.add_argument("--c-prime", type=float, default=7.0)
-            pc.add_argument("--clamp-p", action="store_true")
         pc.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")

@@ -11,7 +11,6 @@ Bad *inputs* raise PreconditionError carrying the violation list.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -366,7 +365,7 @@ class BalancedColoringResult:
 
     coloring: Coloring
     resample_log: ResampleLog
-    color_bound: int  # palette(chi_witness) + floor(2 c' ln k) + 1
+    color_bound: int  # palette(chi_witness) + D, lll.balanced_window's degree cap
 
     @property
     def subset(self) -> VertexSubset:
@@ -376,14 +375,15 @@ class BalancedColoringResult:
 def balanced_subset_coloring(
     g: Graph, params: LllParams, chi_witness: Coloring
 ) -> BalancedColoringResult:
-    """Color a k-regular graph with palette(chi_witness) + O(log k) colors.
+    """Color a k-regular graph with palette(chi_witness) + D colors.
 
     A balanced subset T (every vertex with neighbors on both sides and
-    inside-degree below 2 c' ln k) bounds the degree of G[T], so DSATUR,
-    a greedy coloring, colors it with at most floor(2 c' ln k) + 1 fresh
-    colors; the rest keep their chi_witness colors on a shifted palette.
-    Every vertex then sees both palettes in its neighborhood.  Resampling
-    that exhausts its cap raises SearchBudgetExceeded.
+    inside-degree below D = params.degree_cap, which is O(log k)) bounds
+    the degree of G[T], so DSATUR, a greedy coloring, colors it with at
+    most D fresh colors; the rest keep their chi_witness colors on a
+    shifted palette.  Every vertex then sees both palettes in its
+    neighborhood.  Resampling that exhausts its cap raises
+    SearchBudgetExceeded.
     """
     _require(check_proper(g, chi_witness), "chi witness is not a proper coloring")
     return _balanced_subset(g, params, chi_witness)
@@ -401,8 +401,7 @@ def _balanced_subset(g: Graph, params: LllParams, witness: Coloring) -> Balanced
     rest = Coloring(tuple(witness[v] for v in subset.complement()), witness.palette_size)
     combined = _glue(subset, Coloring.total(dsatur(g_t)[1]), rest)
     _certify_dynamic(g, combined, "balanced subset coloring")
-    k = params.k
-    bound = witness.palette_size + math.floor(2 * params.c_prime * math.log(k)) + 1
+    bound = witness.palette_size + params.degree_cap
     if combined.palette_size > bound:
         raise CertificationError(
             f"palette {combined.palette_size} exceeds the bound {bound}"
@@ -414,24 +413,20 @@ def balanced_coloring(
     g: Graph,
     budget: Optional[int] = None,
     seed: int = 0,
-    c_prime: float = 7.0,
-    clamp_p: bool = False,
 ) -> BalancedColoringResult:
     """Dynamic coloring of a k-regular graph on a :func:`chi_witness`
-    within ``budget`` plus at most floor(2 c' ln k) + 1 colors.
+    within ``budget`` plus at most D colors, D from
+    :func:`lll.balanced_window` (k).
 
-    :class:`LllParams` sets the subset sampler's bias c' ln(k)/k and
-    ``seed``; with ``clamp_p`` a bias of 1 or more is clamped to 1/2,
-    which ``resample_log.params.p_clamped`` records.  Then the subset is
-    found and glued as in :func:`balanced_subset_coloring`, without
-    re-checking the witness it just made.  A graph that is not regular,
-    and parameters that ``LllParams`` rejects, raise ValueError; an
-    unclamped bias of 1 or more raises DegenerateParamsError.
+    The subset is sampled with ``LllParams(k, seed)`` and glued as in
+    :func:`balanced_subset_coloring`, without re-checking the witness it
+    just made.  A graph that is not regular, or has degree below 2,
+    raises ValueError.
     """
     k = g.regular_degree()
     if k is None:
         raise ValueError("balanced construction needs a regular graph")
-    params = LllParams(k, c_prime=c_prime, seed=seed, clamp_p=clamp_p)
+    params = LllParams(k, seed=seed)
     witness, _ = chi_witness(g, budget)
     return _balanced_subset(g, params, witness)
 

@@ -154,10 +154,16 @@ def read_graph_text(text: str) -> Graph:
 
 
 def graph_id(g: Graph) -> str:
-    """Short stable identifier derived from the canonical edge list."""
-    payload = f"{g.n};" + ";".join(f"{u},{v}" for u, v in g.edges())
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
-    return f"n{g.n}-m{g.edge_count}-{digest}"
+    """Short stable identifier: a hash of ``n;u,v;u,v...`` over the edges in
+    ascending order, fed one adjacency row at a time."""
+    h = hashlib.sha256(f"{g.n};".encode())
+    sep = ""
+    for u, nbrs in enumerate(g.adjacency):
+        row = ";".join(f"{u},{v}" for v in nbrs if v > u)
+        if row:
+            h.update((sep + row).encode())
+            sep = ";"
+    return f"n{g.n}-m{g.edge_count}-{h.hexdigest()[:12]}"
 
 
 def coloring_to_json_dict(

@@ -13,9 +13,12 @@ simpler loop, deterministic given the seed.  "success" is reported only
 after a final full scan finds no violated event; non-convergence within the
 cap is reported as "exhausted", never as a proof that no solution exists.
 
-The two condition evaluators are exact arithmetic checks of when this
-scheme is guaranteed to work (small event probability, few dependencies);
-the samplers themselves run regardless and simply report what happened.
+The condition evaluators check when this scheme is guaranteed to work
+(small event probability, few dependencies); the samplers themselves run
+regardless and simply report what happened.  :func:`balanced_window`
+computes the balanced-subset sampler's membership probability and degree
+cap from k alone, in integer arithmetic, by the symmetric Local Lemma
+(Erdős and Lovász 1975).
 
 Double total dominating sets are not sampled here:
 constructions.double_total_subset takes the vertices colored 1 by
@@ -25,6 +28,8 @@ search as the fallback.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import math
 import random
@@ -40,7 +45,7 @@ __all__ = [
     "ConditionCheck",
     "LllParams",
     "ResampleLog",
-    "DegenerateParamsError",
+    "balanced_window",
     "lll_condition_hypergraph",
     "lll_condition_list",
     "moser_tardos_2color",
@@ -49,11 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP_PER_EVENT = 1000
-
-
-class DegenerateParamsError(ValueError):
-    """The membership probability is >= 1, so the biased sampling is
-    meaningless; build the params with clamp_p=True to run anyway."""
+GRID = 1000  # balanced_window's membership probabilities are i / GRID
+E_UPPER = (2718282, 1000000)  # a rational upper bound on e
 
 
 @dataclass(frozen=True)
@@ -96,69 +98,79 @@ def lll_condition_list(k: int, l: int, m: int) -> ConditionCheck:
     return ConditionCheck(margin, threshold)
 
 
+@functools.cache
+def balanced_window(k: int) -> tuple[float, int, ConditionCheck]:
+    """Membership probability p, degree cap D and Local Lemma check for a
+    balanced subset T of a k-regular graph, in integer arithmetic.
+
+    The bad event A_v, "deg_T(v) = 0 or deg_T(v) >= D", has probability
+    (1-p)^k + P(Bin(k, p) >= D) and shares variables with at most k(k-1)
+    others.  D is the least value in 2..k for which some p = i/1000 gives
+    e P(A_v) (k(k-1) + 1) <= 1 (e bounded above by a rational), and p the
+    grid point of least margin there.  No D passes for k <= 8: then D = k,
+    p = 1/2 and the check fails.  P(A_v) falls, then rises in p, turning
+    where C(k-1, D-1) (p/(1-p))^(D-1) = 1, so only grid points next to the
+    turn are tried; the least margin does not grow with D, so D is bisected.
+    """
+    if k < 2:
+        raise ValueError("need degree k >= 2")
+    scale = E_UPPER[0] * (k * (k - 1) + 1)
+    one = E_UPPER[1] * GRID**k  # margin = numerator / one
+
+    def numerator(i: int, d: int) -> int:
+        q = GRID - i
+        term, tail = math.comb(k, d) * i**d * q ** (k - d), 0  # C(k,j) i^j q^(k-j)
+        for j in range(d, k + 1):
+            tail += term
+            term = term * (k - j) * i // ((j + 1) * q)
+        return scale * (q**k + tail)
+
+    def best(d: int) -> tuple[int, int]:  # (least numerator, its i)
+        turn = int(GRID / (1 + math.exp(math.log(math.comb(k - 1, d - 1)) / (d - 1))))
+        return min((numerator(i, d), i) for i in range(max(turn - 1, 1), min(turn + 3, GRID)))
+
+    d = 2 + bisect.bisect_left(range(2, k), True, key=lambda d: best(d)[0] <= one)
+    num, i = best(d)
+    return i / GRID, d, ConditionCheck(num / one)
+
+
 @dataclass(frozen=True)
 class LllParams:
-    """Parameters of the biased-subset sampler on a k-regular graph.
+    """Parameters of the balanced-subset sampler on a k-regular graph.
 
-    Stored are k, c', the seed, the resample cap and the ``clamp_p``
-    request; ``p``, ``p_clamped``, ``lam`` and ``window_nonempty`` derive
-    from them.  ``p`` is the membership probability c' * ln(k) / k; at
-    small k this exceeds 1 and the sampler refuses to run unless
-    ``clamp_p`` caps it at 0.5, which sets ``p_clamped`` (a bool).  ``lam`` is the smallest deviation
-    bound lambda with 3 c' ln(k) (1 + ln 2 + ln(k^2+1)) <= lambda^2, and
-    ``window_nonempty`` says whether some such lambda also satisfies
-    lambda < c' ln(k); the concentration guarantee only kicks in for k
-    large enough that it does.
+    Stored are k, the seed and the resample cap.  The membership
+    probability ``p``, the degree cap ``degree_cap`` (D) and the Local
+    Lemma ``condition`` are read off :func:`balanced_window` (k): the
+    sampler resamples a vertex while deg_T(v) = 0 or deg_T(v) >= D.
     """
 
     k: int
-    c_prime: float = 7.0
     seed: int = 0
     max_resamples: Optional[int] = None
-    clamp_p: bool = False
 
     def __post_init__(self) -> None:
-        c_prime, k = self.c_prime, self.k
-        if c_prime <= 6:
-            raise ValueError("c_prime must exceed 6")
-        if k < 2:
-            raise ValueError("need degree k >= 2")
+        balanced_window(self.k)  # raises on k < 2
         _cap(self.max_resamples, 0)  # raises on a negative cap
-        lnk = math.log(k)
-        # Rejects NaN and infinite c', and a c' so large that the
-        # (c' ln k)^2 of window_nonempty overflows.
-        if not math.isfinite((c_prime * lnk) * (c_prime * lnk)):
-            raise ValueError(f"c_prime must keep (c' ln k)^2 finite, got {c_prime} at k={k}")
-
-    @property
-    def p_clamped(self) -> bool:
-        return bool(self.clamp_p) and self.c_prime * math.log(self.k) / self.k >= 1.0
 
     @property
     def p(self) -> float:
-        return 0.5 if self.p_clamped else self.c_prime * math.log(self.k) / self.k
+        return balanced_window(self.k)[0]
 
     @property
-    def _lam_sq(self) -> float:
-        k = self.k
-        return 3 * self.c_prime * math.log(k) * (1 + math.log(2) + math.log(k * k + 1))
+    def degree_cap(self) -> int:
+        return balanced_window(self.k)[1]
 
     @property
-    def lam(self) -> float:
-        return math.sqrt(self._lam_sq)
-
-    @property
-    def window_nonempty(self) -> bool:
-        return self._lam_sq < (self.c_prime * math.log(self.k)) ** 2
+    def condition(self) -> ConditionCheck:
+        return balanced_window(self.k)[2]
 
     def to_json_dict(self) -> dict:
         return {
-            "c_prime": self.c_prime,
             "k": self.k,
             "p": self.p,
-            "p_clamped": self.p_clamped,
-            "lambda": self.lam,
-            "window_nonempty": self.window_nonempty,
+            "degree_cap": self.degree_cap,
+            "margin": self.condition.margin,
+            "holds": self.condition.holds,
             "seed": self.seed,
             "max_resamples": self.max_resamples,
         }
@@ -294,12 +306,11 @@ def find_balanced_subset(
     g: Graph, params: LllParams
 ) -> tuple[Optional[VertexSubset], ResampleLog]:
     """Biased random subset T of a k-regular graph in which every vertex
-    has 0 < deg_T(v) < 2 c' ln(k) and at least one neighbor outside T.
+    has 0 < deg_T(v) < D, for D = params.degree_cap <= k, so also a
+    neighbor outside T.
 
-    The complement condition is enforced directly in the event (it is not
-    implied by the upper bound once 2 c' ln(k) >= k, which happens at desk
-    scale).  Membership is sampled with probability params.p; a violating
-    vertex has its whole neighborhood re-randomized with the same bias.
+    Membership is sampled with probability params.p; a violating vertex
+    has its whole neighborhood re-randomized with the same bias.
     """
     k = g.regular_degree()
     if k is None:
@@ -308,18 +319,12 @@ def find_balanced_subset(
         raise ValueError("need regular degree k >= 2")
     if params.k != k:
         raise ValueError(f"params were built for degree {params.k}, graph has {k}")
-    p = params.p
-    if p >= 1.0:
-        raise DegenerateParamsError(
-            f"membership probability {p:.3f} >= 1 at k={k}; "
-            "rebuild params with clamp_p=True to run a clamped experiment"
-        )
-    upper = 2.0 * params.c_prime * math.log(k)
+    p, top = params.p, params.degree_cap
     rng = random.Random(params.seed)
 
     def unbalanced(in_t: list[bool], v: int) -> bool:
         d = sum(1 for u in g.adjacency[v] if in_t[u])
-        return d == 0 or d >= upper or d == k
+        return d == 0 or d >= top
 
     log = _resample(g.adjacency, g.adjacency, lambda v: rng.random() < p, unbalanced,
                     params.max_resamples, params.seed, _members, params)

@@ -37,7 +37,7 @@ _SITES = {
     ),
     "balanced_subset_coloring": (
         lambda: balanced_subset_coloring(
-            cycle(8), LllParams(2, clamp_p=True, max_resamples=0), Coloring((0, 1) * 4, 2)),
+            cycle(8), LllParams(2, max_resamples=0), Coloring((0, 1) * 4, 2)),
         "balanced subset unavailable: resampling exhausted after 0 resamples (seed 0)",
         0, type(None),
     ),

@@ -12,7 +12,6 @@ import dynachrome
 from dynachrome import (
     CertificationError,
     Coloring,
-    DegenerateParamsError,
     FormatError,
     Graph,
     PreconditionError,
@@ -144,7 +143,7 @@ _REFUSED = [
     ("constructions", "check_dynamic", ["construct", "product", "--graph", "cycle:8"]),
     ("constructions", "check_dynamic", ["construct", "compose", "--graph", "cycle:8"]),
     ("constructions", "check_dynamic",
-     ["construct", "balanced", "--graph", "complete_bipartite:16,16", "--clamp-p"]),
+     ["construct", "balanced", "--graph", "complete_bipartite:16,16"]),
 ]
 
 
@@ -167,8 +166,7 @@ def test_answer_failing_its_producers_check_exits_3(
 # certification and the command exits 3.
 _BROKEN_PARTS = [
     ("chi_witness", ["construct", "product", "--graph", "cycle:8"]),
-    ("chi_witness",
-     ["construct", "balanced", "--graph", "complete_bipartite:16,16", "--clamp-p"]),
+    ("chi_witness", ["construct", "balanced", "--graph", "complete_bipartite:16,16"]),
     ("bipartition", ["construct", "kneser", "--m", "7", "--n", "3"]),
 ]
 _ALL_ZERO = {
@@ -205,7 +203,6 @@ _EXIT_CODES = {
     SearchBudgetExceeded: 2,
     CertificationError: 3,
     PreconditionError: 1,
-    DegenerateParamsError: 1,
     FormatError: 1,
 }
 
@@ -363,19 +360,29 @@ def test_construct_compose_cycle6_exits_1(capsys):
 
 def test_construct_balanced(capsys):
     code, out, _ = run(capsys, "construct", "balanced", "--graph",
-                       "complete_bipartite:16,16", "--clamp-p",
-                       "--format", "json")
+                       "complete_bipartite:16,16", "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data["certificates"][0]["violations"] == 0
 
 
-@pytest.mark.parametrize("spec,k", [("random_regular:12,3", 3), ("cycle:6", 2)])
-def test_construct_balanced_degenerate_exits_1(capsys, spec, k):
-    code, out, err = run(capsys, "construct", "balanced", "--graph", spec, "--seed", "1")
-    assert code == 1 and out == ""
-    assert err == (f"invalid input: membership probability c' ln(k)/k >= 1 at k={k}; "
-                   "pass --clamp-p to run a clamped experiment\n")
+# Below k = 9 no degree cap passes the Local Lemma; the sampler runs at
+# p = 1/2 with cap k, so each vertex needs neighbors on both sides of T.
+# On C5 and C6 no T gives every vertex exactly one T-neighbor.
+@pytest.mark.parametrize("spec,resamples", [("cycle:5", 5000), ("cycle:6", 6000)])
+def test_construct_balanced_without_a_subset_exits_2(capsys, spec, resamples):
+    code, out, err = run(capsys, "construct", "balanced", "--graph", spec)
+    assert code == 2 and out == ""
+    assert err == ("budget exhausted: balanced subset unavailable: resampling "
+                   f"exhausted after {resamples} resamples (seed 0)\n")
+
+
+@pytest.mark.parametrize("argv", [["--graph", "random_regular:12,3", "--seed", "1"],
+                                  ["--graph", "cycle:8"]])
+def test_construct_balanced_small_degree_runs_quietly(capsys, recwarn, argv):
+    code, out, err = run(capsys, "construct", "balanced", *argv)
+    assert code == 0 and "dynamic check violations: 0" in out
+    assert err == "" and len(recwarn) == 0
 
 
 def test_construct_balanced_irregular_graph_is_invalid_input(capsys):
@@ -385,22 +392,13 @@ def test_construct_balanced_irregular_graph_is_invalid_input(capsys):
     assert err == "invalid input: balanced construction needs a regular graph\n"
 
 
-@pytest.mark.parametrize("spec,c_prime", [("random_regular:20,3", "nan"),
-                                          ("random_regular:20,3", "inf"),
-                                          ("random_regular:200,16", "1e308")])
-def test_construct_balanced_non_finite_c_prime_is_invalid_input(capsys, spec, c_prime):
-    code, out, err = run(capsys, "construct", "balanced", "--graph", spec,
-                         "--c-prime", c_prime, "--clamp-p")
-    assert code == 1 and out == ""
-    assert err.startswith("invalid input: c_prime must keep")
-
-
-def test_construct_balanced_clamp_note_on_stderr(capsys, recwarn):
-    code, out, err = run(capsys, "construct", "balanced", "--graph", "cycle:8",
-                         "--clamp-p")
-    assert code == 0 and "assignment:" in out
-    assert err == "note: membership probability c' ln(k)/k >= 1 at k=2; clamped to 0.5\n"
-    assert len(recwarn) == 0
+@pytest.mark.parametrize("flag", [["--clamp-p"], ["--c-prime", "7"]])
+def test_construct_balanced_has_no_window_knobs(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "balanced", "--graph", "cycle:8", *flag])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 def test_construct_product(capsys):

@@ -41,7 +41,7 @@ BUDGETED = (
     "kneser:7,3", "complete_bipartite:16,16", "random_regular:200,3",
     "random_regular:700,3", "random_regular:102,50", "random_regular:200,16",
 )
-KINDS = (("product",), ("compose",), ("balanced",), ("balanced", "--clamp-p"))
+KINDS = (("product",), ("compose",), ("balanced",))
 KNESER = ((5, 2), (7, 3), (8, 3), (9, 4), (11, 5), (13, 6))
 # cycle:6 has no double total dominating set and its neighborhood
 # hypergraph no 2-coloring: its size-2 hyperedges form two triangles, which

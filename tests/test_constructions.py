@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dynachrome import (
     CertificationError,
     Coloring,
-    DegenerateParamsError,
     Graph,
     Hypergraph,
     KneserSpec,
@@ -274,7 +273,7 @@ _CUBIC40 = random_regular(40, 3, seed=0)  # above the 28-vertex exact limit
                  id="neighborhood_product_coloring"),
     pytest.param(lambda b: kneser_dynamic_coloring(KneserSpec(7, 3), b),
                  id="kneser_dynamic_coloring"),
-    pytest.param(lambda b: balanced_coloring(_CUBIC40, b, clamp_p=True),
+    pytest.param(lambda b: balanced_coloring(_CUBIC40, b),
                  id="balanced_coloring"),
     pytest.param(lambda b: double_total_coloring(_CUBIC40, b), id="double_total_coloring"),
 ])
@@ -369,7 +368,7 @@ def test_certified_none_runs_no_check(monkeypatch):
      {"neighborhood_hypergraph": 1, "induced_subgraph": 1}),
     (lambda: neighborhood_product_coloring(cycle(8)),
      {"neighborhood_hypergraph": 1, "induced_subgraph": 0}),
-    (lambda: balanced_coloring(complete_bipartite(16, 16), clamp_p=True),
+    (lambda: balanced_coloring(complete_bipartite(16, 16)),
      {"neighborhood_hypergraph": 0, "induced_subgraph": 1}),
 ], ids=["kneser", "product", "balanced"])
 def test_pipelines_check_each_part_once(monkeypatch, build, built):
@@ -504,13 +503,12 @@ def test_kneser_out_of_regime():
 
 def test_balanced_coloring_16_regular():
     g = random_regular(200, 16, seed=5)
-    params = LllParams(16, c_prime=7.0, seed=5, clamp_p=True)
-    assert params.p_clamped
+    params = LllParams(16, seed=5)
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     witness = first_fit_coloring(g, order)
     result = balanced_subset_coloring(g, params, witness)
     assert check_dynamic(g, result.coloring) == []
-    bound = witness.palette_size + math.floor(2 * 7.0 * math.log(16)) + 1
+    bound = witness.palette_size + 13  # D(16) = 13
     assert result.color_bound == bound
     assert result.coloring.palette_size <= bound
     inside = [result.coloring[v] for v in result.subset]
@@ -519,12 +517,11 @@ def test_balanced_coloring_16_regular():
 
 def test_balanced_coloring_complete_bipartite():
     g = complete_bipartite(16, 16)
-    params = LllParams(16, c_prime=7.0, seed=2, clamp_p=True)
-    assert params.p_clamped
+    params = LllParams(16, seed=2)
     witness = Coloring.total([0] * 16 + [1] * 16, 2)
     result = balanced_subset_coloring(g, params, witness)
     assert check_dynamic(g, result.coloring) == []
-    assert result.coloring.palette_size <= 2 + math.floor(14 * math.log(16)) + 1
+    assert result.coloring.palette_size <= result.color_bound == 2 + 13
 
 
 def _outcome(build):
@@ -536,45 +533,45 @@ def _outcome(build):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("spec,clamp_p", [
-    ("random_regular:102,50", False), ("random_regular:200,16", True),
-    ("cycle:8", True), ("complete_bipartite:16,16", True),
-    ("complete_bipartite:16,16", False),
+@pytest.mark.parametrize("spec", [
+    "random_regular:102,50", "random_regular:200,16", "cycle:8",
+    "complete_bipartite:16,16", "cycle:5",
 ])
-def test_balanced_coloring_is_the_hand_assembly(spec, clamp_p, seed):
+def test_balanced_coloring_is_the_hand_assembly(spec, seed):
     g = from_spec(spec, seed)
 
     def by_hand():
-        params = LllParams(g.regular_degree(), c_prime=7.0, seed=seed, clamp_p=clamp_p)
+        params = LllParams(g.regular_degree(), seed=seed)
         witness, _ = chi_witness(g, None)
         return balanced_subset_coloring(g, params, witness)
 
     expected = _outcome(by_hand)
-    assert _outcome(lambda: balanced_coloring(g, None, seed, 7.0, clamp_p)) == expected
-    if isinstance(expected, tuple):  # no clamp at k = 16: the bias is >= 1
-        assert expected[0] is DegenerateParamsError
+    assert _outcome(lambda: balanced_coloring(g, None, seed)) == expected
+    if isinstance(expected, tuple):  # C5 has no T with one T-neighbor each
+        assert spec == "cycle:5" and expected[0] is SearchBudgetExceeded
     else:
         assert check_dynamic(g, expected.coloring) == []
-        assert expected.resample_log.params.p_clamped == clamp_p
+        assert expected.resample_log.params == LllParams(g.regular_degree(), seed=seed)
 
 
 def test_balanced_coloring_requires_a_regular_graph():
     with pytest.raises(ValueError, match="balanced construction needs a regular graph"):
-        balanced_coloring(complete_bipartite(1, 3), clamp_p=True)
+        balanced_coloring(complete_bipartite(1, 3))
 
 
-def test_balanced_coloring_degenerate_params_propagate():
+def test_balanced_coloring_below_the_window():
+    # At k = 3 no cap passes the Local Lemma; the construction still runs at
+    # p = 1/2 with D = k and certifies what it finds.
     g = random_regular(12, 3, seed=1)
-    params = LllParams(3, c_prime=7.0)
     witness, _ = chi_witness(g)
-    with pytest.raises(DegenerateParamsError):
-        balanced_subset_coloring(g, params, witness)
+    result = balanced_subset_coloring(g, LllParams(3), witness)
+    assert check_dynamic(g, result.coloring) == []
+    assert result.color_bound == witness.palette_size + 3
 
 
 def test_balanced_coloring_rejects_improper_witness():
     g = random_regular(20, 4, seed=1)
-    params = LllParams(4, c_prime=7.0, clamp_p=True)
-    assert params.p_clamped
+    params = LllParams(4)
     with pytest.raises(PreconditionError):
         balanced_subset_coloring(g, params, Coloring((0,) * 20, 1))
 

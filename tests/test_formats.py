@@ -12,6 +12,8 @@ from dynachrome import (
     cycle,
     gnp,
     graph_id,
+    kneser,
+    random_regular,
     read_dimacs,
     read_edge_list,
     read_graph_text,
@@ -149,6 +151,20 @@ def test_graph_id_stable_and_distinct():
     assert graph_id(cycle(5)) == graph_id(cycle(5))
     assert graph_id(cycle(5)) != graph_id(cycle(6))
     assert graph_id(cycle(5)).startswith("n5-m5-")
+
+
+# Recorded from the joined-payload implementation that hashed
+# "n;u,v;u,v..." in one string; the streamed hash must give the same ids.
+@pytest.mark.parametrize("g,expected", [
+    (Graph.from_edges(0, []), "n0-m0-f1ab6b1fa3e0"),
+    (Graph.from_edges(3, []), "n3-m0-58a39c37238a"),
+    (Graph.from_edges(3, [(1, 2)]), "n3-m1-a8241dfc7a40"),
+    (cycle(5), "n5-m5-73c59e3901ad"),
+    (kneser(7, 3), "n35-m70-cd6e3ce6a8b3"),
+    (random_regular(20, 3, 0), "n20-m30-d99f9237024c"),
+], ids=["n0", "edgeless3", "one_edge_late", "cycle5", "kneser7_3", "random_regular20_3"])
+def test_graph_id_pinned(g, expected):
+    assert graph_id(g) == expected
 
 
 def test_coloring_json_round_trip():

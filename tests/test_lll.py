@@ -1,17 +1,21 @@
 """Condition evaluators and resampling runs, cross-checked by the verifiers."""
 
+import bisect
 import dataclasses
+import itertools
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from dynachrome import (
-    DegenerateParamsError,
     Graph,
     Hypergraph,
     ListAssignment,
     LllParams,
     VertexSubset,
+    balanced_window,
     check_domination,
     check_hypergraph_2coloring,
     complete,
@@ -95,57 +99,110 @@ def test_list_condition_validation():
 # ----------------------------------------------------------------------
 
 
-def test_params_degenerate_at_small_k():
-    params = LllParams(3, c_prime=7.0)
-    assert params.p == pytest.approx(7 * math.log(3) / 3)
-    assert params.p > 1 and not params.p_clamped
+# (k, D, i): the window balanced_window(k) returns, p = i / 1000.
+WINDOWS = [(2, 2, 500), (8, 8, 500), (9, 9, 500), (16, 13, 375), (22, 15, 303),
+           (32, 18, 242), (50, 21, 175), (100, 26, 105), (161, 29, 72)]
 
 
-def test_params_clamping_recorded():
-    params = LllParams(16, c_prime=7.0, clamp_p=True)
-    assert params.p == 0.5 and params.p_clamped
+def _tail_numerators(k: int, i: int) -> list[int]:
+    """1000^k P(A_v) at p = i/1000 for each cap D (index D), with
+    A_v = "deg_T(v) = 0 or deg_T(v) >= D", summed term by term."""
+    q = 1000 - i
+    terms = [math.comb(k, j) * i**j * q ** (k - j) for j in range(k, -1, -1)]
+    return [q**k + tail for tail in reversed(list(itertools.accumulate(terms)))]
 
 
-def test_params_window_flag():
-    # The deviation window only opens at large degree (around k ~ 190 for c' = 7).
-    small = LllParams(16, c_prime=7.0, clamp_p=True)
-    assert small.p_clamped and not small.window_nonempty
-    assert LllParams(200, c_prime=7.0).window_nonempty
+def _margin_at_most_one(k: int, numerator: int) -> bool:
+    # e P(A_v) (k(k-1) + 1) <= 1, with e bounded above by 2718282/10^6
+    return 2718282 * (k * (k - 1) + 1) * numerator <= 10**6 * 1000**k
+
+
+def _grid_min(k: int, d: int) -> tuple[int, int]:
+    """The least numerator at cap d over p = i/1000 and its first i, found
+    by bisecting on the sign of the step from i to i + 1: P(A_v) falls,
+    then rises in p, so the first i not followed by a fall is the least."""
+    def f(i: int) -> int:
+        return _tail_numerators(k, i)[d]
+
+    i = 1 + bisect.bisect_left(range(1, 999), True, key=lambda i: f(i) <= f(i + 1))
+    return f(i), i
+
+
+@pytest.mark.parametrize("k,d,i", WINDOWS)
+def test_balanced_window_pinned(k, d, i):
+    p, cap, check = balanced_window(k)
+    assert (cap, p) == (d, i / 1000)
+    assert check.holds == (k >= 9)
+    # The margin, recomputed exactly, agrees with the check.
+    assert _margin_at_most_one(k, _tail_numerators(k, i)[d]) == check.holds
+    params = LllParams(k)
+    assert (params.p, params.degree_cap, params.condition) == (p, cap, check)
+
+
+@pytest.mark.parametrize("k", range(2, 51))
+def test_balanced_window_matches_brute_force(k):
+    # Over all 999 grid points: no D below the returned one passes, and at
+    # the returned D the least numerator (first such i) is the returned p.
+    p, d, _ = balanced_window(k)
+    rows = [_tail_numerators(k, j) for j in range(1, 1000)]
+    passing = [c for c in range(2, k + 1)
+               if _margin_at_most_one(k, min(row[c] for row in rows))]
+    assert min(passing, default=k) == d
+    assert min(range(1, 1000), key=lambda j: rows[j - 1][d]) / 1000 == p
+
+
+@pytest.mark.parametrize("k", range(2, 162))
+def test_balanced_window_is_the_least_passing_cap(k):
+    # Every degree up to 161, where the old concentration hypothesis first
+    # held: p is the grid minimum at D, found without logarithms, the check
+    # is that minimum's exact margin, and the cap D - 1 fails everywhere
+    # (so, the margin being monotone in D, does every smaller cap).
+    p, d, check = balanced_window(k)
+    num, i = _grid_min(k, d)
+    assert p == i / 1000
+    assert check.holds == _margin_at_most_one(k, num) == (k >= 9)
+    assert check.margin == pytest.approx(
+        2718282 * (k * (k - 1) + 1) * num / (10**6 * 1000**k), rel=1e-12)
+    if not check.holds:
+        assert d == k
+    if d > 2:
+        assert not _margin_at_most_one(k, _grid_min(k, d - 1)[0])
+
+
+def test_readme_window_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^  \| (\d+) \| (\d+) \| ([\d.]+) \| (\d+) \| ([\d.]+) \|$",
+                      readme, re.MULTILINE)
+    assert len(rows) >= 8
+    for k, d, p, paper, ratio in rows:
+        k = int(k)
+        window = balanced_window(k)
+        assert (int(d), float(p)) == (window[1], window[0])
+        assert int(paper) == math.floor(14 * math.log(k)) + 1
+        assert ratio == f"{(window[1] - 1) / math.log(k):.2f}"
+
+
+def test_balanced_window_rejects_small_k():
+    with pytest.raises(ValueError, match="k >= 2"):
+        balanced_window(1)
 
 
 def test_params_validation():
     # The checks hold however the params are built: the constructor, with
     # positional or keyword arguments, or dataclasses.replace on valid params.
-    valid = LllParams(16, clamp_p=True)
-    with pytest.raises(ValueError, match="exceed 6"):
-        LllParams(16, 6.0)
-    with pytest.raises(ValueError, match="exceed 6"):
-        LllParams(k=16, c_prime=6.0)
-    with pytest.raises(ValueError, match="exceed 6"):
-        dataclasses.replace(valid, c_prime=3.0)
+    valid = LllParams(16)
     with pytest.raises(ValueError, match="k >= 2"):
         LllParams(1)
     with pytest.raises(ValueError, match="k >= 2"):
-        LllParams(1, 7.0)
+        LllParams(1, 0)
     with pytest.raises(ValueError, match="k >= 2"):
         dataclasses.replace(valid, k=1)
     with pytest.raises(ValueError, match="max_resamples"):
-        LllParams(16, 7.0, max_resamples=-1)
+        LllParams(16, max_resamples=-1)
     with pytest.raises(ValueError, match="max_resamples"):
-        LllParams(16, 7.0, 0, -1)
+        LllParams(16, 0, -1)
     with pytest.raises(ValueError, match="max_resamples"):
         dataclasses.replace(valid, max_resamples=-1)
-
-
-@pytest.mark.parametrize("k,c_prime", [(3, math.nan), (3, math.inf), (16, 1e308),
-                                       (16, 1e154), (2, 1e155)])
-def test_params_reject_non_finite_c_prime(k, c_prime):
-    with pytest.raises(ValueError, match="finite"):
-        LllParams(k, c_prime=c_prime, clamp_p=True)
-    with pytest.raises(ValueError, match="finite"):
-        LllParams(k, c_prime, clamp_p=True)
-    with pytest.raises(ValueError, match="finite"):
-        dataclasses.replace(LllParams(k, clamp_p=True), c_prime=c_prime)
 
 
 @pytest.mark.parametrize("cap", [-1, -7])
@@ -161,9 +218,8 @@ def test_negative_resample_cap_rejected(cap):
     with pytest.raises(ValueError):
         select_sublists(cycle(4), ListAssignment.uniform(4, range(4)), 1, max_resamples=cap)
     with pytest.raises(ValueError):
-        LllParams(16, clamp_p=True, max_resamples=cap)
-    params = LllParams(16, clamp_p=True)
-    assert params.p_clamped
+        LllParams(16, max_resamples=cap)
+    params = LllParams(16)
     with pytest.raises(ValueError):
         find_balanced_subset(random_regular(40, 16, seed=0),
                              dataclasses.replace(params, max_resamples=cap))
@@ -267,22 +323,27 @@ def test_dtd_deterministic():
 # ----------------------------------------------------------------------
 
 
-def test_balanced_degenerate_p_reported():
+def test_balanced_small_k_runs_at_one_half():
+    # No cap passes the Local Lemma at k = 3: the sampler still runs, at
+    # p = 1/2 with D = k, so a vertex needs neighbors on both sides.
     g = random_regular(12, 3, seed=0)
-    with pytest.raises(DegenerateParamsError):
-        find_balanced_subset(g, LllParams(3, c_prime=7.0))
+    params = LllParams(3)
+    assert (params.p, params.degree_cap, params.condition.holds) == (0.5, 3, False)
+    t, log = find_balanced_subset(g, params)
+    assert log.success
+    for v in range(g.n):
+        assert 0 < deg_into(g, t, v) < 3
 
 
 def test_balanced_16_regular():
     g = random_regular(200, 16, seed=7)
-    params = LllParams(16, c_prime=7.0, seed=7, clamp_p=True)
-    assert params.p_clamped
+    params = LllParams(16, seed=7)
+    assert params.condition.holds
     t, log = find_balanced_subset(g, params)
     assert log.success
-    upper = 2 * 7.0 * math.log(16)
     for v in range(g.n):
         inside = deg_into(g, t, v)
-        assert 0 < inside < upper
+        assert 0 < inside < params.degree_cap == 13
         assert inside < g.degree(v)  # at least one neighbor outside
     assert log.params == params
     assert log.to_json_dict()["params"] == params.to_json_dict()
@@ -290,25 +351,23 @@ def test_balanced_16_regular():
 
 def test_balanced_complete_bipartite():
     g = complete_bipartite(16, 16)
-    params = LllParams(16, c_prime=7.0, seed=1, clamp_p=True)
-    assert params.p_clamped
+    params = LllParams(16, seed=1)
     t, log = find_balanced_subset(g, params)
     assert log.success
     for v in range(g.n):
-        assert 0 < deg_into(g, t, v) < g.degree(v) + 1
+        assert 0 < deg_into(g, t, v) < params.degree_cap
 
 
 def test_balanced_requires_regular():
     irregular = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    params = LllParams(16, clamp_p=True)
-    assert params.p_clamped
+    params = LllParams(16)
     with pytest.raises(ValueError):
         find_balanced_subset(irregular, params)
     g = random_regular(20, 4, seed=0)
     with pytest.raises(ValueError):
         find_balanced_subset(g, params)  # params built for k=16, graph has k=4
     with pytest.raises(ValueError, match="need regular degree k >= 2"):
-        find_balanced_subset(complete(2), LllParams(2, clamp_p=True))
+        find_balanced_subset(complete(2), LllParams(2))
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ incremental resampling engine replaced.  Each entry names a routine, its
 input and seed and cap, and holds the returned object, ``log.to_json_dict()``
 and ``log.final_state``; every one must be reproduced exactly.  The sweep
 covers successful, exhausted and zero-cap runs of all four routines, and
-clamped and unclamped balanced-subset params.  Entries under
+balanced-subset runs at degrees whose Local Lemma window holds (k >= 9)
+and at degrees where it does not.  Entries under
 ``find_double_total_dominating`` replay ``moser_tardos_2color`` on the
 graph's neighborhood hypergraph, with the vertices colored 1 as both the
 returned set and ``final_state``.
@@ -86,9 +87,7 @@ def run_case(case: dict) -> dict:
         out = None if f is None else VertexSubset.of(g, final_state)
     elif routine == "find_balanced_subset":
         g = from_spec(case["input"], seed=0)
-        params = LllParams(
-            g.regular_degree(), seed=seed, max_resamples=cap, clamp_p=case["clamp"]
-        )
+        params = LllParams(g.regular_degree(), seed=seed, max_resamples=cap)
         out, log = find_balanced_subset(g, params)
     elif routine == "select_sublists":
         g = from_spec(case["input"], seed=0)
@@ -118,10 +117,8 @@ def _sweep() -> list[dict]:
     add("find_double_total_dominating",
         ["random_regular:20,3", "random_regular:200,3", "random_regular:700,3"], range(3))
     add("find_double_total_dominating", ["random_regular:100,9"], range(2), caps=(None,))
-    add("find_balanced_subset", ["random_regular:102,50"], range(3), clamp=False)
-    add("find_balanced_subset",
-        ["random_regular:60,20", "random_regular:40,4", "random_regular:200,3"],
-        range(3), clamp=True)
+    add("find_balanced_subset", ["random_regular:102,50", "random_regular:60,20",
+                                 "random_regular:40,4", "random_regular:200,3"], range(3))
     add("select_sublists", ["cycle:4"], range(2), lists="uniform:4", l=4)
     add("select_sublists", ["cycle:6"], range(3), lists="uniform:3", l=1)
     add("select_sublists", ["random_regular:30,4"], range(4), lists="random:6,10", l=3)
@@ -131,7 +128,7 @@ def _sweep() -> list[dict]:
 
 
 def _case_id(case: dict) -> str:
-    extra = "".join(f",{k}={case[k]}" for k in ("clamp", "lists", "l") if k in case)
+    extra = "".join(f",{k}={case[k]}" for k in ("lists", "l") if k in case)
     return f"{case['routine']}[{case['input']},seed={case['seed']},cap={case['cap']}{extra}]"
 
 
@@ -151,10 +148,9 @@ def test_pinned_sweep_covers_every_outcome():
     for routine in {e["case"]["routine"] for e in entries}:
         assert (routine, "success") in outcomes
         assert (routine, "exhausted") in outcomes
-    assert any(e["expected"]["log"]["params"]["p_clamped"] for e in entries
-               if e["case"]["routine"] == "find_balanced_subset")
-    assert any(not e["expected"]["log"]["params"]["p_clamped"] for e in entries
-               if e["case"]["routine"] == "find_balanced_subset")
+    holds = {e["expected"]["log"]["params"]["holds"] for e in entries
+             if e["case"]["routine"] == "find_balanced_subset"}
+    assert holds == {True, False}
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ the seed and hands them to ``helpers.naive_resample``; the routine's result
 and every field of its log must match.
 """
 
-import math
 import random
 
 from hypothesis import given
@@ -73,17 +72,15 @@ def test_moser_tardos_2color_matches_oracle(h, seed, cap):
         assert c is None
 
 
-@given(regular_graphs(min_k=2), st.sampled_from([6.5, 7.0, 10.0]), seeds, caps)
-def test_find_balanced_subset_matches_oracle(g, c_prime, seed, cap):
-    k = len(g.adjacency[0])
-    params = LllParams(k, c_prime, seed, cap, clamp_p=True)
-    upper = 2 * c_prime * math.log(k)
+@given(regular_graphs(min_k=2), seeds, caps)
+def test_find_balanced_subset_matches_oracle(g, seed, cap):
+    params = LllParams(len(g.adjacency[0]), seed, cap)
     rng = random.Random(seed)
     in_t = [rng.random() < params.p for _ in range(g.n)]
 
     def violated(v):
         d = sum(in_t[u] for u in g.adjacency[v])
-        return d == 0 or d >= upper or d == k
+        return d == 0 or d >= params.degree_cap
 
     def redraw(u):
         in_t[u] = rng.random() < params.p

@@ -2,7 +2,6 @@
 
 import dataclasses
 import importlib
-import math
 
 import pytest
 
@@ -25,6 +24,7 @@ from dynachrome import (
     VertexSubset,
     Violation,
     balanced_coloring,
+    balanced_window,
     bound_report,
     chromatic_number,
     complete,
@@ -54,7 +54,7 @@ STORED = [
     (Coloring, ["colors", "palette_size"]),
     (ListAssignment, ["lists"]),
     (Violation, ["kind", "witness"]),
-    (LllParams, ["k", "c_prime", "seed", "max_resamples", "clamp_p"]),
+    (LllParams, ["k", "seed", "max_resamples"]),
     (ConditionCheck, ["margin", "threshold"]),
     (ResampleLog, ["outcome", "triggers", "final_state", "seed", "max_resamples", "params"]),
     (SolveResult, ["coloring", "lower", "nodes_explored"]),
@@ -135,7 +135,7 @@ def _logs():
         "moser_tardos_2color": [lambda cap, h=h: moser_tardos_2color(h, 2, cap)
                                 for h in (fano_plane(), neighborhood_hypergraph(g))],
         "find_balanced_subset": [lambda cap: find_balanced_subset(
-            c12, LllParams(2, seed=3, max_resamples=cap, clamp_p=True))],
+            c12, LllParams(2, seed=3, max_resamples=cap))],
         "select_sublists": [lambda cap: select_sublists(g4, lists, 2, 4, cap)],
     }
     return {name: [run(cap)[1] for run in fs for cap in (None, 0, 3)]
@@ -156,7 +156,7 @@ def test_resample_logs_and_balanced_results_hash():
     for logs in _logs().values():
         for log in logs:
             assert hash(log) == hash(dataclasses.replace(log))
-    result = balanced_coloring(random_regular(40, 16, seed=3), seed=3, clamp_p=True)
+    result = balanced_coloring(random_regular(40, 16, seed=3), seed=3)
     assert hash(result) == hash(dataclasses.replace(result))
 
 
@@ -181,8 +181,8 @@ def test_resample_log_is_frozen():
                                         ("random_regular:102,50", 6)])
 def test_balanced_subset_is_the_resampled_subset(spec, seed):
     g = from_spec(spec, seed)
-    result = balanced_coloring(g, seed=seed, clamp_p=True)
-    params = LllParams(g.regular_degree(), seed=seed, clamp_p=True)
+    result = balanced_coloring(g, seed=seed)
+    params = LllParams(g.regular_degree(), seed=seed)
     subset, log = find_balanced_subset(g, params)
     assert result.subset == subset
     assert result.resample_log == log
@@ -203,19 +203,16 @@ def test_bound_record_applicable_is_value_not_none():
             assert rec.applicable == (rec.value is not None)
 
 
-@pytest.mark.parametrize("k,c_prime,clamp_p", [(3, 7.0, False), (3, 7.0, True), (16, 7.0, True),
-                                               (16, 9.5, False), (200, 7.0, False),
-                                               (2, 7.0, 0), (2, 7.0, 1), (200, 7.0, 1)])
-def test_lll_params_derive_from_c_prime_and_k(k, c_prime, clamp_p):
-    params = LllParams(k=k, c_prime=c_prime, clamp_p=clamp_p)
-    raw = c_prime * math.log(k) / k
-    # p_clamped is a bool whatever the type of clamp_p, in JSON too.
-    assert params.p_clamped is (bool(clamp_p) and raw >= 1.0)
-    assert params.to_json_dict()["p_clamped"] is params.p_clamped
-    assert params.p == (0.5 if params.p_clamped else raw)
-    lam_sq = 3 * c_prime * math.log(k) * (1 + math.log(2) + math.log(k * k + 1))
-    assert params.lam == math.sqrt(lam_sq)
-    assert params.window_nonempty == (lam_sq < (c_prime * math.log(k)) ** 2)
+@pytest.mark.parametrize("k", [2, 3, 8, 9, 16, 50, 102, 200])
+def test_lll_params_derive_from_k(k):
+    params = LllParams(k=k, seed=4, max_resamples=9)
+    p, cap, check = balanced_window(k)
+    assert (params.p, params.degree_cap, params.condition) == (p, cap, check)
+    assert params.to_json_dict() == {
+        "k": k, "p": p, "degree_cap": cap, "margin": check.margin,
+        "holds": check.holds, "seed": 4, "max_resamples": 9,
+    }
+    assert check.holds is (k >= 9)
 
 
 def test_certificate_and_condition_flags_follow_their_values():
