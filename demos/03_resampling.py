@@ -5,7 +5,7 @@ from dynachrome import (
     Hypergraph,
     cycle,
     ListAssignment,
-    LllParams,
+    balanced_window,
     check_domination,
     check_hypergraph_2coloring,
     double_total_subset,
@@ -56,10 +56,10 @@ print(f"C6: {log.outcome} after {log.resample_count} resamples (double_total_sub
 # Balanced subsets of a 16-regular graph.  The membership probability p
 # and the degree cap D come from k alone, by the symmetric Local Lemma.
 g = random_regular(200, 16, seed=5)
-params = LllParams(16, seed=5)
-print(f"\nk=16: window p = {params.p}, D = {params.degree_cap} "
-      f"(LLL margin {params.condition.margin:.3f}, holds: {params.condition.holds})")
-t, log = find_balanced_subset(g, params)
+p, cap, check = balanced_window(16)
+print(f"\nk=16: window p = {p}, D = {cap} "
+      f"(LLL margin {check.margin:.3f}, holds: {check.holds})")
+t, log = find_balanced_subset(g, seed=5)
 inside = [sum(1 for u in g.adjacency[v] if u in t) for v in range(g.n)]
 print(f"balanced subset after {log.resample_count} resamples; "
       f"inside-degrees span [{min(inside)}, {max(inside)}]")

@@ -2,9 +2,9 @@
 
 from dynachrome import (
     KneserSpec,
-    LllParams,
     VertexSubset,
     balanced_subset_coloring,
+    balanced_window,
     bound_report,
     check_dynamic,
     chi_witness,
@@ -52,10 +52,10 @@ for m, n in [(7, 3), (8, 3), (9, 4)]:
 # Balanced-subset coloring: DSATUR on the low-degree inside part, the
 # original witness (shifted) outside.  The bound is the witness plus D.
 g = random_regular(200, 16, seed=11)
-params = LllParams(16, seed=11)
+p, cap, _ = balanced_window(16)
 witness, _ = chi_witness(g)
-result = balanced_subset_coloring(g, params, witness)
-print(f"\n16-regular n=200: window p = {params.p}, D = {params.degree_cap}; "
+result = balanced_subset_coloring(g, witness, seed=11)
+print(f"\n16-regular n=200: window p = {p}, D = {cap}; "
       f"{result.coloring.palette_size} colors (bound {result.color_bound}, "
       f"witness used {witness.palette_size})")
 

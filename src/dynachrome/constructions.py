@@ -29,8 +29,8 @@ from .graphs import (
     vertices_in_triangles,
 )
 from .lll import (
-    LllParams,
     ResampleLog,
+    balanced_window,
     find_balanced_subset,
     lll_condition_hypergraph,
     moser_tardos_2color,
@@ -296,7 +296,9 @@ def kneser_dynamic_coloring(
     to 0-based, is a proper t-coloring.  The T-restricted neighborhood
     hypergraph is 2-colored by :func:`hypergraph_2coloring`.  The parts are
     glued as in :func:`partial_product_coloring`, but certified only once glued.
+    A negative ``budget`` raises ValueError before KG(m, n) is built.
     """
+    _check_budget(budget)
     t = spec.t
     if not 1 <= t < spec.n:
         raise ValueError(f"need 2n < m < 3n, got m={spec.m}, n={spec.n}")
@@ -373,25 +375,27 @@ class BalancedColoringResult:
 
 
 def balanced_subset_coloring(
-    g: Graph, params: LllParams, chi_witness: Coloring
+    g: Graph, chi_witness: Coloring, seed: int = 0, max_resamples: Optional[int] = None
 ) -> BalancedColoringResult:
     """Color a k-regular graph with palette(chi_witness) + D colors.
 
-    A balanced subset T (every vertex with neighbors on both sides and
-    inside-degree below D = params.degree_cap, which is O(log k)) bounds
-    the degree of G[T], so DSATUR, a greedy coloring, colors it with at
-    most D fresh colors; the rest keep their chi_witness colors on a
-    shifted palette.  Every vertex then sees both palettes in its
-    neighborhood.  Resampling that exhausts its cap raises
-    SearchBudgetExceeded.
+    A balanced subset T from :func:`find_balanced_subset` (every vertex
+    with neighbors on both sides and inside-degree below D, the O(log k)
+    degree cap of :func:`lll.balanced_window` (k)) bounds the degree of
+    G[T], so DSATUR, a greedy coloring, colors it with at most D fresh
+    colors; the rest keep their chi_witness colors on a shifted palette.
+    Every vertex then sees both palettes in its neighborhood.  Resampling
+    that exhausts its cap raises SearchBudgetExceeded.
     """
     _require(check_proper(g, chi_witness), "chi witness is not a proper coloring")
-    return _balanced_subset(g, params, chi_witness)
+    return _balanced_subset(g, chi_witness, seed, max_resamples)
 
 
-def _balanced_subset(g: Graph, params: LllParams, witness: Coloring) -> BalancedColoringResult:
+def _balanced_subset(
+    g: Graph, witness: Coloring, seed: int, max_resamples: Optional[int]
+) -> BalancedColoringResult:
     """:func:`balanced_subset_coloring` on a ``witness`` already known proper."""
-    subset, log = find_balanced_subset(g, params)
+    subset, log = find_balanced_subset(g, seed, max_resamples)
     if subset is None:
         raise SearchBudgetExceeded(
             f"balanced subset unavailable: resampling exhausted after "
@@ -401,7 +405,7 @@ def _balanced_subset(g: Graph, params: LllParams, witness: Coloring) -> Balanced
     rest = Coloring(tuple(witness[v] for v in subset.complement()), witness.palette_size)
     combined = _glue(subset, Coloring.total(dsatur(g_t)[1]), rest)
     _certify_dynamic(g, combined, "balanced subset coloring")
-    bound = witness.palette_size + params.degree_cap
+    bound = witness.palette_size + balanced_window(g.regular_degree())[1]
     if combined.palette_size > bound:
         raise CertificationError(
             f"palette {combined.palette_size} exceeds the bound {bound}"
@@ -418,17 +422,17 @@ def balanced_coloring(
     within ``budget`` plus at most D colors, D from
     :func:`lll.balanced_window` (k).
 
-    The subset is sampled with ``LllParams(k, seed)`` and glued as in
-    :func:`balanced_subset_coloring`, without re-checking the witness it
-    just made.  A graph that is not regular, or has degree below 2,
-    raises ValueError.
+    The subset is sampled from ``seed`` at the default resample cap and
+    glued as in :func:`balanced_subset_coloring`, without re-checking the
+    witness it just made.  A graph that is not regular, or has degree
+    below 2, raises ValueError before the witness is sought.
     """
     k = g.regular_degree()
     if k is None:
         raise ValueError("balanced construction needs a regular graph")
-    params = LllParams(k, seed=seed)
+    balanced_window(k)  # raises on k < 2
     witness, _ = chi_witness(g, budget)
-    return _balanced_subset(g, params, witness)
+    return _balanced_subset(g, witness, seed, None)
 
 
 # ======================================================================

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Collection, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, SearchBudgetExceeded, bipartition, dsatur
+from .graphs import Graph, Hypergraph, SearchBudgetExceeded, _is_int, bipartition, dsatur
 from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
 from .verify import Coloring, ListAssignment, certify, check_dynamic, check_proper
 
@@ -85,7 +85,11 @@ class SolveResult:
 
 
 def _check_budget(budget: Optional[int]) -> None:
-    if budget is not None and budget < 0:
+    if budget is None:
+        return
+    if not _is_int(budget):
+        raise ValueError(f"node budget must be an int, got {budget!r}")
+    if budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
 
 

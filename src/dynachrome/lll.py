@@ -12,13 +12,15 @@ resample would draw it, so outputs and logs are exactly those of that
 simpler loop, deterministic given the seed.  "success" is reported only
 after a final full scan finds no violated event; non-convergence within the
 cap is reported as "exhausted", never as a proof that no solution exists.
+Each sampler is called as ``(input, ..., seed, max_resamples)`` and
+returns its result (None unless "success") with the :class:`ResampleLog`.
 
 The condition evaluators check when this scheme is guaranteed to work
 (small event probability, few dependencies); the samplers themselves run
 regardless and simply report what happened.  :func:`balanced_window`
 computes the balanced-subset sampler's membership probability and degree
 cap from k alone, in integer arithmetic, by the symmetric Local Lemma
-(Erdős and Lovász 1975).
+(Erdős and Lovász 1975); the sampler reads k off its graph.
 
 Double total dominating sets are not sampled here:
 constructions.double_total_subset takes the vertices colored 1 by
@@ -38,12 +40,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Hypergraph, VertexSubset
+from .graphs import Graph, Hypergraph, VertexSubset, _is_int
 from .verify import Coloring, ListAssignment
 
 __all__ = [
     "ConditionCheck",
-    "LllParams",
     "ResampleLog",
     "balanced_window",
     "lll_condition_hypergraph",
@@ -135,48 +136,6 @@ def balanced_window(k: int) -> tuple[float, int, ConditionCheck]:
 
 
 @dataclass(frozen=True)
-class LllParams:
-    """Parameters of the balanced-subset sampler on a k-regular graph.
-
-    Stored are k, the seed and the resample cap.  The membership
-    probability ``p``, the degree cap ``degree_cap`` (D) and the Local
-    Lemma ``condition`` are read off :func:`balanced_window` (k): the
-    sampler resamples a vertex while deg_T(v) = 0 or deg_T(v) >= D.
-    """
-
-    k: int
-    seed: int = 0
-    max_resamples: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        balanced_window(self.k)  # raises on k < 2
-        _cap(self.max_resamples, 0)  # raises on a negative cap
-
-    @property
-    def p(self) -> float:
-        return balanced_window(self.k)[0]
-
-    @property
-    def degree_cap(self) -> int:
-        return balanced_window(self.k)[1]
-
-    @property
-    def condition(self) -> ConditionCheck:
-        return balanced_window(self.k)[2]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "p": self.p,
-            "degree_cap": self.degree_cap,
-            "margin": self.condition.margin,
-            "holds": self.condition.holds,
-            "seed": self.seed,
-            "max_resamples": self.max_resamples,
-        }
-
-
-@dataclass(frozen=True)
 class ResampleLog:
     """Trace of one resampling run.
 
@@ -184,11 +143,11 @@ class ResampleLog:
     how often it was resampled, so ``resample_count`` is the sum of the
     counts.  ``final_state`` is the state at exit (also on exhaustion, for
     debugging), as a tuple: the 0/1 colors, T's members, or each sublist
-    as a sorted tuple.  ``params`` is the :class:`LllParams` of a
-    balanced-subset run, else None; the JSON form writes it out with its
-    derived values.  A "success" outcome is only
-    reported after the final state violates no event; callers re-verify
-    through the checkers.
+    as a sorted tuple.  ``seed`` and ``max_resamples`` are the run's
+    inputs, the cap as applied (the default filled in); anything else a
+    sampler uses, such as the balanced window, is derived from its input.
+    A "success" outcome is only reported after the final state violates no
+    event; callers re-verify through the checkers.
     """
 
     outcome: str
@@ -196,7 +155,6 @@ class ResampleLog:
     final_state: tuple
     seed: int
     max_resamples: int
-    params: Optional[LllParams] = None
 
     @property
     def resample_count(self) -> int:
@@ -213,13 +171,14 @@ class ResampleLog:
             "triggers": {str(i): count for i, count in self.triggers},
             "seed": self.seed,
             "max_resamples": self.max_resamples,
-            "params": None if self.params is None else self.params.to_json_dict(),
         }
 
 
 def _cap(max_resamples: Optional[int], n_events: int) -> int:
     if max_resamples is None:
         return DEFAULT_CAP_PER_EVENT * max(n_events, 1)
+    if not _is_int(max_resamples):
+        raise ValueError(f"max_resamples must be an int, got {max_resamples!r}")
     if max_resamples < 0:
         raise ValueError(f"max_resamples must be >= 0, got {max_resamples}")
     return max_resamples
@@ -229,7 +188,6 @@ def _resample(
     event_vars: Sequence[Sequence[int]], var_events: Sequence[Sequence[int]],
     draw: Callable[[int], object], violated: Callable[[list, int], bool],
     max_resamples: Optional[int], seed: int, snapshot: Callable[[list], tuple],
-    params: Optional[LllParams] = None,
 ) -> ResampleLog:
     """Draw ``state[v] = draw(v)`` for every variable, then resample until
     ``violated(state, i)`` holds for no event i or the cap is spent.
@@ -266,7 +224,7 @@ def _resample(
                 queued[j] = True
                 heapq.heappush(heap, j)
     outcome = "exhausted" if heap else "success"
-    return ResampleLog(outcome, tuple(sorted(counts.items())), snapshot(state), seed, cap, params)
+    return ResampleLog(outcome, tuple(sorted(counts.items())), snapshot(state), seed, cap)
 
 
 def _members(in_t: list[bool]) -> tuple[int, ...]:
@@ -303,31 +261,29 @@ def moser_tardos_2color(
 
 
 def find_balanced_subset(
-    g: Graph, params: LllParams
+    g: Graph, seed: int = 0, max_resamples: Optional[int] = None
 ) -> tuple[Optional[VertexSubset], ResampleLog]:
     """Biased random subset T of a k-regular graph in which every vertex
-    has 0 < deg_T(v) < D, for D = params.degree_cap <= k, so also a
-    neighbor outside T.
+    has 0 < deg_T(v) < D, for the degree cap D <= k of
+    :func:`balanced_window` (k), so also a neighbor outside T.
 
-    Membership is sampled with probability params.p; a violating vertex
-    has its whole neighborhood re-randomized with the same bias.
+    Membership is sampled with that window's probability p; a violating
+    vertex has its whole neighborhood re-randomized with the same bias.
     """
     k = g.regular_degree()
     if k is None:
         raise ValueError("graph is not regular")
     if k < 2:
         raise ValueError("need regular degree k >= 2")
-    if params.k != k:
-        raise ValueError(f"params were built for degree {params.k}, graph has {k}")
-    p, top = params.p, params.degree_cap
-    rng = random.Random(params.seed)
+    p, top, _ = balanced_window(k)
+    rng = random.Random(seed)
 
     def unbalanced(in_t: list[bool], v: int) -> bool:
         d = sum(1 for u in g.adjacency[v] if in_t[u])
         return d == 0 or d >= top
 
     log = _resample(g.adjacency, g.adjacency, lambda v: rng.random() < p, unbalanced,
-                    params.max_resamples, params.seed, _members, params)
+                    max_resamples, seed, _members)
     return (VertexSubset(frozenset(log.final_state), g.n) if log.success else None), log
 
 

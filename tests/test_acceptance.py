@@ -15,7 +15,6 @@ from dynachrome import (
     Hypergraph,
     KneserSpec,
     ListAssignment,
-    LllParams,
     VertexSubset,
     check_domination,
     check_dynamic,
@@ -204,10 +203,9 @@ def test_criterion_07_balanced_subset_pipeline():
     failures = []
     for seed in range(20):
         g = random_regular(200, k, seed=2000 + seed)
-        params = LllParams(k, seed=seed)
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         witness = first_fit_coloring(g, order)
-        result = balanced_subset_coloring(g, params, witness)
+        result = balanced_subset_coloring(g, witness, seed)
         bound = witness.palette_size + math.floor(upper) + 1
         # 0 < deg_T(v) < 2 c' ln k, and deg_T(v) < deg(v) means a neighbor
         # outside T as well.

@@ -11,7 +11,6 @@ import pytest
 
 from dynachrome import (
     Coloring,
-    LllParams,
     SearchBudgetExceeded,
     balanced_subset_coloring,
     complete,
@@ -36,8 +35,7 @@ _SITES = {
         "and exact search over budget after 2 nodes", 2, SearchBudgetExceeded,
     ),
     "balanced_subset_coloring": (
-        lambda: balanced_subset_coloring(
-            cycle(8), LllParams(2, max_resamples=0), Coloring((0, 1) * 4, 2)),
+        lambda: balanced_subset_coloring(cycle(8), Coloring((0, 1) * 4, 2), max_resamples=0),
         "balanced subset unavailable: resampling exhausted after 0 resamples (seed 0)",
         0, type(None),
     ),

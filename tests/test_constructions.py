@@ -15,7 +15,6 @@ from dynachrome import (
     Graph,
     Hypergraph,
     KneserSpec,
-    LllParams,
     PreconditionError,
     SearchBudgetExceeded,
     VertexSubset,
@@ -277,9 +276,14 @@ _CUBIC40 = random_regular(40, 3, seed=0)  # above the 28-vertex exact limit
                  id="balanced_coloring"),
     pytest.param(lambda b: double_total_coloring(_CUBIC40, b), id="double_total_coloring"),
 ])
-def test_negative_budget_refused_on_every_path(call):
+def test_negative_budget_refused_on_every_path(call, monkeypatch):
     # Whichever route the input takes (greedy witness, converged resampling,
-    # no hyperedge), a negative budget is refused before it runs.
+    # no hyperedge), a negative budget is refused before it runs: KG(m, n)
+    # is never built.
+    def unbuilt(spec):
+        raise AssertionError(f"KG({spec.m},{spec.n}) built before the budget was checked")
+
+    monkeypatch.setattr(KneserSpec, "graph", unbuilt)
     with pytest.raises(ValueError, match="budget must be >= 0"):
         call(-1)
 
@@ -503,10 +507,9 @@ def test_kneser_out_of_regime():
 
 def test_balanced_coloring_16_regular():
     g = random_regular(200, 16, seed=5)
-    params = LllParams(16, seed=5)
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     witness = first_fit_coloring(g, order)
-    result = balanced_subset_coloring(g, params, witness)
+    result = balanced_subset_coloring(g, witness, seed=5)
     assert check_dynamic(g, result.coloring) == []
     bound = witness.palette_size + 13  # D(16) = 13
     assert result.color_bound == bound
@@ -517,9 +520,8 @@ def test_balanced_coloring_16_regular():
 
 def test_balanced_coloring_complete_bipartite():
     g = complete_bipartite(16, 16)
-    params = LllParams(16, seed=2)
     witness = Coloring.total([0] * 16 + [1] * 16, 2)
-    result = balanced_subset_coloring(g, params, witness)
+    result = balanced_subset_coloring(g, witness, seed=2)
     assert check_dynamic(g, result.coloring) == []
     assert result.coloring.palette_size <= result.color_bound == 2 + 13
 
@@ -541,9 +543,8 @@ def test_balanced_coloring_is_the_hand_assembly(spec, seed):
     g = from_spec(spec, seed)
 
     def by_hand():
-        params = LllParams(g.regular_degree(), seed=seed)
         witness, _ = chi_witness(g, None)
-        return balanced_subset_coloring(g, params, witness)
+        return balanced_subset_coloring(g, witness, seed)
 
     expected = _outcome(by_hand)
     assert _outcome(lambda: balanced_coloring(g, None, seed)) == expected
@@ -551,12 +552,23 @@ def test_balanced_coloring_is_the_hand_assembly(spec, seed):
         assert spec == "cycle:5" and expected[0] is SearchBudgetExceeded
     else:
         assert check_dynamic(g, expected.coloring) == []
-        assert expected.resample_log.params == LllParams(g.regular_degree(), seed=seed)
+        log = expected.resample_log
+        assert (log.seed, log.max_resamples) == (seed, 1000 * g.n)  # the default cap
 
 
-def test_balanced_coloring_requires_a_regular_graph():
+def test_balanced_coloring_requires_a_regular_graph(monkeypatch):
+    # A graph that is not regular, or has degree below 2, is refused before
+    # the chi witness is sought or anything is sampled.
+    def unreached(*args):
+        raise AssertionError("the graph was not checked first")
+
+    monkeypatch.setattr(constructions, "chi_witness", unreached)
+    monkeypatch.setattr(constructions, "find_balanced_subset", unreached)
     with pytest.raises(ValueError, match="balanced construction needs a regular graph"):
         balanced_coloring(complete_bipartite(1, 3))
+    for g in (complete(2), Graph.from_edges(4, [])):
+        with pytest.raises(ValueError, match="k >= 2"):
+            balanced_coloring(g)
 
 
 def test_balanced_coloring_below_the_window():
@@ -564,16 +576,15 @@ def test_balanced_coloring_below_the_window():
     # p = 1/2 with D = k and certifies what it finds.
     g = random_regular(12, 3, seed=1)
     witness, _ = chi_witness(g)
-    result = balanced_subset_coloring(g, LllParams(3), witness)
+    result = balanced_subset_coloring(g, witness)
     assert check_dynamic(g, result.coloring) == []
     assert result.color_bound == witness.palette_size + 3
 
 
 def test_balanced_coloring_rejects_improper_witness():
     g = random_regular(20, 4, seed=1)
-    params = LllParams(4)
     with pytest.raises(PreconditionError):
-        balanced_subset_coloring(g, params, Coloring((0,) * 20, 1))
+        balanced_subset_coloring(g, Coloring((0,) * 20, 1))
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,9 @@ def test_negative_budget_rejected_and_zero_budget_exhausts():
         for budget in (-1, -3):
             with pytest.raises(ValueError, match="budget must be >= 0"):
                 search(budget)
+        for budget in (2.5, True, "3"):  # a count is an int, and not a bool
+            with pytest.raises(ValueError, match="budget must be an int"):
+                search(budget)
     # DSATUR colors the Petersen graph with chi = 3 colors, so no palette
     # is left to search; on KG(9,3) it uses 7, above chi = 5.
     decided = chromatic_number(g, 0)

@@ -1,7 +1,6 @@
 """Condition evaluators and resampling runs, cross-checked by the verifiers."""
 
 import bisect
-import dataclasses
 import itertools
 import math
 import re
@@ -13,7 +12,6 @@ from dynachrome import (
     Graph,
     Hypergraph,
     ListAssignment,
-    LllParams,
     VertexSubset,
     balanced_window,
     check_domination,
@@ -135,8 +133,6 @@ def test_balanced_window_pinned(k, d, i):
     assert check.holds == (k >= 9)
     # The margin, recomputed exactly, agrees with the check.
     assert _margin_at_most_one(k, _tail_numerators(k, i)[d]) == check.holds
-    params = LllParams(k)
-    assert (params.p, params.degree_cap, params.condition) == (p, cap, check)
 
 
 @pytest.mark.parametrize("k", range(2, 51))
@@ -188,27 +184,26 @@ def test_balanced_window_rejects_small_k():
 
 
 def test_params_validation():
-    # The checks hold however the params are built: the constructor, with
-    # positional or keyword arguments, or dataclasses.replace on valid params.
-    valid = LllParams(16)
+    # k is read off the graph, so k < 2 is refused however the other
+    # arguments are passed; so is a negative cap, positional or keyword.
+    g = random_regular(40, 16, seed=0)
     with pytest.raises(ValueError, match="k >= 2"):
-        LllParams(1)
+        find_balanced_subset(complete(2))
     with pytest.raises(ValueError, match="k >= 2"):
-        LllParams(1, 0)
+        find_balanced_subset(complete(2), 0, 5)
     with pytest.raises(ValueError, match="k >= 2"):
-        dataclasses.replace(valid, k=1)
-    with pytest.raises(ValueError, match="max_resamples"):
-        LllParams(16, max_resamples=-1)
-    with pytest.raises(ValueError, match="max_resamples"):
-        LllParams(16, 0, -1)
-    with pytest.raises(ValueError, match="max_resamples"):
-        dataclasses.replace(valid, max_resamples=-1)
+        balanced_window(1)
+    with pytest.raises(ValueError, match="max_resamples must be >= 0"):
+        find_balanced_subset(g, max_resamples=-1)
+    with pytest.raises(ValueError, match="max_resamples must be >= 0"):
+        find_balanced_subset(g, 0, -1)
 
 
-@pytest.mark.parametrize("cap", [-1, -7])
+@pytest.mark.parametrize("cap", [-1, -7, 2.5, True, "3"])
 def test_negative_resample_cap_rejected(cap):
-    # A single edge 2-colors on the first draw for seed 4, so a negative cap
-    # must be refused up front, not only once a resample is due.
+    # A single edge 2-colors on the first draw for seed 4, so a cap that is
+    # negative, or not an int (a bool included), must be refused up front,
+    # not only once a resample is due.
     with pytest.raises(ValueError):
         moser_tardos_2color(Hypergraph.from_edges(2, [(0, 1)]), seed=4, max_resamples=cap)
     with pytest.raises(ValueError):
@@ -218,11 +213,7 @@ def test_negative_resample_cap_rejected(cap):
     with pytest.raises(ValueError):
         select_sublists(cycle(4), ListAssignment.uniform(4, range(4)), 1, max_resamples=cap)
     with pytest.raises(ValueError):
-        LllParams(16, max_resamples=cap)
-    params = LllParams(16)
-    with pytest.raises(ValueError):
-        find_balanced_subset(random_regular(40, 16, seed=0),
-                             dataclasses.replace(params, max_resamples=cap))
+        find_balanced_subset(random_regular(40, 16, seed=0), max_resamples=cap)
 
 
 # ----------------------------------------------------------------------
@@ -327,9 +318,9 @@ def test_balanced_small_k_runs_at_one_half():
     # No cap passes the Local Lemma at k = 3: the sampler still runs, at
     # p = 1/2 with D = k, so a vertex needs neighbors on both sides.
     g = random_regular(12, 3, seed=0)
-    params = LllParams(3)
-    assert (params.p, params.degree_cap, params.condition.holds) == (0.5, 3, False)
-    t, log = find_balanced_subset(g, params)
+    p, cap, check = balanced_window(3)
+    assert (p, cap, check.holds) == (0.5, 3, False)
+    t, log = find_balanced_subset(g)
     assert log.success
     for v in range(g.n):
         assert 0 < deg_into(g, t, v) < 3
@@ -337,37 +328,31 @@ def test_balanced_small_k_runs_at_one_half():
 
 def test_balanced_16_regular():
     g = random_regular(200, 16, seed=7)
-    params = LllParams(16, seed=7)
-    assert params.condition.holds
-    t, log = find_balanced_subset(g, params)
+    _, cap, check = balanced_window(16)
+    assert check.holds
+    t, log = find_balanced_subset(g, seed=7)
     assert log.success
     for v in range(g.n):
         inside = deg_into(g, t, v)
-        assert 0 < inside < params.degree_cap == 13
+        assert 0 < inside < cap == 13
         assert inside < g.degree(v)  # at least one neighbor outside
-    assert log.params == params
-    assert log.to_json_dict()["params"] == params.to_json_dict()
+    assert (log.seed, log.max_resamples) == (7, 1000 * g.n)
 
 
 def test_balanced_complete_bipartite():
     g = complete_bipartite(16, 16)
-    params = LllParams(16, seed=1)
-    t, log = find_balanced_subset(g, params)
+    t, log = find_balanced_subset(g, seed=1)
     assert log.success
     for v in range(g.n):
-        assert 0 < deg_into(g, t, v) < params.degree_cap
+        assert 0 < deg_into(g, t, v) < balanced_window(16)[1]
 
 
 def test_balanced_requires_regular():
     irregular = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    params = LllParams(16)
-    with pytest.raises(ValueError):
-        find_balanced_subset(irregular, params)
-    g = random_regular(20, 4, seed=0)
-    with pytest.raises(ValueError):
-        find_balanced_subset(g, params)  # params built for k=16, graph has k=4
+    with pytest.raises(ValueError, match="graph is not regular"):
+        find_balanced_subset(irregular)
     with pytest.raises(ValueError, match="need regular degree k >= 2"):
-        find_balanced_subset(complete(2), LllParams(2))
+        find_balanced_subset(complete(2))
 
 
 # ----------------------------------------------------------------------

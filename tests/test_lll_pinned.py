@@ -24,8 +24,8 @@ import pytest
 from dynachrome import (
     Coloring,
     ListAssignment,
-    LllParams,
     VertexSubset,
+    balanced_window,
     find_balanced_subset,
     from_spec,
     moser_tardos_2color,
@@ -87,8 +87,7 @@ def run_case(case: dict) -> dict:
         out = None if f is None else VertexSubset.of(g, final_state)
     elif routine == "find_balanced_subset":
         g = from_spec(case["input"], seed=0)
-        params = LllParams(g.regular_degree(), seed=seed, max_resamples=cap)
-        out, log = find_balanced_subset(g, params)
+        out, log = find_balanced_subset(g, seed, cap)
     elif routine == "select_sublists":
         g = from_spec(case["input"], seed=0)
         out, log = select_sublists(g, _lists(g.n, case["lists"]), case["l"], seed, cap)
@@ -148,8 +147,8 @@ def test_pinned_sweep_covers_every_outcome():
     for routine in {e["case"]["routine"] for e in entries}:
         assert (routine, "success") in outcomes
         assert (routine, "exhausted") in outcomes
-    holds = {e["expected"]["log"]["params"]["holds"] for e in entries
-             if e["case"]["routine"] == "find_balanced_subset"}
+    inputs = {e["case"]["input"] for e in entries if e["case"]["routine"] == "find_balanced_subset"}
+    holds = {balanced_window(from_spec(spec, seed=0).regular_degree())[2].holds for spec in inputs}
     assert holds == {True, False}
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dynachrome import (
     Hypergraph,
     ListAssignment,
-    LllParams,
+    balanced_window,
     find_balanced_subset,
     moser_tardos_2color,
     random_regular,
@@ -41,7 +41,7 @@ def hypergraphs(draw):
     return Hypergraph.from_edges(n, draw(st.lists(edge, max_size=12)))
 
 
-def assert_log_matches(log, oracle, seed, final_state, params=None):
+def assert_log_matches(log, oracle, seed, final_state):
     outcome, count, triggers, cap = oracle
     assert log.outcome == outcome
     assert log.resample_count == count
@@ -50,7 +50,6 @@ def assert_log_matches(log, oracle, seed, final_state, params=None):
     assert list(log.final_state) == final_state
     assert log.seed == seed
     assert log.max_resamples == cap
-    assert log.params == params
 
 
 @given(hypergraphs(), seeds, caps)
@@ -74,21 +73,21 @@ def test_moser_tardos_2color_matches_oracle(h, seed, cap):
 
 @given(regular_graphs(min_k=2), seeds, caps)
 def test_find_balanced_subset_matches_oracle(g, seed, cap):
-    params = LllParams(len(g.adjacency[0]), seed, cap)
+    p, top, _ = balanced_window(len(g.adjacency[0]))
     rng = random.Random(seed)
-    in_t = [rng.random() < params.p for _ in range(g.n)]
+    in_t = [rng.random() < p for _ in range(g.n)]
 
     def violated(v):
         d = sum(in_t[u] for u in g.adjacency[v])
-        return d == 0 or d >= params.degree_cap
+        return d == 0 or d >= top
 
     def redraw(u):
-        in_t[u] = rng.random() < params.p
+        in_t[u] = rng.random() < p
 
     oracle = naive_resample(g.adjacency, violated, redraw, cap)
-    t, log = find_balanced_subset(g, params)
+    t, log = find_balanced_subset(g, seed, cap)
     members = [v for v in range(g.n) if in_t[v]]
-    assert_log_matches(log, oracle, seed, members, params)
+    assert_log_matches(log, oracle, seed, members)
     if oracle[0] == "success":
         assert sorted(t.members) == members and t.n == g.n
     else:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import random
 
 import pytest
 
@@ -17,7 +18,6 @@ from dynachrome import (
     KneserColoringResult,
     KneserSpec,
     ListAssignment,
-    LllParams,
     ResampleLog,
     SolveResult,
     TriangleCertificate,
@@ -54,9 +54,8 @@ STORED = [
     (Coloring, ["colors", "palette_size"]),
     (ListAssignment, ["lists"]),
     (Violation, ["kind", "witness"]),
-    (LllParams, ["k", "seed", "max_resamples"]),
     (ConditionCheck, ["margin", "threshold"]),
-    (ResampleLog, ["outcome", "triggers", "final_state", "seed", "max_resamples", "params"]),
+    (ResampleLog, ["outcome", "triggers", "final_state", "seed", "max_resamples"]),
     (SolveResult, ["coloring", "lower", "nodes_explored"]),
     (KneserColoringResult, ["spec", "graph", "coloring"]),
     (BalancedColoringResult, ["coloring", "resample_log", "color_bound"]),
@@ -134,8 +133,7 @@ def _logs():
     runs = {
         "moser_tardos_2color": [lambda cap, h=h: moser_tardos_2color(h, 2, cap)
                                 for h in (fano_plane(), neighborhood_hypergraph(g))],
-        "find_balanced_subset": [lambda cap: find_balanced_subset(
-            c12, LllParams(2, seed=3, max_resamples=cap))],
+        "find_balanced_subset": [lambda cap: find_balanced_subset(c12, 3, cap)],
         "select_sublists": [lambda cap: select_sublists(g4, lists, 2, 4, cap)],
     }
     return {name: [run(cap)[1] for run in fs for cap in (None, 0, 3)]
@@ -160,14 +158,17 @@ def test_resample_logs_and_balanced_results_hash():
     assert hash(result) == hash(dataclasses.replace(result))
 
 
-def test_resample_log_keeps_its_params_record():
-    for name, logs in _logs().items():
-        for log in logs:
-            if name == "find_balanced_subset":
-                assert isinstance(log.params, LllParams)
-                assert log.to_json_dict()["params"] == log.params.to_json_dict()
-            else:
-                assert log.params is None and log.to_json_dict()["params"] is None
+def test_samplers_share_one_log_shape():
+    # The three samplers take (input, ..., seed, max_resamples), and their
+    # logs have the same fields and the same JSON keys: no sampler stores
+    # anything more, such as the balanced window that k determines.
+    shapes = {name: {(type(log), tuple(f.name for f in dataclasses.fields(log)),
+                      tuple(log.to_json_dict())) for log in logs}
+              for name, logs in _logs().items()}
+    fields = ("outcome", "triggers", "final_state", "seed", "max_resamples")
+    keys = ("outcome", "resample_count", "triggers", "seed", "max_resamples")
+    for name, shape in shapes.items():
+        assert shape == {(ResampleLog, fields, keys)}, name
 
 
 def test_resample_log_is_frozen():
@@ -182,8 +183,7 @@ def test_resample_log_is_frozen():
 def test_balanced_subset_is_the_resampled_subset(spec, seed):
     g = from_spec(spec, seed)
     result = balanced_coloring(g, seed=seed)
-    params = LllParams(g.regular_degree(), seed=seed)
-    subset, log = find_balanced_subset(g, params)
+    subset, log = find_balanced_subset(g, seed)
     assert result.subset == subset
     assert result.resample_log == log
 
@@ -204,15 +204,20 @@ def test_bound_record_applicable_is_value_not_none():
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 9, 16, 50, 102, 200])
-def test_lll_params_derive_from_k(k):
-    params = LllParams(k=k, seed=4, max_resamples=9)
+def test_balanced_window_derives_from_k(k):
+    # The sampler's p and D are balanced_window(k)'s, for the k read off the
+    # graph: with no resample, T is the first draw at p, and the run
+    # succeeds iff every vertex has 0 < deg_T(v) < D.
     p, cap, check = balanced_window(k)
-    assert (params.p, params.degree_cap, params.condition) == (p, cap, check)
-    assert params.to_json_dict() == {
-        "k": k, "p": p, "degree_cap": cap, "margin": check.margin,
-        "holds": check.holds, "seed": 4, "max_resamples": 9,
-    }
     assert check.holds is (k >= 9)
+    g = complete_bipartite(k, k)
+    rng = random.Random(4)
+    members = tuple(v for v in range(g.n) if rng.random() < p)
+    t, log = find_balanced_subset(g, 4, 0)
+    assert (log.final_state, log.seed, log.max_resamples) == (members, 4, 0)
+    in_t = set(members)
+    inside = [len(in_t.intersection(nbrs)) for nbrs in g.adjacency]
+    assert log.success == all(0 < d < cap for d in inside) == (t is not None)
 
 
 def test_certificate_and_condition_flags_follow_their_values():
