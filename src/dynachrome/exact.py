@@ -2,17 +2,21 @@
 
 Every search is one depth-first backtracker that keeps its branch state in
 explicit arrays rather than on the Python call stack, so it runs on inputs
-of any size.  Graph searches color vertices in DSATUR order (most distinct
-neighbor colors first, ties by degree and then id) with color-symmetry
-breaking; the hypergraph search keeps descending hypergraph degree (ties
-by id).  Runs are deterministic, and budgets are explored node counts,
-not wall-clock, again for reproducibility.  A solver that exhausts its
-budget reports that distinctly from a certified "none": the two outcomes
-must never be conflated, because these functions serve as oracles for the
-randomized modules, and the two chromatic solvers certify each witness they
-return.  The hypergraph search is also the exact fallback of
-constructions.hypergraph_2coloring, which is how double total dominating
-sets reach it.
+of any size.  Graph searches color vertices in DSATUR order (most colors
+ruled out first, ties by degree and then id) with color-symmetry breaking.
+For chi a vertex rules out its colored neighbors' colors; the dynamic
+searches order by DSATUR with the neighborhoods as groups, which also rules
+out the color that all the other members of a neighborhood share when the
+vertex is its last uncolored member, so a neighborhood that cannot be
+closed is met early.  The hypergraph search keeps descending hypergraph
+degree (ties by id).  Runs are deterministic, and budgets are explored
+node counts, not wall-clock, again for reproducibility.  A solver that
+exhausts its budget reports that distinctly from a certified "none": the
+two outcomes must never be conflated, because these functions serve as
+oracles for the randomized modules, and the two chromatic solvers certify
+each witness they return.  The hypergraph search is also the exact
+fallback of constructions.hypergraph_2coloring, which is how double total
+dominating sets reach it.
 """
 
 from __future__ import annotations
@@ -209,8 +213,7 @@ def _min_palette(
     in hand.  The result holds the best coloring and the smallest palette
     not refuted: (found, k) at the first k that admits one, (``held``, k)
     when the budget runs out at k, and ``held`` at its own palette once all
-    are refuted.  A negative budget raises ValueError."""
-    _check_budget(budget)
+    are refuted.  The callers have checked ``budget``."""
     nodes = 0
     for k in range(3, held.palette_size):
         try:
@@ -232,6 +235,7 @@ def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
     from 3 to below the held one is settled by exhaustive backtracking, so
     the refuted size value - 1 certifies optimality.
     """
+    _check_budget(budget)
     order: list[int] = []  # a bipartition's palette (<= 2) leaves no search
     colors = bipartition(g)
     if colors is None:
@@ -248,21 +252,23 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
 
     When some vertex has degree >= 2 the value is at least 3: its two
     neighbors must differ from each other and from the vertex itself.
-    That refutes palettes 1 and 2 without search.  The coloring held before
-    any search is DSATUR's if check_dynamic passes it, and the all-distinct
-    one (always dynamic) otherwise; an exhausted result returns it as its
-    ``coloring``, whose palette is the upper end of the bounds.
+    That refutes palettes 1 and 2 without search.  The search order and
+    the coloring held before any search are DSATUR's with the neighborhoods
+    as groups, so that coloring is dynamic; it is certified once, and an
+    exhausted result returns it as its ``coloring``, whose palette is the
+    upper end of the bounds.  A coloring the search finds is certified too.
     """
+    _check_budget(budget)
     if g.max_degree <= 1:
         # No vertex is constrained: proper coloring, where check_proper suffices.
         return chromatic_number(g, budget)
     groups = neighborhood_hypergraph(g).edges
-    order, colors = dsatur(g)
-    greedy = Coloring.total(colors)
-    held = Coloring.total(range(g.n)) if check_dynamic(g, greedy) else greedy
+    order, colors = dsatur(g, groups)
+    held = Coloring.total(colors)
+    certify(check_dynamic(g, held), "chid upper-end witness")
     res = _min_palette(g, order, held, budget, groups)
-    if res.witness is not None:
-        certify(check_dynamic(g, res.witness), "chid witness")
+    if res.coloring is not held:
+        certify(check_dynamic(g, res.coloring), "chid witness")
     return res
 
 
@@ -276,6 +282,7 @@ def list_dynamic_coloring(
     distinct outcome from None.  Raises ValueError on a negative list
     color, which no Coloring can hold.
     """
+    _check_budget(budget)
     if len(lists) != g.n:
         raise ValueError("list assignment must cover all vertices")
     allowed = [sorted(lists[v]) for v in range(g.n)]
@@ -283,7 +290,7 @@ def list_dynamic_coloring(
         if colors and colors[0] < 0:
             raise ValueError(f"list of vertex {v} holds negative color {colors[0]}")
     groups = neighborhood_hypergraph(g).edges
-    found, _ = _search(dsatur(g)[0], allowed, g.adjacency, groups, False, budget)
+    found, _ = _search(dsatur(g, groups)[0], allowed, g.adjacency, groups, False, budget)
     if found is None:
         return None
     palette = max((max(l, default=0) for l in allowed), default=0) + 1

@@ -14,7 +14,7 @@ import sys
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -487,16 +487,24 @@ def bipartition(g: Graph) -> Optional[list[int]]:
     return color
 
 
-def dsatur(g: Graph) -> tuple[list[int], list[int]]:
+def dsatur(
+    g: Graph, groups: Optional[Sequence[Sequence[int]]] = None
+) -> tuple[list[int], list[int]]:
     """DSATUR (Brélaz, CACM 1979): the order in which it colors the vertices,
     and the colors it gives them, by vertex.
 
-    Each step takes the uncolored vertex whose colored neighbors show the
-    most distinct colors, ties by higher degree and then lower id, and
-    gives it the smallest color its neighbors lack.  The colors are thus
-    exactly what first-fit greedy gives in this order.  A heap entry is one
-    int, the base n + 1 digits (n - saturation, n - degree, id), so ints
-    compare as those triples would.
+    Each step takes the uncolored vertex that may not take the most
+    colors, ties by higher degree and then lower id, and gives it the
+    smallest color it may take.  A vertex may not take a color held by a
+    colored neighbor; without ``groups`` that is the only rule, and the
+    colors are exactly what first-fit greedy gives in this order.  Each of
+    ``groups`` (distinct vertices) with two or more members adds one: the
+    last uncolored member may not take color c when all the others hold c.
+    With the neighborhood hypergraph's edges as groups, every neighborhood
+    thus ends up with two colors, and the coloring is dynamic.  A heap
+    entry is one int, the base n + 1 digits (n - saturation, n - degree,
+    id), so ints compare as those triples would; saturation counts the
+    colors the vertex may not take.
     """
     n = g.n
     adj = g.adjacency
@@ -504,10 +512,18 @@ def dsatur(g: Graph) -> tuple[list[int], list[int]]:
     bb = b * b
     low = [(n - len(adj[v])) * b + v for v in range(n)]  # the last two digits
     color = [-1] * n
-    seen: list[set[int]] = [set() for _ in range(n)]
+    seen: list[set[int]] = [set() for _ in range(n)]  # the colors v may not take
     heap = [n * bb + x for x in low]
     heapq.heapify(heap)
     order = []
+    member_of: Optional[list[list[int]]] = None  # group indices by vertex
+    if groups:
+        groups = [grp for grp in groups if len(grp) >= 2]
+        member_of = [[] for _ in range(n)]
+        for i, grp in enumerate(groups):
+            for u in grp:
+                member_of[u].append(i)
+        left = [len(grp) for grp in groups]  # uncolored members by group
     while heap:
         key = heapq.heappop(heap)
         v = key % b
@@ -522,5 +538,20 @@ def dsatur(g: Graph) -> tuple[list[int], list[int]]:
             if color[u] < 0 and c not in seen[u]:
                 seen[u].add(c)
                 heapq.heappush(heap, (n - len(seen[u])) * bb + low[u])
+        if member_of is None:
+            continue
+        for i in member_of[v]:
+            left[i] -= 1
+            if left[i] == 1:  # one member open: are all the others in c?
+                last = -1
+                for u in groups[i]:
+                    if color[u] < 0:
+                        last = u
+                    elif color[u] != c:
+                        break
+                else:
+                    if c not in seen[last]:
+                        seen[last].add(c)
+                        heapq.heappush(heap, (n - len(seen[last])) * bb + low[last])
     return order, color
 

@@ -255,8 +255,17 @@ def moser_tardos_2color(
                 return False
         return True
 
-    log = _resample(edges, incident, lambda v: rng.randrange(2), monochromatic,
-                    max_resamples, seed, tuple)
+    getrandbits = rng.getrandbits
+
+    def coin(v: int) -> int:
+        # rng.randrange(2) draws 2 bits until they read below 2; the same
+        # loop inlined gives the same coins without its argument checks.
+        r = getrandbits(2)
+        while r > 1:
+            r = getrandbits(2)
+        return r
+
+    log = _resample(edges, incident, coin, monochromatic, max_resamples, seed, tuple)
     return (Coloring(log.final_state, 2) if log.success else None), log
 
 

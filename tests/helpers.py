@@ -12,10 +12,12 @@ build the same graph for every seed.  ``search_reference`` is the exact
 layer's backtracker as it was before groups were filed by closing depth:
 it counts each group's uncolored members and bisects the palette on every
 visit, and the library search must give the same colors and node counts.
-``dsatur_order_reference`` is the order ``graphs.dsatur`` gave when its
-heap held (-saturation, -degree, id) tuples; the library order must match
-it, and ``first_fit_coloring`` in that order must give the library's DSATUR
-colors.  ``check_proper_reference`` is ``verify.check_proper`` as it was when it
+``naive_dsatur`` is ``graphs.dsatur``, group rule included, by rescanning
+every uncolored vertex at every step.  ``dsatur_order_reference`` is the
+order ``graphs.dsatur`` gave when its heap held (-saturation, -degree, id)
+tuples; the library order must match it, and ``first_fit_coloring`` in
+that order must give the library's DSATUR colors.
+``check_proper_reference`` is ``verify.check_proper`` as it was when it
 walked ``Graph.edges()``; the library checker must report the same
 violations in the same order.  ``regularize_hypergraph`` is the lemma that
 embeds a k-uniform hypergraph of max degree <= k in a k-regular one.
@@ -28,6 +30,7 @@ pinned CLI sweep also passes as ``--graph``.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import random
@@ -38,6 +41,11 @@ from typing import Collection, Optional, Sequence
 
 from dynachrome import Coloring, Graph, Hypergraph, SearchBudgetExceeded
 from dynachrome import Violation, read_edge_list
+
+
+def digest(values) -> str:
+    """The first 16 hex digits of the SHA-256 of ``repr(tuple(values))``."""
+    return hashlib.sha256(repr(tuple(values)).encode()).hexdigest()[:16]
 
 
 def adjacency(g: Graph) -> list[tuple[int, ...]]:
@@ -90,23 +98,41 @@ def naive_dynamic_chromatic(g: Graph, kmax=None) -> int:
     return _naive_min_palette(adjacency(g), valid_dynamic, kmax)
 
 
-def naive_dsatur_order(g: Graph) -> list[int]:
-    """DSATUR by rescanning every uncolored vertex at each step: most
-    distinct neighbor colors, then highest degree, then lowest id."""
+def naive_dsatur(
+    g: Graph, groups: Sequence[Collection[int]] = ()
+) -> tuple[list[int], list[int]]:
+    """DSATUR by rescanning every uncolored vertex at each step, and the
+    colors it gives, by vertex.
+
+    A vertex may not take the colors of its colored neighbors, nor, for
+    each group of two or more members in which it is the only uncolored
+    one, the color that all the other members share.  Each step takes the
+    vertex that may not take the most colors, then highest degree, then
+    lowest id, and gives it the smallest color it may take.
+    """
     color: dict[int, int] = {}
     order = []
-    while len(order) < g.n:
-        def seen(v):
-            return {color[u] for u in g.adjacency[v] if u in color}
 
+    def blocked(v):
+        out = {color[u] for u in g.adjacency[v] if u in color}
+        for grp in groups:
+            others = [u for u in grp if u != v]
+            if len(grp) >= 2 and v in grp and all(u in color for u in others):
+                shared = {color[u] for u in others}
+                if len(shared) == 1:
+                    out |= shared
+        return out
+
+    while len(order) < g.n:
         v = min((v for v in range(g.n) if v not in color),
-                key=lambda v: (-len(seen(v)), -g.degree(v), v))
+                key=lambda v: (-len(blocked(v)), -g.degree(v), v))
+        no = blocked(v)
         c = 0
-        while c in seen(v):
+        while c in no:
             c += 1
         color[v] = c
         order.append(v)
-    return order
+    return order, [color[v] for v in range(g.n)]
 
 
 def first_fit_coloring(g: Graph, order: list[int]) -> Coloring:

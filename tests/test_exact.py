@@ -135,6 +135,22 @@ def test_negative_budget_rejected_and_zero_budget_exhausts():
             search(0)
 
 
+def test_budget_refused_before_any_graph_work(monkeypatch):
+    # A bad budget is refused before the bipartition, DSATUR or the
+    # neighborhood hypergraph runs, as the constructions refuse one at once.
+    for name in ("bipartition", "dsatur", "neighborhood_hypergraph"):
+        monkeypatch.setattr(exact, name, lambda *_: pytest.fail("graph work ran"))
+    g = cycle(5)
+    lists = ListAssignment.uniform(g.n, range(4))
+    for search in (lambda b: chromatic_number(g, b),
+                   lambda b: dynamic_chromatic_number(g, b),
+                   lambda b: list_dynamic_coloring(g, lists, b)):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            search(-1)
+        with pytest.raises(ValueError, match="budget must be an int"):
+            search(2.5)
+
+
 @pytest.mark.parametrize("solve", [chromatic_number, dynamic_chromatic_number])
 @pytest.mark.parametrize("spec", ["complete:3", "complete:4", "complete:5", "cycle:5",
                                   "kneser:5,2"])
@@ -206,23 +222,22 @@ def test_chid_known_upper_bounds():
         assert dynamic_chromatic_number(g).value <= 4
 
 
-# An exhausted chid search holds DSATUR's coloring when that coloring is
-# dynamic (palettes 7 and 12 here), and the all-distinct one on n colors when
-# it is not: DSATUR's coloring of random_regular(60,3) seed 4 fails
-# check_dynamic.  The held coloring's palette is the upper end.
+# An exhausted chid search holds the coloring of DSATUR with the
+# neighborhoods as groups, which is always dynamic, and its palette is the
+# upper end.  On random_regular(60,3) seed 4 plain DSATUR's coloring is not
+# dynamic, so the neighborhood rule is what makes the held coloring dynamic.
 @pytest.mark.parametrize("spec, seed, bounds", [
     ("kneser:11,4", 0, (3, 7)),
     ("random_regular:400,32", 0, (4, 12)),
-    ("random_regular:60,3", 4, (3, 60)),
+    ("random_regular:60,3", 4, (3, 4)),
 ])
 def test_chid_exhausted_upper_end_is_a_certified_palette(spec, seed, bounds):
     g = from_spec(spec, seed)
     res = dynamic_chromatic_number(g, budget=1000)
     assert res.exhausted and res.bounds == bounds
-    greedy = Coloring.total(dsatur(g)[1])
-    dynamic = not check_dynamic(g, greedy)
-    assert res.bounds[1] == (greedy.palette_size if dynamic else g.n)
-    assert res.coloring == (greedy if dynamic else Coloring.total(range(g.n)))
+    held = Coloring.total(dsatur(g, neighborhood_hypergraph(g).edges)[1])
+    assert check_dynamic(g, held) == []
+    assert res.coloring == held
 
 
 def test_chid_unconstrained_graphs():
@@ -426,12 +441,12 @@ def test_exhausted_solves_check_no_witness(monkeypatch):
     monkeypatch.setattr(exact, "check_proper", unexpected)
     monkeypatch.setattr(exact, "check_dynamic", unexpected)
     assert chromatic_number(kneser(6, 2), budget=5).exhausted
-    # chid checks one coloring, DSATUR's, and only for its upper end.
+    # chid checks one coloring, the DSATUR one it holds for its upper end.
     checked = []
     monkeypatch.setattr(exact, "check_dynamic", lambda g, c: checked.append(c) or [])
     g = kneser(6, 2)
     assert dynamic_chromatic_number(g, budget=5).bounds == (3, 4)
-    assert checked == [Coloring.total(dsatur(g)[1])]
+    assert checked == [Coloring.total(dsatur(g, neighborhood_hypergraph(g).edges)[1])]
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact solvers, criticality and their vertex order against naive
 oracles on random small inputs; DSATUR against its earlier heap and
-first-fit greedy; and the 2-colorability of regular graphs' neighborhood
-hypergraphs."""
+first-fit greedy, and with groups against a rescanning reference; and the
+2-colorability of regular graphs' neighborhood hypergraphs."""
 
 import itertools
 from unittest import mock
@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynachrome import (
+    Coloring,
     Graph,
     Hypergraph,
     ListAssignment,
@@ -36,10 +37,11 @@ from dynachrome import (
 )
 from helpers import (
     brute_force_hypergraph_2colorable,
+    digest,
     dsatur_order_reference,
     first_fit_coloring,
-    naive_dsatur_order,
     naive_chromatic,
+    naive_dsatur,
     naive_dynamic_chromatic,
     naive_list_dynamic,
 )
@@ -70,9 +72,33 @@ def hypergraphs(draw):
     return Hypergraph.from_edges(n, draw(st.lists(edge, max_size=10)))
 
 
+def _assert_dsatur_with_neighborhoods_is_dynamic(g, naive=True):
+    groups = neighborhood_hypergraph(g).edges
+    order, colors = dsatur(g, groups)
+    assert check_dynamic(g, Coloring.total(colors)) == []
+    if naive:
+        assert (order, colors) == naive_dsatur(g, groups)
+
+
 @given(graphs())
 def test_dsatur_order_matches_naive(g):
-    assert dsatur(g)[0] == naive_dsatur_order(g)
+    assert dsatur(g) == naive_dsatur(g)
+    _assert_dsatur_with_neighborhoods_is_dynamic(g)
+
+
+@st.composite
+def graphs_with_groups(draw):
+    """A graph and any groups of distinct vertices, sizes 0 to n."""
+    g = draw(graphs())
+    group = st.sets(st.integers(0, g.n - 1)).map(sorted) if g.n else st.just([])
+    return g, draw(st.lists(group, max_size=8))
+
+
+@given(graphs_with_groups())
+@example((cycle(5), [[0, 2], [1], [], [0, 1, 3]]))
+def test_dsatur_with_groups_matches_naive(case):
+    g, groups = case
+    assert dsatur(g, groups) == naive_dsatur(g, groups)
 
 
 def _disjoint_union(parts: list[Graph]) -> Graph:
@@ -105,6 +131,7 @@ def _assert_dsatur_matches_reference(g):
 @example(_disjoint_union([cycle(5), complete(4), Graph.from_edges(2, [])]))
 def test_dsatur_matches_reference_and_greedy(g):
     _assert_dsatur_matches_reference(g)
+    _assert_dsatur_with_neighborhoods_is_dynamic(g, naive=g.n <= 20)
 
 
 @pytest.mark.parametrize("spec, seed", [
@@ -115,7 +142,19 @@ def test_dsatur_matches_reference_and_greedy(g):
     ("gnp:200,0.5", 0),
 ])
 def test_dsatur_matches_reference_on_bench_graphs(spec, seed):
-    _assert_dsatur_matches_reference(from_spec(spec, seed))
+    g = from_spec(spec, seed)
+    _assert_dsatur_matches_reference(g)
+    _assert_dsatur_with_neighborhoods_is_dynamic(g, naive=False)
+
+
+# Plain DSATUR's order and colors, recorded before ``dsatur`` took groups.
+@pytest.mark.parametrize("spec, seed, want", [
+    ("random_regular:3000,3", 1, ("7d530f291c8bb0c2", "7d5a8acffee981cc")),
+    ("random_regular:102,50", 11, ("56015b264fa2b8ec", "1f7b6a1dd8e317ed")),
+])
+def test_dsatur_without_groups_pinned(spec, seed, want):
+    order, colors = dsatur(from_spec(spec, seed))
+    assert (digest(order), digest(colors)) == want
 
 
 @given(graphs())

@@ -14,7 +14,6 @@ node total and on where a budget runs out, for any neighbor lists, not only
 a graph's.
 """
 
-import hashlib
 import itertools
 
 import pytest
@@ -30,7 +29,7 @@ from dynachrome import (
     neighborhood_hypergraph,
 )
 from dynachrome.exact import _search
-from helpers import search_reference
+from helpers import digest, search_reference
 
 MAX_N = 7
 
@@ -95,15 +94,12 @@ def test_search_matches_reference(args):
     assert _outcome(_search, *args) == _outcome(search_reference, *args)
 
 
-def _digest(colors) -> str:
-    return hashlib.sha256(repr(tuple(colors)).encode()).hexdigest()[:16]
-
-
 # The benchmark's `exact` solves, each on from_spec(spec, seed) with the
 # seed its row gets: value, nodes, exhausted, bounds and the witness digest,
-# the first five recorded before the search filed groups by closing depth.
+# the chi rows recorded before the search filed groups by closing depth.
 # A chi solve whose DSATUR coloring is on 3 colors searches no palette and
-# returns that coloring in 0 nodes.
+# returns that coloring in 0 nodes.  The chid rows were recorded once chid
+# ordered its search by DSATUR with the neighborhoods as groups.
 BENCH_SOLVES = [
     (chromatic_number, "random_regular:500,3", 0, 20_000,
      (3, 0, False, None, "73a0c9ffba4257d1")),
@@ -111,9 +107,9 @@ BENCH_SOLVES = [
      (3, 3007, False, None, "52c4466c07eb5f04")),
     (chromatic_number, "kneser:9,3", 2, 20_000, (None, 20001, True, (4, 7), None)),
     (dynamic_chromatic_number, "random_regular:40,4", 3, 1_000_000,
-     (3, 525, False, None, "43ed69f0edd95dc8")),
+     (3, 614, False, None, "43ed69f0edd95dc8")),
     (dynamic_chromatic_number, "random_regular:60,3", 4, 20_000,
-     (None, 20001, True, (3, 60), None)),
+     (3, 5029, False, None, "de33d91aaa643760")),
     # `experiment conjecture-scan --family regular --k 4 --n 30 --trials 3
     # --budget 200000` (seed 6) solves chi and chid on its three trial
     # graphs; recorded before first visits read neighbor colors as tuples.
@@ -124,19 +120,26 @@ BENCH_SOLVES = [
     (chromatic_number, "random_regular:30,4", 6000019, 200_000,
      (3, 0, False, None, "93beca55dce5d1a6")),
     (dynamic_chromatic_number, "random_regular:30,4", 6000019, 200_000,
-     (3, 983, False, None, "019f8a5c2f9aa9bd")),
+     (3, 498, False, None, "019f8a5c2f9aa9bd")),
     (chromatic_number, "random_regular:30,4", 6000020, 200_000,
      (3, 0, False, None, "556ff6c4b9920fe6")),
     (dynamic_chromatic_number, "random_regular:30,4", 6000020, 200_000,
-     (3, 83, False, None, "3ef8e84d550aef69")),
+     (3, 66, False, None, "3ef8e84d550aef69")),
 ]
 
 
 @pytest.mark.parametrize("solve, spec, seed, budget, want", BENCH_SOLVES)
 def test_bench_solves_pinned(solve, spec, seed, budget, want):
     res = solve(from_spec(spec, seed), budget)
-    witness = None if res.witness is None else _digest(res.witness.colors)
+    witness = None if res.witness is None else digest(res.witness.colors)
     assert (res.value, res.nodes_explored, res.exhausted, res.bounds, witness) == want
+
+
+def test_chid_decides_random_regular_200_3():
+    # Exhausted after 10^6 nodes in plain DSATUR order.
+    res = dynamic_chromatic_number(from_spec("random_regular:200,3", 0), 100_000)
+    assert (res.value, res.nodes_explored) == (3, 64526)
+    assert digest(res.witness.colors) == "3eae444f100c160f"
 
 
 def test_bench_double_total_pinned():
