@@ -4,19 +4,21 @@ Every search is one depth-first backtracker that keeps its branch state in
 explicit arrays rather than on the Python call stack, so it runs on inputs
 of any size.  Graph searches color vertices in DSATUR order (most colors
 ruled out first, ties by degree and then id) with color-symmetry breaking.
-For chi a vertex rules out its colored neighbors' colors; the dynamic
-searches order by DSATUR with the neighborhoods as groups, which also rules
-out the color that all the other members of a neighborhood share when the
-vertex is its last uncolored member, so a neighborhood that cannot be
-closed is met early.  The hypergraph search keeps descending hypergraph
-degree (ties by id).  Runs are deterministic, and budgets are explored
-node counts, not wall-clock, again for reproducibility.  A solver that
-exhausts its budget reports that distinctly from a certified "none": the
-two outcomes must never be conflated, because these functions serve as
-oracles for the randomized modules, and the two chromatic solvers certify
-each witness they return.  The hypergraph search is also the exact
-fallback of constructions.hypergraph_2coloring, which is how double total
-dominating sets reach it.
+Palettes are ascending tuples or lists: chi and chi_d try each k as the
+tuple 0..k-1, the list search each vertex's sorted list.  For chi a vertex
+rules out its colored neighbors' colors; the dynamic searches order by
+DSATUR with the neighborhoods as groups, which also rules out the color
+that all the other members of a neighborhood share when the vertex is its
+last uncolored member, so a neighborhood that cannot be closed is met
+early.  The hypergraph search keeps descending hypergraph degree (ties by
+id).  Runs are deterministic, and budgets are explored node counts, not
+wall-clock, again for reproducibility.  A solver that exhausts its budget
+reports that distinctly from a certified "none": the two outcomes must
+never be conflated, because these functions serve as oracles for the
+randomized modules, and the two chromatic solvers certify each witness
+they return.  The hypergraph search is also the exact fallback of
+constructions.hypergraph_2coloring, which is how double total dominating
+sets reach it.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _search(
     nodes: int = 0,
 ) -> tuple[Optional[list[int]], int]:
     """Depth-first search for colors from strictly ascending per-vertex
-    palettes.
+    palettes, each a tuple or list of ints.
 
     Vertices are colored in ``order``, which lists each vertex once.  A
     vertex skips colors already on a colored neighbor in ``adj``.  When the
@@ -217,8 +219,9 @@ def _min_palette(
     nodes = 0
     for k in range(3, held.palette_size):
         try:
+            # A tuple, not a range: indexing a range computes the item each time.
             found, nodes = _search(
-                order, [range(k)] * g.n, g.adjacency, groups, True, budget, nodes
+                order, [tuple(range(k))] * g.n, g.adjacency, groups, True, budget, nodes
             )
         except SearchBudgetExceeded as exc:
             return SolveResult(held, k, exc.nodes_explored)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from typing import Optional, Sequence
 
 from .graphs import Graph, _is_int
@@ -159,9 +160,10 @@ def graph_id(g: Graph) -> str:
     h = hashlib.sha256(f"{g.n};".encode())
     sep = ""
     for u, nbrs in enumerate(g.adjacency):
-        row = ";".join(f"{u},{v}" for v in nbrs if v > u)
-        if row:
-            h.update((sep + row).encode())
+        up = nbrs[bisect_right(nbrs, u):]  # the neighbours above u, ascending
+        if up:
+            p = f"{u},"
+            h.update((sep + p + (";" + p).join(map(str, up))).encode())
             sep = ";"
     return f"n{g.n}-m{g.edge_count}-{h.hexdigest()[:12]}"
 

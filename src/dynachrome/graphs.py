@@ -14,7 +14,7 @@ import sys
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -41,6 +41,19 @@ __all__ = [
 def _is_int(value) -> bool:
     """An int that is not a bool: the one form of a vertex id, count or colour."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ints_in_range(values: Collection, bound: int) -> bool:
+    """Whether every one of ``values`` is an int (no bool) in ``range(bound)``.
+
+    The types are collected once, so ``min`` and ``max`` decide the range.
+    """
+    types = set(map(type, values))
+    return (
+        bool not in types
+        and all(issubclass(t, int) for t in types)
+        and (not values or (0 <= min(values) and max(values) < bound))
+    )
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -169,7 +182,7 @@ class VertexSubset:
     n: int
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and all(_is_int(v) and 0 <= v < self.n for v in self.members)):
+        if not (_is_int(self.n) and _ints_in_range(self.members, self.n)):
             raise ValueError(f"need an int n and int members in range(n), got n={self.n!r}")
 
     @classmethod
@@ -312,6 +325,8 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
     replay ``random.Random(seed).shuffle`` from bulk draws, so the graph
     for a given seed is the one ``shuffle`` would give.
     """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     if k < 0 or k >= max(n, 1):
         raise ValueError("need 0 <= k < n")
     if (n * k) % 2 != 0:
@@ -339,7 +354,16 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
                 break  # stuck: every thrown-back pair would be a loop or a repeat
             stubs = list(left.elements())
         else:
-            return Graph.from_edges(n, ((u, v) for u in range(n) for v in higher[u]))
+            # The pairing refused every loop and repeat, and n >= 0 was
+            # checked above, so nothing needs from_edges' checks.  Each row is its lower neighbours, filled
+            # in ascending u, then its sorted higher ones.
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for u, h in enumerate(higher):
+                for v in h:
+                    adj[v].append(u)
+            for row, h in zip(adj, higher):
+                row.extend(sorted(h))
+            return Graph(tuple(map(tuple, adj)))
     raise SearchBudgetExceeded(f"random_regular({n},{k}) gave up after {max_retries} restarts")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, VertexSubset, _is_int
+from .graphs import Graph, Hypergraph, VertexSubset, _ints_in_range, _is_int
 
 __all__ = [
     "CertificationError",
@@ -49,7 +49,9 @@ class Coloring:
     def __post_init__(self) -> None:
         if not _is_int(self.palette_size) or self.palette_size < 0:
             raise ValueError(f"palette size must be a nonnegative int, got {self.palette_size!r}")
-        for v, c in enumerate(self.colors):
+        if _ints_in_range(self.colors, self.palette_size):
+            return
+        for v, c in enumerate(self.colors):  # name the first bad vertex
             if not _is_int(c) or not 0 <= c < self.palette_size:
                 raise ValueError(
                     f"color {c!r} of vertex {v} outside palette of size {self.palette_size}"

@@ -54,9 +54,13 @@ def search_inputs(draw):
         adj = [sorted({u for u in range(n) if v in adj[u] or u in adj[v]})
                for v in range(n)]
     break_symmetry = draw(st.booleans())
+    # Palettes as sorted lists, as tuples (a chi or chid solve passes
+    # tuple(range(k))) and as ranges.
     ascending = st.sets(st.integers(0, 5), max_size=4).map(sorted)
+    ascending = st.one_of(ascending, ascending.map(tuple))
     if break_symmetry:  # the search requires one palette for all vertices
-        palette = draw(st.one_of(st.builds(range, st.integers(0, 4)), ascending))
+        prefix = st.builds(range, st.integers(0, 4))
+        palette = draw(st.one_of(prefix, prefix.map(tuple), ascending))
         palettes = [palette] * n
     else:
         palettes = draw(st.lists(ascending, min_size=n, max_size=n))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from enum import IntEnum
 from math import comb
 
 import pytest
@@ -208,7 +209,7 @@ def test_random_regular_matches_reference_on_small_and_edge_cases():
 
 
 def test_random_regular_error_paths_match_reference():
-    for n, k in [(5, 3), (5, 5), (4, -1), (0, 1), (7, 7)]:
+    for n, k in [(5, 3), (5, 5), (4, -1), (0, 1), (7, 7), (-2, 0)]:
         _assert_same_as_reference(n, k, [0])
         with pytest.raises(ValueError):
             random_regular(n, k, seed=0)
@@ -422,17 +423,37 @@ def test_vertex_subset_basics():
         VertexSubset(frozenset({9}), 4)
 
 
+class Corner(IntEnum):
+    FIRST = 0
+    LAST = 2
+
+
 # Vertex ids and counts are ints, not bools, so a member True cannot pass
-# for vertex 1 nor a float for an id.
+# for vertex 1 nor a float for an id; ids lie in range(n).
 @pytest.mark.parametrize("members, n", [
     (frozenset({1.5, True}), 3),
     (frozenset({True}), 3),
+    (frozenset({0, 2, True}), 3),
+    (frozenset({0, 2, 3}), 3),
+    (frozenset({-1, 0}), 3),
+    (frozenset({Corner.LAST, 3}), 3),
     (frozenset(), 3.0),
     (frozenset({0}), True),
-], ids=["float-and-bool-members", "bool-member", "float-count", "bool-count"])
+], ids=["float-and-bool-members", "bool-member", "bool-after-ints", "above-range",
+        "negative", "intenum-and-out-of-range", "float-count", "bool-count"])
 def test_vertex_subset_refuses_ids_that_are_not_ints(members, n):
     with pytest.raises(ValueError, match="int"):
         VertexSubset(members, n)
+
+
+# An int subclass other than bool is a vertex id.
+@pytest.mark.parametrize("members", [
+    frozenset({Corner.FIRST, 1, Corner.LAST}),
+    frozenset({Corner.LAST}),
+    frozenset(),
+], ids=["intenum-and-int", "intenum-only", "empty"])
+def test_vertex_subset_accepts_ids_in_range(members):
+    assert VertexSubset(members, 3).members == members
 
 
 def test_connectivity_and_bipartition():

@@ -2,6 +2,7 @@
 ``check_proper`` against its earlier form on random colored graphs."""
 
 import itertools
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given
@@ -266,16 +267,37 @@ def test_coloring_invariants():
             Coloring(colors, 1)
 
 
+class Shade(IntEnum):
+    LIGHT = 0
+    DARK = 1
+
+
 # Coloring.total infers the palette and converts no color, and a bool is no
-# color: a float was rounded down, a string parsed and a bool accepted.
-@pytest.mark.parametrize("make", [
-    lambda: Coloring.total([0.9, 1.7]),
-    lambda: Coloring.total(["1", "0"]),
-    lambda: Coloring((True, False, True, False), 2),
-], ids=["floats", "strings", "bools"])
-def test_coloring_refuses_colors_that_are_not_ints(make):
-    with pytest.raises(ValueError, match="of vertex 0 outside palette"):
+# color: a float was rounded down, a string parsed and a bool accepted.  The
+# message names the first bad vertex, also after plain int colors.
+@pytest.mark.parametrize("make, vertex", [
+    (lambda: Coloring.total([0.9, 1.7]), 0),
+    (lambda: Coloring.total(["1", "0"]), 0),
+    (lambda: Coloring((True, False, True, False), 2), 0),
+    (lambda: Coloring((0, 1, True, 0), 2), 2),
+    (lambda: Coloring((0, 1, 2, 0), 2), 2),
+    (lambda: Coloring((0, 1, -1, 0), 2), 2),
+    (lambda: Coloring((Shade.DARK, 1, True, 0), 2), 2),
+], ids=["floats", "strings", "bools", "bool-after-ints", "above-palette", "negative",
+        "bool-after-intenum"])
+def test_coloring_refuses_colors_that_are_not_ints(make, vertex):
+    with pytest.raises(ValueError, match=f"of vertex {vertex} outside palette"):
         make()
+
+
+# An int subclass other than bool is a color, and no vertices need no color.
+@pytest.mark.parametrize("colors, palette", [
+    ((Shade.DARK, 0, Shade.LIGHT), 2),
+    ((Shade.LIGHT, Shade.DARK), 2),
+    ((), 0),
+], ids=["intenum-and-int", "intenum-only", "empty"])
+def test_coloring_accepts_ints_in_range(colors, palette):
+    assert Coloring(colors, palette).colors == colors
 
 
 # A palette size is an int, not a bool, as coloring_from_json_dict demands
