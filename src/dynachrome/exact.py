@@ -3,34 +3,37 @@
 Every search is one depth-first backtracker that keeps its branch state in
 explicit arrays rather than on the Python call stack, so it runs on inputs
 of any size.  Graph searches color vertices in DSATUR order (most colors
-ruled out first, ties by degree and then id) with color-symmetry breaking.
-Palettes are ascending tuples or lists: chi and chi_d try each k as the
-tuple 0..k-1, the list search each vertex's sorted list.  For chi a vertex
-rules out its colored neighbors' colors; the dynamic searches order by
-DSATUR with the neighborhoods as groups, which also rules out the color
-that all the other members of a neighborhood share when the vertex is its
-last uncolored member, so a neighborhood that cannot be closed is met
-early.  The hypergraph search keeps descending hypergraph degree (ties by
-id).  Runs are deterministic, and budgets are explored node counts, not
-wall-clock, again for reproducibility.  A solver that exhausts its budget
-reports that distinctly from a certified "none": the two outcomes must
-never be conflated, because these functions serve as oracles for the
-randomized modules, and the two chromatic solvers certify each witness
-they return.  The hypergraph search is also the exact fallback of
+ruled out first, ties by degree and then id) with color-symmetry breaking
+by palette position: a vertex may take at most one position above the
+largest taken so far.  Palettes are ascending tuples or lists: chi and
+chi_d try each k as the tuple 0..k-1, the list search each vertex's sorted
+list.  For chi a vertex rules out its colored neighbors' colors; the
+dynamic searches order by DSATUR with the neighborhoods as groups, which
+also rules out the color that all the other members of a neighborhood
+share when the vertex is its last uncolored member, so a neighborhood that
+cannot be closed is met early.  The hypergraph search keeps descending
+hypergraph degree (ties by id).  Runs are deterministic, and budgets are
+explored node counts, not wall-clock, again for reproducibility.  A solver
+that exhausts its budget reports that distinctly from a certified "none":
+the two outcomes must never be conflated, because these functions serve as
+oracles for the randomized modules.  Both chromatic solvers go through one
+solve path, which certifies the coloring every solve returns, an exhausted
+solve's held coloring included; the list search certifies its coloring
+too.  The hypergraph search is also the exact fallback of
 constructions.hypergraph_2coloring, which is how double total dominating
 sets reach it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Collection, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, SearchBudgetExceeded, _is_int, bipartition, dsatur
+from .graphs import Graph, Hypergraph, SearchBudgetExceeded, _check_count, bipartition, dsatur
 from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
-from .verify import Coloring, ListAssignment, certify, check_dynamic, check_proper
+from .verify import Coloring, ListAssignment, Violation, certify, check_dynamic
+from .verify import check_list_respecting, check_proper
 
 __all__ = [
     "SolveResult",
@@ -91,12 +94,8 @@ class SolveResult:
 
 
 def _check_budget(budget: Optional[int]) -> None:
-    if budget is None:
-        return
-    if not _is_int(budget):
-        raise ValueError(f"node budget must be an int, got {budget!r}")
-    if budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {budget}")
+    if budget is not None:
+        _check_count(budget, "node budget")
 
 
 def _search(
@@ -126,9 +125,10 @@ def _search(
     member in ``order``.  Each group is filed once, under that depth, as the
     list of its other members, and a color tried at a depth is tested
     against the groups closing there and no others.  With ``break_symmetry``
-    (all palettes alike), a vertex may take at most one color above the
-    largest used so far; how far into the palette that reaches is read from
-    a table built once, indexed by the position of the largest color used.
+    (all palettes alike), a vertex may take at most one palette position
+    above the largest taken so far, whatever colors the palette holds; how
+    far into the palette that reaches is read from a table built once,
+    indexed by one past the largest position taken.
     Every color tried is one node, counted on from ``nodes`` against
     ``budget``; a negative budget raises ValueError.  Returns the colors by
     vertex (None when no branch survives) and the node total, or raises
@@ -160,13 +160,12 @@ def _search(
             closing[last].append([u for u in grp if u != v])
     ends: list[int] = []
     if break_symmetry and depth:
-        # ends[t]: how many palette entries are open while the largest color
-        # used is palette[t - 1] (t = 0: none used yet), i.e. up to one above.
-        palette = palettes[order[0]]
-        ends = [bisect_right(palette, 0)]
-        ends.extend(bisect_right(palette, c + 1) for c in palette)
+        # ends[t]: how many palette positions are open while the largest
+        # taken is t - 1 (t = 0: none taken yet), i.e. up to one above.
+        k = len(palettes[order[0]])
+        ends = [min(t + 1, k) for t in range(k + 1)]
     limit = float("inf") if budget is None else budget
-    top = [0] * (depth + 1)  # top[i]: ends index for the colors of order[:i]
+    top = [0] * (depth + 1)  # top[i]: one past the largest position in order[:i]
     resume = [0] * depth  # palette index past the color taken at each depth
     used_at: list[tuple[int, ...]] = [()] * depth  # neighbor colors at entry
     i = 0
@@ -209,13 +208,22 @@ def _search(
 
 
 def _min_palette(
-    g: Graph, order: list[int], held: Coloring, budget: Optional[int], groups: Sequence
+    g: Graph,
+    order: list[int],
+    held: Coloring,
+    budget: Optional[int],
+    groups: Sequence,
+    check: Callable[[Graph, Coloring], list[Violation]],
 ) -> SolveResult:
     """Search palettes 3, 4, ... below that of ``held``, a coloring already
-    in hand.  The result holds the best coloring and the smallest palette
-    not refuted: (found, k) at the first k that admits one, (``held``, k)
-    when the budget runs out at k, and ``held`` at its own palette once all
-    are refuted.  The callers have checked ``budget``."""
+    in hand, in ``order`` with ``groups`` that may not close in one color.
+    The result holds the best coloring and the smallest palette not
+    refuted: (found, k) at the first k that admits one, (``held``, k) when
+    the budget runs out at k, and ``held`` at its own palette once all are
+    refuted.  Its coloring is certified with ``check`` before it is
+    returned, so this is where every chi and chi_d answer is certified, an
+    exhausted solve's held coloring included.  The callers have checked
+    ``budget``."""
     nodes = 0
     for k in range(3, held.palette_size):
         try:
@@ -224,10 +232,15 @@ def _min_palette(
                 order, [tuple(range(k))] * g.n, g.adjacency, groups, True, budget, nodes
             )
         except SearchBudgetExceeded as exc:
-            return SolveResult(held, k, exc.nodes_explored)
+            res = SolveResult(held, k, exc.nodes_explored)
+            break
         if found is not None:
-            return SolveResult(Coloring.total(found, k), k, nodes)
-    return SolveResult(held, held.palette_size, nodes)
+            res = SolveResult(Coloring.total(found, k), k, nodes)
+            break
+    else:
+        res = SolveResult(held, held.palette_size, nodes)
+    certify(check(g, res.coloring), "exact solve witness")
+    return res
 
 
 def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
@@ -236,17 +249,15 @@ def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
     The coloring held before any search is a bipartition's on a bipartite
     graph (edgeless ones included) and DSATUR's otherwise; each palette
     from 3 to below the held one is settled by exhaustive backtracking, so
-    the refuted size value - 1 certifies optimality.
+    the refuted size value - 1 certifies optimality.  The coloring returned
+    is certified with ``check_proper``.
     """
     _check_budget(budget)
     order: list[int] = []  # a bipartition's palette (<= 2) leaves no search
     colors = bipartition(g)
     if colors is None:
         order, colors = dsatur(g)
-    res = _min_palette(g, order, Coloring.total(colors), budget, [])
-    if res.witness is not None:
-        certify(check_proper(g, res.witness), "chi witness")
-    return res
+    return _min_palette(g, order, Coloring.total(colors), budget, [], check_proper)
 
 
 def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
@@ -257,22 +268,16 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
     neighbors must differ from each other and from the vertex itself.
     That refutes palettes 1 and 2 without search.  The search order and
     the coloring held before any search are DSATUR's with the neighborhoods
-    as groups, so that coloring is dynamic; it is certified once, and an
-    exhausted result returns it as its ``coloring``, whose palette is the
-    upper end of the bounds.  A coloring the search finds is certified too.
+    as groups, so that coloring is dynamic, and an exhausted result returns
+    it as its ``coloring``, whose palette is the upper end of the bounds.
+    When no vertex has degree >= 2 there are no groups, and the held
+    coloring is the bipartition chi would hold.  The coloring returned is
+    certified with ``check_dynamic``.
     """
     _check_budget(budget)
-    if g.max_degree <= 1:
-        # No vertex is constrained: proper coloring, where check_proper suffices.
-        return chromatic_number(g, budget)
     groups = neighborhood_hypergraph(g).edges
     order, colors = dsatur(g, groups)
-    held = Coloring.total(colors)
-    certify(check_dynamic(g, held), "chid upper-end witness")
-    res = _min_palette(g, order, held, budget, groups)
-    if res.coloring is not held:
-        certify(check_dynamic(g, res.coloring), "chid witness")
-    return res
+    return _min_palette(g, order, Coloring.total(colors), budget, groups, check_dynamic)
 
 
 def list_dynamic_coloring(
@@ -283,7 +288,8 @@ def list_dynamic_coloring(
 
     Raises SearchBudgetExceeded when the budget runs out first; that is a
     distinct outcome from None.  Raises ValueError on a negative list
-    color, which no Coloring can hold.
+    color, which no Coloring can hold.  The coloring returned is certified
+    with ``check_dynamic`` and ``check_list_respecting``.
     """
     _check_budget(budget)
     if len(lists) != g.n:
@@ -297,7 +303,9 @@ def list_dynamic_coloring(
     if found is None:
         return None
     palette = max((max(l, default=0) for l in allowed), default=0) + 1
-    return Coloring.total(found, palette)
+    c = Coloring.total(found, palette)
+    certify(check_dynamic(g, c) + check_list_respecting(g, lists, c), "list dynamic witness")
+    return c
 
 
 def hypergraph_2color_exact(

@@ -43,6 +43,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_count(value, what: str) -> None:
+    """Refuse a count, named by ``what``, that is negative or not an int (a
+    bool included): a node budget, a resample cap or a restart limit."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+
+
 def _ints_in_range(values: Collection, bound: int) -> bool:
     """Whether every one of ``values`` is an int (no bool) in ``range(bound)``.
 
@@ -321,7 +330,8 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
     a duplicate edge are thrown back and rematched in the next round.  A
     round that gets stuck (every remaining pair is unusable) restarts the
     pairing from scratch, up to ``max_retries`` restarts, and raises
-    SearchBudgetExceeded once they are spent.  The shuffles
+    SearchBudgetExceeded once they are spent; a negative or non-int
+    ``max_retries`` raises ValueError.  The shuffles
     replay ``random.Random(seed).shuffle`` from bulk draws, so the graph
     for a given seed is the one ``shuffle`` would give.
     """
@@ -331,6 +341,7 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
         raise ValueError("need 0 <= k < n")
     if (n * k) % 2 != 0:
         raise ValueError("n * k must be even")
+    _check_count(max_retries, "max_retries")
     rng = random.Random(seed)
     for _ in range(max_retries):
         # Edge {u, v} with u < v is recorded as v in higher[u].

@@ -40,7 +40,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Hypergraph, VertexSubset, _is_int
+from .graphs import Graph, Hypergraph, VertexSubset, _check_count
 from .verify import Coloring, ListAssignment
 
 __all__ = [
@@ -177,10 +177,7 @@ class ResampleLog:
 def _cap(max_resamples: Optional[int], n_events: int) -> int:
     if max_resamples is None:
         return DEFAULT_CAP_PER_EVENT * max(n_events, 1)
-    if not _is_int(max_resamples):
-        raise ValueError(f"max_resamples must be an int, got {max_resamples!r}")
-    if max_resamples < 0:
-        raise ValueError(f"max_resamples must be >= 0, got {max_resamples}")
+    _check_count(max_resamples, "max_resamples")
     return max_resamples
 
 

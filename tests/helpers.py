@@ -12,6 +12,7 @@ build the same graph for every seed.  ``search_reference`` is the exact
 layer's backtracker as it was before groups were filed by closing depth:
 it counts each group's uncolored members and bisects the palette on every
 visit, and the library search must give the same colors and node counts.
+Both break color symmetry by palette position, not by color value.
 ``naive_dsatur`` is ``graphs.dsatur``, group rule included, by rescanning
 every uncolored vertex at every step.  ``dsatur_order_reference`` is the
 order ``graphs.dsatur`` gave when its heap held (-saturation, -degree, id)
@@ -313,12 +314,12 @@ def search_reference(
     colored neighbor in ``adj``, and a branch dies as soon as one of
     ``groups`` is fully colored in a single color.  With
     ``break_symmetry`` (all palettes alike), a vertex may take at most one
-    color above the largest used so far.  Every color tried is one node,
-    counted on from ``nodes`` against ``budget``; a negative budget raises
-    ValueError.  Returns the colors by vertex (None when no branch
-    survives) and the node total, or raises SearchBudgetExceeded.  The
-    branch state lives in per-depth arrays, not on the Python call stack,
-    so no input is too deep to search.
+    palette position above the largest taken so far.  Every color tried is
+    one node, counted on from ``nodes`` against ``budget``; a negative
+    budget raises ValueError.  Returns the colors by vertex (None when no
+    branch survives) and the node total, or raises SearchBudgetExceeded.
+    The branch state lives in per-depth arrays, not on the Python call
+    stack, so no input is too deep to search.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
@@ -330,7 +331,7 @@ def search_reference(
     remaining = [len(grp) for grp in groups]
     limit = float("inf") if budget is None else budget
     depth = len(order)
-    top = [-1] * (depth + 1)  # top[i]: largest color among order[:i]
+    top = [-1] * (depth + 1)  # top[i]: largest palette position among order[:i]
     used_at: list[set[int]] = [set()] * depth  # neighbor colors at entry
     i = 0
     while 0 <= i < depth:
@@ -346,7 +347,7 @@ def search_reference(
                 remaining[gi] += 1
             color[v] = -1
             used = used_at[i]
-        end = bisect_right(palette, top[i] + 1) if break_symmetry else len(palette)
+        end = min(top[i] + 2, len(palette)) if break_symmetry else len(palette)
         while j < end:
             c = palette[j]
             j += 1
@@ -373,7 +374,7 @@ def search_reference(
         if color[v] < 0:
             i -= 1
         else:
-            top[i + 1] = top[i] if top[i] > color[v] else color[v]
+            top[i + 1] = top[i] if top[i] > j - 1 else j - 1  # j - 1: color[v]'s position
             i += 1
     return (color if i == depth else None), nodes
 

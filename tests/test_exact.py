@@ -240,12 +240,34 @@ def test_chid_exhausted_upper_end_is_a_certified_palette(spec, seed, bounds):
     assert res.coloring == held
 
 
+def _matchings(vertices):
+    """Every set of disjoint edges on ``vertices``, each as a list of pairs."""
+    if not vertices:
+        yield []
+        return
+    v, rest = vertices[0], vertices[1:]
+    yield from _matchings(rest)  # v stays isolated
+    for i, u in enumerate(rest):
+        for m in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(v, u)] + m
+
+
 def test_chid_unconstrained_graphs():
     assert dynamic_chromatic_number(Graph.from_edges(3, [])).value == 1
     matching = Graph.from_edges(4, [(0, 1), (2, 3)])
     res = dynamic_chromatic_number(matching)
     assert res.value == 2
     assert check_dynamic(matching, res.witness) == []
+    # With max degree <= 1 no vertex is constrained, so chid's solve is
+    # chi's: on every matching with n <= 8, isolated vertices or not.
+    count = 0
+    for n in range(9):
+        for edges in _matchings(list(range(n))):
+            g = Graph.from_edges(n, edges)
+            count += 1
+            for budget in (None, 0, 5):
+                assert dynamic_chromatic_number(g, budget) == chromatic_number(g, budget)
+    assert count == 1116
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +448,11 @@ def test_determinism():
     (chromatic_number, "check_proper", Graph.from_edges(3, [])),
     (chromatic_number, "check_proper", Graph.from_edges(0, [])),
     (dynamic_chromatic_number, "check_dynamic", cycle(5)),
-    (dynamic_chromatic_number, "check_proper", Graph.from_edges(4, [(0, 1), (2, 3)])),
+    (dynamic_chromatic_number, "check_dynamic", Graph.from_edges(4, [(0, 1), (2, 3)])),
+    (lambda g: list_dynamic_coloring(g, ListAssignment.uniform(6, {0, 1, 2})),
+     "check_dynamic", cycle(6)),
+    (lambda g: list_dynamic_coloring(g, ListAssignment.uniform(6, {0, 1, 2})),
+     "check_list_respecting", cycle(6)),
 ])
 def test_solvers_certify_their_witness(monkeypatch, solver, checker, g):
     monkeypatch.setattr(exact, checker, lambda *_: [Violation("improper_edge", (0, 1))])
@@ -434,19 +460,31 @@ def test_solvers_certify_their_witness(monkeypatch, solver, checker, g):
         solver(g)
 
 
-def test_exhausted_solves_check_no_witness(monkeypatch):
-    def unexpected(*_):
-        raise AssertionError("an exhausted result has no witness to check")
-
-    monkeypatch.setattr(exact, "check_proper", unexpected)
-    monkeypatch.setattr(exact, "check_dynamic", unexpected)
-    assert chromatic_number(kneser(6, 2), budget=5).exhausted
-    # chid checks one coloring, the DSATUR one it holds for its upper end.
-    checked = []
-    monkeypatch.setattr(exact, "check_dynamic", lambda g, c: checked.append(c) or [])
+def test_exhausted_solves_check_their_held_coloring(monkeypatch):
+    # Each solve checks one coloring, the one it returns: an exhausted one
+    # the held coloring behind its upper bound, chi with check_proper and
+    # chid with check_dynamic.
+    proper, dynamic = [], []
+    monkeypatch.setattr(exact, "check_proper", lambda g, c: proper.append(c) or [])
+    monkeypatch.setattr(exact, "check_dynamic", lambda g, c: dynamic.append(c) or [])
     g = kneser(6, 2)
-    assert dynamic_chromatic_number(g, budget=5).bounds == (3, 4)
-    assert checked == [Coloring.total(dsatur(g, neighborhood_hypergraph(g).edges)[1])]
+    res = chromatic_number(g, budget=5)
+    assert res.exhausted
+    assert (proper, dynamic) == ([Coloring.total(dsatur(g)[1])], [])
+    assert res.coloring == proper[0]
+    proper.clear()
+    res = dynamic_chromatic_number(g, budget=5)
+    assert res.bounds == (3, 4)
+    held = Coloring.total(dsatur(g, neighborhood_hypergraph(g).edges)[1])
+    assert (proper, dynamic) == ([], [held])
+    assert res.coloring == held
+    # A chid that finds a smaller coloring checks only that one.
+    dynamic.clear()
+    g = from_spec("random_regular:60,3", 4)
+    res = dynamic_chromatic_number(g, budget=20_000)
+    assert res.value == 3
+    assert res.coloring != Coloring.total(dsatur(g, neighborhood_hypergraph(g).edges)[1])
+    assert (proper, dynamic) == ([], [res.coloring])
 
 
 # ----------------------------------------------------------------------

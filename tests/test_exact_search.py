@@ -98,6 +98,30 @@ def test_search_matches_reference(args):
     assert _outcome(_search, *args) == _outcome(search_reference, *args)
 
 
+@st.composite
+def uniform_search_inputs(draw):
+    order, _, adj, groups, _, _, _ = draw(search_inputs())
+    # Any ascending palette, as a list or a tuple: from 0 or not, gaps or not.
+    palette = draw(st.sets(st.integers(0, 9), max_size=4).map(sorted))
+    palette = draw(st.sampled_from((palette, tuple(palette))))
+    return order, [palette] * len(order), adj, groups
+
+
+# Symmetry breaking prunes only colorings that a permutation of palette
+# positions maps to an earlier one, so it keeps the first coloring an
+# unbroken search finds, and a None, on any palette shared by all vertices.
+@settings(max_examples=500)
+@given(uniform_search_inputs())
+# One vertex with the one color 1: a rule on color values opened no color.
+@example(([0], [(1,)], [[]], []))
+# A path on the palette [0, 2]: a rule on values never opened the 2.
+@example(([1, 0, 2], [[0, 2]] * 3, [[1], [0, 2], [1]], []))
+def test_symmetry_breaking_keeps_the_first_coloring(args):
+    order, palettes, adj, groups = args
+    broken = _search(order, palettes, adj, groups, True, None)[0]
+    assert broken == _search(order, palettes, adj, groups, False, None)[0]
+
+
 # The benchmark's `exact` solves, each on from_spec(spec, seed) with the
 # seed its row gets: value, nodes, exhausted, bounds and the witness digest,
 # the chi rows recorded before the search filed groups by closing depth.

@@ -223,6 +223,11 @@ def test_random_regular_error_paths_match_reference():
     assert 0 < gave_up < 80
     with pytest.raises(SearchBudgetExceeded, match="gave up after 1 restarts"):
         random_regular(10, 7, seed=0, max_retries=1)
+    # A restart limit that is negative or not an int is invalid input, not
+    # an exhausted one.
+    for retries in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="max_retries must be"):
+            random_regular(10, 3, seed=0, max_retries=retries)
 
 
 def test_from_spec():
