@@ -25,8 +25,8 @@ from dynachrome import (
 # disjoint palettes and the glue is automatically dynamic.
 g = cycle(8)
 t = VertexSubset.of(g, {0, 1, 4, 5})
-g_in, _ = induced_subgraph(g, t)
-g_out, _ = induced_subgraph(g, t.complement())
+g_in = induced_subgraph(g, t)
+g_out = induced_subgraph(g, t.complement())
 combined = compose_disjoint_palettes(
     g, t, chromatic_number(g_in).witness, chromatic_number(g_out).witness
 )

@@ -2,10 +2,11 @@
 
 Every coloring that a composition or pipeline returns is checked once
 through the verify module first: one that fails is an internal bug and
-raises ``verify.CertificationError`` (never a silent bad coloring).  Two
-routines return parts that their callers certify: :func:`chi_witness`
-(whose greedy path is unchecked) and :func:`hypergraph_2coloring` (whose
-coloring comes from the resampler's final scan or from exact search).
+raises ``verify.CertificationError`` (never a silent bad coloring).
+:func:`hypergraph_2coloring` certifies its resampled coloring with
+``check_hypergraph_2coloring``, as the exact search it falls back to
+certifies its own.  One routine returns a part that its callers certify:
+:func:`chi_witness`, whose greedy path is unchecked.
 Bad *inputs* raise PreconditionError carrying the violation list.
 """
 
@@ -97,9 +98,9 @@ def _certify_dynamic(g: Graph, c: Coloring, what: str) -> Coloring:
 
 def _check_sides(g: Graph, t: VertexSubset, inside: Coloring, outside: Coloring) -> None:
     """Require ``inside`` proper on G[T] and ``outside`` on G[V - T]."""
-    _require(check_proper(induced_subgraph(g, t)[0], inside),
+    _require(check_proper(induced_subgraph(g, t), inside),
              "inside coloring is not proper on G[T]")
-    _require(check_proper(induced_subgraph(g, t.complement())[0], outside),
+    _require(check_proper(induced_subgraph(g, t.complement()), outside),
              "outside coloring is not proper on G[V - T]")
 
 
@@ -193,10 +194,11 @@ def hypergraph_2coloring(
     The size-2 edges come first: they must get two colors, so when the
     graph they form is not bipartite no 2-coloring exists, and None is
     returned at once, with no resampling and no search.  Otherwise
-    Moser-Tardos resampling from ``seed`` runs, and its coloring is
-    returned whenever it converges.  Only when it exhausts its cap does an
-    exact search, bounded by ``budget`` nodes, take over.  None from there
-    means that search certified that no such coloring exists;
+    Moser-Tardos resampling from ``seed`` runs, and whenever it converges
+    its coloring is returned once ``check_hypergraph_2coloring`` passes it.
+    Only when it exhausts its cap does an exact search, bounded by
+    ``budget`` nodes, take over; its coloring is certified there.  None
+    from there means that search certified that no such coloring exists;
     SearchBudgetExceeded, carrying the search's ``nodes_explored``, means
     resampling exhausted and the search ran over budget.  A negative
     ``budget`` raises ValueError before any of this.
@@ -207,6 +209,7 @@ def hypergraph_2coloring(
         return None
     f, log = moser_tardos_2color(h, seed=seed)
     if f is not None:
+        certify(check_hypergraph_2coloring(h, f), "resampled 2-coloring")
         return f
     try:
         return hypergraph_2color_exact(h, budget)
@@ -305,7 +308,7 @@ def kneser_dynamic_coloring(
     g = spec.graph()
     subsets = spec.vertex_subsets()
     tail = _tail(spec, subsets)
-    two = bipartition(induced_subgraph(g, tail)[0])
+    two = bipartition(induced_subgraph(g, tail))
     if two is None:
         raise CertificationError(
             f"induced graph on the tail subset of KG({spec.m},{spec.n}) is not bipartite"
@@ -401,7 +404,7 @@ def _balanced_subset(
             f"balanced subset unavailable: resampling exhausted after "
             f"{log.resample_count} resamples (seed {log.seed})"
         )
-    g_t, _ = induced_subgraph(g, subset)
+    g_t = induced_subgraph(g, subset)
     rest = Coloring(tuple(witness[v] for v in subset.complement()), witness.palette_size)
     combined = _glue(subset, Coloring.total(dsatur(g_t)[1]), rest)
     _certify_dynamic(g, combined, "balanced subset coloring")
@@ -537,9 +540,8 @@ def _split_witnesses(
     g: Graph, t: VertexSubset, budget: Optional[int]
 ) -> tuple[tuple[Coloring, str], tuple[Coloring, str]]:
     """:func:`chi_witness` of G[T] and of G[V - T], in that order."""
-    inside, _ = induced_subgraph(g, t)
-    outside, _ = induced_subgraph(g, t.complement())
-    return chi_witness(inside, budget), chi_witness(outside, budget)
+    return (chi_witness(induced_subgraph(g, t), budget),
+            chi_witness(induced_subgraph(g, t.complement()), budget))
 
 
 def bound_report(

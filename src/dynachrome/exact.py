@@ -2,24 +2,29 @@
 
 Every search is one depth-first backtracker that keeps its branch state in
 explicit arrays rather than on the Python call stack, so it runs on inputs
-of any size.  Graph searches color vertices in DSATUR order (most colors
-ruled out first, ties by degree and then id) with color-symmetry breaking
-by palette position: a vertex may take at most one position above the
-largest taken so far.  Palettes are ascending tuples or lists: chi and
-chi_d try each k as the tuple 0..k-1, the list search each vertex's sorted
-list.  For chi a vertex rules out its colored neighbors' colors; the
-dynamic searches order by DSATUR with the neighborhoods as groups, which
-also rules out the color that all the other members of a neighborhood
-share when the vertex is its last uncolored member, so a neighborhood that
-cannot be closed is met early.  The hypergraph search keeps descending
-hypergraph degree (ties by id).  Runs are deterministic, and budgets are
-explored node counts, not wall-clock, again for reproducibility.  A solver
-that exhausts its budget reports that distinctly from a certified "none":
-the two outcomes must never be conflated, because these functions serve as
-oracles for the randomized modules.  Both chromatic solvers go through one
-solve path, which certifies the coloring every solve returns, an exhausted
-solve's held coloring included; the list search certifies its coloring
-too.  The hypergraph search is also the exact fallback of
+of any size.  It takes ascending per-vertex palettes (tuples or lists) and
+returns a Coloring on one past the largest color any palette offers.  It
+alone decides whether color symmetry may be broken: exactly when every
+vertex has the same palette, and then by palette position (a vertex may
+take at most one position above the largest taken so far).  chi and chi_d
+pass the tuple 0..k-1 at every vertex for each k tried, and the hypergraph
+search (0, 1), so they always break it; the list search passes each
+vertex's sorted list, so it breaks it only when all lists are alike.
+Graph searches color vertices in DSATUR order (most colors ruled out
+first, ties by degree and then id).  For chi a vertex rules out its
+colored neighbors' colors; the dynamic searches order by DSATUR with the
+neighborhoods as groups, which also rules out the color that all the
+other members of a neighborhood share when the vertex is its last
+uncolored member, so a neighborhood that cannot be closed is met early.
+The hypergraph search keeps descending hypergraph degree (ties by id).
+Runs are deterministic, and budgets are explored node counts, not
+wall-clock, again for reproducibility.  A solver that exhausts its budget
+reports that distinctly from a certified "none": the two outcomes must
+never be conflated, because these functions serve as oracles for the
+randomized modules.  Both chromatic solvers go through one solve path,
+which certifies the coloring every solve returns, an exhausted solve's
+held coloring included; the list search and the hypergraph search certify
+their colorings too.  The hypergraph search is also the exact fallback of
 constructions.hypergraph_2coloring, which is how double total dominating
 sets reach it.
 """
@@ -31,9 +36,9 @@ from operator import itemgetter
 from typing import Callable, Collection, Optional, Sequence
 
 from .graphs import Graph, Hypergraph, SearchBudgetExceeded, _check_count, bipartition, dsatur
-from .graphs import induced_subgraph, is_connected, neighborhood_hypergraph
+from .graphs import VertexSubset, induced_subgraph, is_connected, neighborhood_hypergraph
 from .verify import Coloring, ListAssignment, Violation, certify, check_dynamic
-from .verify import check_list_respecting, check_proper
+from .verify import check_hypergraph_2coloring, check_list_respecting, check_proper
 
 __all__ = [
     "SolveResult",
@@ -103,10 +108,9 @@ def _search(
     palettes: Sequence[Sequence[int]],
     adj: Sequence[Sequence[int]],
     groups: Sequence[Collection[int]],
-    break_symmetry: bool,
     budget: Optional[int],
     nodes: int = 0,
-) -> tuple[Optional[list[int]], int]:
+) -> tuple[Optional[Coloring], int]:
     """Depth-first search for colors from strictly ascending per-vertex
     palettes, each a tuple or list of ints.
 
@@ -124,14 +128,19 @@ def _search(
     group closes (becomes fully colored) exactly at the depth of its last
     member in ``order``.  Each group is filed once, under that depth, as the
     list of its other members, and a color tried at a depth is tested
-    against the groups closing there and no others.  With ``break_symmetry``
-    (all palettes alike), a vertex may take at most one palette position
-    above the largest taken so far, whatever colors the palette holds; how
-    far into the palette that reaches is read from a table built once,
-    indexed by one past the largest position taken.
+    against the groups closing there and no others.  When all palettes are
+    alike, and only then, color symmetry is broken: a vertex may take at
+    most one palette position above the largest taken so far, whatever
+    colors the palette holds; how far into the palette that reaches is
+    read from a table built once, indexed by one past the largest position
+    taken.  Renaming colors maps colorings to colorings only when every
+    vertex offers the same ones, so the rule is sound there and nowhere
+    else; there it prunes only renamed images of colorings tried earlier,
+    so the first coloring found is the one an unbroken search finds.
     Every color tried is one node, counted on from ``nodes`` against
-    ``budget``; a negative budget raises ValueError.  Returns the colors by
-    vertex (None when no branch survives) and the node total, or raises
+    ``budget``; a negative budget raises ValueError.  Returns the Coloring
+    found, on one past the largest color any palette offers (None when no
+    branch survives), and the node total, or raises
     SearchBudgetExceeded.  The branch state lives in per-depth arrays, not
     on the Python call stack, so no input is too deep to search: the
     neighbor colors seen on entry, and the resume index, the palette
@@ -159,10 +168,11 @@ def _search(
             v = order[last]
             closing[last].append([u for u in grp if u != v])
     ends: list[int] = []
-    if break_symmetry and depth:
+    break_symmetry = depth > 0 and palettes.count(palettes[0]) == len(palettes)
+    if break_symmetry:
         # ends[t]: how many palette positions are open while the largest
         # taken is t - 1 (t = 0: none taken yet), i.e. up to one above.
-        k = len(palettes[order[0]])
+        k = len(palettes[0])
         ends = [min(t + 1, k) for t in range(k + 1)]
     limit = float("inf") if budget is None else budget
     top = [0] * (depth + 1)  # top[i]: one past the largest position in order[:i]
@@ -204,7 +214,9 @@ def _search(
             resume[i] = j
             top[i + 1] = top[i] if top[i] > j else j
             i += 1
-    return (color if i == depth else None), nodes
+    if i < depth:
+        return None, nodes
+    return Coloring(tuple(color), max((p[-1] for p in palettes if p), default=0) + 1), nodes
 
 
 def _min_palette(
@@ -229,13 +241,13 @@ def _min_palette(
         try:
             # A tuple, not a range: indexing a range computes the item each time.
             found, nodes = _search(
-                order, [tuple(range(k))] * g.n, g.adjacency, groups, True, budget, nodes
+                order, [tuple(range(k))] * g.n, g.adjacency, groups, budget, nodes
             )
         except SearchBudgetExceeded as exc:
             res = SolveResult(held, k, exc.nodes_explored)
             break
         if found is not None:
-            res = SolveResult(Coloring.total(found, k), k, nodes)
+            res = SolveResult(found, k, nodes)
             break
     else:
         res = SolveResult(held, held.palette_size, nodes)
@@ -288,8 +300,10 @@ def list_dynamic_coloring(
 
     Raises SearchBudgetExceeded when the budget runs out first; that is a
     distinct outcome from None.  Raises ValueError on a negative list
-    color, which no Coloring can hold.  The coloring returned is certified
-    with ``check_dynamic`` and ``check_list_respecting``.
+    color, which no Coloring can hold.  The search breaks color symmetry
+    when all lists are alike.  The coloring returned is on one past the
+    largest listed color, and is certified with ``check_dynamic`` and
+    ``check_list_respecting``.
     """
     _check_budget(budget)
     if len(lists) != g.n:
@@ -299,13 +313,11 @@ def list_dynamic_coloring(
         if colors and colors[0] < 0:
             raise ValueError(f"list of vertex {v} holds negative color {colors[0]}")
     groups = neighborhood_hypergraph(g).edges
-    found, _ = _search(dsatur(g, groups)[0], allowed, g.adjacency, groups, False, budget)
-    if found is None:
-        return None
-    palette = max((max(l, default=0) for l in allowed), default=0) + 1
-    c = Coloring.total(found, palette)
-    certify(check_dynamic(g, c) + check_list_respecting(g, lists, c), "list dynamic witness")
-    return c
+    found, _ = _search(dsatur(g, groups)[0], allowed, g.adjacency, groups, budget)
+    if found is not None:
+        certify(check_dynamic(g, found) + check_list_respecting(g, lists, found),
+                "list dynamic witness")
+    return found
 
 
 def hypergraph_2color_exact(
@@ -314,17 +326,22 @@ def hypergraph_2color_exact(
     """A 2-coloring with no monochromatic hyperedge, or a certified None.
 
     Vertices are taken by descending hypergraph degree (ties by id), and a
-    branch dies the moment an edge is fully colored in one color.  Symmetry
-    breaking pins the first vertex to color 0: swapping the two colors is
-    an automorphism of the constraint.
+    branch dies the moment an edge is fully colored in one color.  Every
+    vertex has the palette (0, 1), so the search breaks color symmetry,
+    which pins the first vertex to color 0: swapping the two colors is an
+    automorphism of the constraint.  The coloring returned is certified
+    with ``check_hypergraph_2coloring``.
     """
     _check_budget(budget)
     if h.edge_count == 0:
-        return Coloring((0,) * h.n, 2)
-    hdeg = h.vertex_degrees()
-    order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
-    found, _ = _search(order, [(0, 1)] * h.n, [()] * h.n, h.edges, True, budget)
-    return Coloring.total(found, 2) if found is not None else None
+        found = Coloring((0,) * h.n, 2)
+    else:
+        hdeg = h.vertex_degrees()
+        order = sorted(range(h.n), key=lambda v: (-hdeg[v], v))
+        found, _ = _search(order, [(0, 1)] * h.n, [()] * h.n, h.edges, budget)
+    if found is not None:
+        certify(check_hypergraph_2coloring(h, found), "hypergraph 2-coloring witness")
+    return found
 
 
 def is_k_critical(g: Graph, budget: Optional[int] = None) -> bool:
@@ -350,7 +367,8 @@ def is_k_critical(g: Graph, budget: Optional[int] = None) -> bool:
         return res.value
 
     k = chi(g, "chi(g)")
-    rest = set(range(g.n))
     return all(
-        chi(induced_subgraph(g, rest - {v})[0], f"chi(g - {v})") < k for v in range(g.n)
+        chi(induced_subgraph(g, VertexSubset(frozenset({v}), g.n).complement()),
+            f"chi(g - {v})") < k
+        for v in range(g.n)
     )

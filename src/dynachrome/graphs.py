@@ -420,24 +420,18 @@ def from_spec(text: str, seed: Optional[int] = None) -> Graph:
 # ======================================================================
 
 
-def induced_subgraph(
-    g: Graph, subset: VertexSubset | Iterable[int]
-) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``subset`` plus the id mapping back to ``g``.
+def induced_subgraph(g: Graph, t: VertexSubset) -> Graph:
+    """Induced subgraph on ``t``, a subset of ``g``'s vertices.
 
-    Vertices are relabeled 0..|S|-1 in ascending order of their original
-    ids; the returned tuple maps each new id to its original id.  That
-    relabeling keeps order, so mapping ``g``'s sorted, symmetric adjacency
-    keeps it sorted and symmetric.
+    Vertices are relabeled 0..|T|-1 in ascending order of their original
+    ids, so new id i is the i-th member of ``tuple(t)``.  That relabeling
+    keeps order, so mapping ``g``'s sorted, symmetric adjacency keeps it
+    sorted and symmetric.
     """
-    members = subset.members if isinstance(subset, VertexSubset) else frozenset(subset)
-    n = g.n
-    if any(not (0 <= v < n) for v in members):
-        raise ValueError("subset vertex out of range")
-    mapping = tuple(sorted(members))
-    index = {old: new for new, old in enumerate(mapping)}
-    adj = tuple(tuple(index[u] for u in g.adjacency[v] if u in index) for v in mapping)
-    return Graph(adj), mapping
+    if t.n != g.n:
+        raise ValueError("subset belongs to a different host size")
+    index = {old: new for new, old in enumerate(t)}
+    return Graph(tuple(tuple(index[u] for u in g.adjacency[v] if u in index) for v in index))
 
 
 def neighborhood_hypergraph(

@@ -214,8 +214,9 @@ def check_hypergraph_2coloring(h: Hypergraph, c: Coloring) -> list[Violation]:
     if c.palette_size != 2:
         raise ValueError(f"expected palette of size 2, got {c.palette_size}")
     _require_total(h.n, c)
-    out = []
-    for i, f in enumerate(h.edges):
-        if len({c[v] for v in f}) == 1:
-            out.append(Violation("monochromatic_hyperedge", (i,)))
-    return out
+    colors = c.colors
+    return [
+        Violation("monochromatic_hyperedge", (i,))
+        for i, f in enumerate(h.edges)
+        if len({colors[v] for v in f}) == 1
+    ]

@@ -177,8 +177,8 @@ def test_criterion_06_double_total_domination_pipeline():
             failures.append((i, "no double total dominating set"))
             continue
         chi = chromatic_number(g).value
-        g_in, _ = induced_subgraph(g, t)
-        g_out, _ = induced_subgraph(g, t.complement())
+        g_in = induced_subgraph(g, t)
+        g_out = induced_subgraph(g, t.complement())
         c_in = chromatic_number(g_in).witness
         c_out = chromatic_number(g_out).witness
         combined = compose_disjoint_palettes(g, t, c_in, c_out)

@@ -186,6 +186,18 @@ def test_hypergraph_2coloring_outcomes():
         hypergraph_2coloring(fano_plane(), budget=3)
 
 
+def test_resampled_2coloring_is_certified(monkeypatch):
+    # The Moser-Tardos coloring passes check_hypergraph_2coloring before it
+    # is returned: with the checker reporting a violation, the call raises.
+    h = neighborhood_hypergraph(cycle(8))
+    monkeypatch.setattr(constructions, "check_hypergraph_2coloring",
+                        lambda *_: [Violation("monochromatic_hyperedge", (0,))])
+    monkeypatch.setattr(constructions, "hypergraph_2color_exact",
+                        lambda *_: pytest.fail("resampling did not converge"))
+    with pytest.raises(CertificationError, match="resampled 2-coloring failed its check"):
+        hypergraph_2coloring(h)
+
+
 @st.composite
 def hypergraphs_with_odd_pair_cycle(draw):
     """A hypergraph whose size-2 edges hold an odd cycle, next to other
@@ -309,7 +321,7 @@ def test_neighborhood_product_coloring_certified_none_and_exhaustion():
 def _assert_glued(g, coloring, subset):
     assert check_domination(g, subset) == []
     assert check_dynamic(g, coloring) == []
-    (c_in, _), (c_out, _) = (chi_witness(induced_subgraph(g, side)[0])
+    (c_in, _), (c_out, _) = (chi_witness(induced_subgraph(g, side))
                              for side in (subset, subset.complement()))
     assert coloring.palette_size == c_in.palette_size + c_out.palette_size
     assert [coloring[v] for v in subset] == list(c_in.colors)
@@ -366,23 +378,26 @@ def test_certified_none_runs_no_check(monkeypatch):
 
 
 # A pipeline certifies the coloring it glued, once, and re-checks none of
-# the parts it made; each structure it needs is built once.
+# the parts it made; each structure it needs is built once.  The one part
+# check is hypergraph_2coloring's, made where its resampled coloring is
+# made.
 @pytest.mark.parametrize("build, built", [
     (lambda: kneser_dynamic_coloring(KneserSpec(9, 4)),
-     {"neighborhood_hypergraph": 1, "induced_subgraph": 1}),
+     {"neighborhood_hypergraph": 1, "induced_subgraph": 1, "check_hypergraph_2coloring": 1}),
     (lambda: neighborhood_product_coloring(cycle(8)),
-     {"neighborhood_hypergraph": 1, "induced_subgraph": 0}),
+     {"neighborhood_hypergraph": 1, "induced_subgraph": 0, "check_hypergraph_2coloring": 1}),
     (lambda: balanced_coloring(complete_bipartite(16, 16)),
-     {"neighborhood_hypergraph": 0, "induced_subgraph": 1}),
+     {"neighborhood_hypergraph": 0, "induced_subgraph": 1, "check_hypergraph_2coloring": 0}),
 ], ids=["kneser", "product", "balanced"])
 def test_pipelines_check_each_part_once(monkeypatch, build, built):
     def unexpected(*_):
         raise AssertionError("a pipeline re-checked a part it made")
 
-    for name in ("check_domination", "check_hypergraph_2coloring", "check_proper"):
+    for name in ("check_domination", "check_proper"):
         monkeypatch.setattr(constructions, name, unexpected)
     spies = {name: mock.Mock(wraps=getattr(constructions, name))
-             for name in ("check_dynamic", "neighborhood_hypergraph", "induced_subgraph")}
+             for name in ("check_dynamic", "neighborhood_hypergraph", "induced_subgraph",
+                          "check_hypergraph_2coloring")}
     for name, spy in spies.items():
         monkeypatch.setattr(constructions, name, spy)
     build()
@@ -515,7 +530,7 @@ def test_balanced_coloring_16_regular():
     assert result.color_bound == bound
     assert result.coloring.palette_size <= bound
     inside = [result.coloring[v] for v in result.subset]
-    assert inside == dsatur(induced_subgraph(g, result.subset)[0])[1]
+    assert inside == dsatur(induced_subgraph(g, result.subset))[1]
 
 
 def test_balanced_coloring_complete_bipartite():

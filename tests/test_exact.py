@@ -453,6 +453,10 @@ def test_determinism():
      "check_dynamic", cycle(6)),
     (lambda g: list_dynamic_coloring(g, ListAssignment.uniform(6, {0, 1, 2})),
      "check_list_respecting", cycle(6)),
+    (lambda g: hypergraph_2color_exact(neighborhood_hypergraph(g)),
+     "check_hypergraph_2coloring", cycle(8)),
+    (lambda g: hypergraph_2color_exact(neighborhood_hypergraph(g)),
+     "check_hypergraph_2coloring", Graph.from_edges(3, [])),
 ])
 def test_solvers_certify_their_witness(monkeypatch, solver, checker, g):
     monkeypatch.setattr(exact, checker, lambda *_: [Violation("improper_edge", (0, 1))])

@@ -9,9 +9,12 @@ its neighbors' colors.  The library search files each group under the depth
 at which it closes instead, and a first visit reads only the colors of
 neighbors that come earlier in the order, as one tuple from a per-depth
 ``operator.itemgetter`` (repeats kept, a short list padded with the
-uncolored vertex itself).  The two must agree on the colors found, on the
-node total and on where a budget runs out, for any neighbor lists, not only
-a graph's.
+uncolored vertex itself).  The reference takes an explicit symmetry flag;
+the library search sets its own, breaking symmetry exactly when all
+palettes are alike, and returns a Coloring.  The two must agree on the
+colors found, on the node total and on where a budget runs out, for any
+neighbor lists, not only a graph's, with the reference's flag set when all
+palettes are alike.
 """
 
 import itertools
@@ -21,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynachrome import (
+    Coloring,
     SearchBudgetExceeded,
     chromatic_number,
     dynamic_chromatic_number,
@@ -35,10 +39,19 @@ MAX_N = 7
 
 
 def _outcome(search, *args):
+    """The colors found as a list (None when none) and the node total, or
+    "exhausted" and the nodes spent."""
     try:
-        return search(*args)
+        found, nodes = search(*args)
     except SearchBudgetExceeded as exc:
         return "exhausted", exc.nodes_explored
+    if isinstance(found, Coloring):  # the library search's answer
+        found = list(found.colors)
+    return found, nodes
+
+
+def _alike(palettes) -> bool:
+    return bool(palettes) and palettes.count(palettes[0]) == len(palettes)
 
 
 @st.composite
@@ -53,12 +66,11 @@ def search_inputs(draw):
     if draw(st.booleans()):  # symmetric, as a graph's adjacency
         adj = [sorted({u for u in range(n) if v in adj[u] or u in adj[v]})
                for v in range(n)]
-    break_symmetry = draw(st.booleans())
     # Palettes as sorted lists, as tuples (a chi or chid solve passes
     # tuple(range(k))) and as ranges.
     ascending = st.sets(st.integers(0, 5), max_size=4).map(sorted)
     ascending = st.one_of(ascending, ascending.map(tuple))
-    if break_symmetry:  # the search requires one palette for all vertices
+    if draw(st.booleans()):  # one palette for all vertices
         prefix = st.builds(range, st.integers(0, 4))
         palette = draw(st.one_of(prefix, prefix.map(tuple), ascending))
         palettes = [palette] * n
@@ -74,7 +86,7 @@ def search_inputs(draw):
         groups += draw(st.lists(st.sampled_from(groups), max_size=3)) if groups else []
     budget = draw(st.one_of(st.none(), st.just(0), st.integers(1, 60)))
     nodes = draw(st.sampled_from((0, 0, 1, 17)))
-    return order, palettes, adj, groups, break_symmetry, budget, nodes
+    return order, palettes, adj, groups, budget, nodes
 
 
 # A 5-cycle's neighborhood hypergraph twice over plus its five size-2
@@ -85,22 +97,28 @@ _C5 += [(v, (v + 1) % 5) for v in range(5)]
 
 @settings(max_examples=500)
 @given(search_inputs())
-@example(([2, 0, 4, 1, 3], [(0, 1, 2)] * 5, [()] * 5, _C5, True, None, 3))
-@example(([2, 0, 4, 1, 3], [(0, 1, 2)] * 5, [()] * 5, _C5, True, 8, 3))
+@example(([2, 0, 4, 1, 3], [(0, 1, 2)] * 5, [()] * 5, _C5, None, 3))
+@example(([2, 0, 4, 1, 3], [(0, 1, 2)] * 5, [()] * 5, _C5, 8, 3))
 # Vertex 1 lists 0 but 0 does not list 1; then 0 and 2 list themselves.
-@example(([0, 1], [[0], [0]], [[], [0]], [], False, None, 0))
-@example(([2, 0, 1], [range(2)] * 3, [[0, 1], [0], [2, 1]], [], True, None, 0))
-# A triangle in the palette [1, 4], with no symmetry breaking: 0 has one
-# earlier neighbor, 2 lists its earlier neighbor 1 twice, and the search
-# backtracks into depths whose neighbor colors it read on entry.
-@example(([1, 0, 2], [[1, 4]] * 3, [[1], [], [0, 1, 1]], [], False, None, 0))
+@example(([0, 1], [[0], [0]], [[], [0]], [], None, 0))
+@example(([2, 0, 1], [range(2)] * 3, [[0, 1], [0], [2, 1]], [], None, 0))
+# A triangle in the palette [1, 4]: 0 has one earlier neighbor, 2 lists
+# its earlier neighbor 1 twice, and the search backtracks into depths
+# whose neighbor colors it read on entry.
+@example(([1, 0, 2], [[1, 4]] * 3, [[1], [], [0, 1, 1]], [], None, 0))
+# Unequal palettes: breaking symmetry would keep vertex 1 at position 0,
+# color 0, which vertex 0 holds, and return a false None; (0, 1) fits.
+@example(([0, 1], [(0,), (0, 1)], [[1], [0]], [], None, 0))
 def test_search_matches_reference(args):
-    assert _outcome(_search, *args) == _outcome(search_reference, *args)
+    order, palettes, adj, groups, budget, nodes = args
+    want = _outcome(search_reference, order, palettes, adj, groups, _alike(palettes),
+                    budget, nodes)
+    assert _outcome(_search, *args) == want
 
 
 @st.composite
 def uniform_search_inputs(draw):
-    order, _, adj, groups, _, _, _ = draw(search_inputs())
+    order, _, adj, groups, _, _ = draw(search_inputs())
     # Any ascending palette, as a list or a tuple: from 0 or not, gaps or not.
     palette = draw(st.sets(st.integers(0, 9), max_size=4).map(sorted))
     palette = draw(st.sampled_from((palette, tuple(palette))))
@@ -108,8 +126,9 @@ def uniform_search_inputs(draw):
 
 
 # Symmetry breaking prunes only colorings that a permutation of palette
-# positions maps to an earlier one, so it keeps the first coloring an
-# unbroken search finds, and a None, on any palette shared by all vertices.
+# positions maps to an earlier one, so on any palette shared by all
+# vertices the library search, which breaks it there, keeps the first
+# coloring the reference finds unbroken, and a None.
 @settings(max_examples=500)
 @given(uniform_search_inputs())
 # One vertex with the one color 1: a rule on color values opened no color.
@@ -118,8 +137,8 @@ def uniform_search_inputs(draw):
 @example(([1, 0, 2], [[0, 2]] * 3, [[1], [0, 2], [1]], []))
 def test_symmetry_breaking_keeps_the_first_coloring(args):
     order, palettes, adj, groups = args
-    broken = _search(order, palettes, adj, groups, True, None)[0]
-    assert broken == _search(order, palettes, adj, groups, False, None)[0]
+    unbroken = search_reference(order, palettes, adj, groups, False, None)[0]
+    assert _outcome(_search, order, palettes, adj, groups, None)[0] == unbroken
 
 
 # The benchmark's `exact` solves, each on from_spec(spec, seed) with the
