@@ -31,7 +31,7 @@ assert read_dimacs(text) == cycle(5)
 # A dynamic coloring is proper AND every vertex with >= 2 neighbors sees
 # two distinct neighbor colors.  On C5 the pattern 0,1,2,0,1 is proper but
 # not dynamic: vertices 0 and 4 each see a one-color neighborhood.
-c = Coloring.total([0, 1, 2, 0, 1], 3)
+c = Coloring((0, 1, 2, 0, 1), 3)
 print(f"proper violations:  {check_proper(cycle(5), c)}")
 print(f"dynamic violations: {check_dynamic(cycle(5), c)}")
 

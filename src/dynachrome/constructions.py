@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .exact import _check_budget, chromatic_number, hypergraph_2color_exact, is_k_critical
 from .graphs import (
+    Coloring,
     Graph,
     Hypergraph,
     KneserSpec,
@@ -38,7 +39,6 @@ from .lll import (
 )
 from .verify import (
     CertificationError,
-    Coloring,
     Violation,
     certify,
     check_domination,
@@ -313,11 +313,11 @@ def kneser_dynamic_coloring(
         raise CertificationError(
             f"induced graph on the tail subset of KG({spec.m},{spec.n}) is not bipartite"
         )
-    c_out = Coloring.total([subsets[old][0] - 1 for old in tail.complement()], t)
+    c_out = Coloring(tuple(subsets[old][0] - 1 for old in tail.complement()), t)
     f = hypergraph_2coloring(neighborhood_hypergraph(g, target=tail), budget, seed)
     if f is None:
         raise CertificationError("T-restricted neighborhood hypergraph is not 2-colorable")
-    pairs = _pair(Coloring.total(two, 2), f)
+    pairs = _pair(two, f)
     coloring = _certify_dynamic(g, _glue(tail, pairs, c_out), "partial product coloring")
     return KneserColoringResult(spec, g, coloring)
 
@@ -406,7 +406,7 @@ def _balanced_subset(
         )
     g_t = induced_subgraph(g, subset)
     rest = Coloring(tuple(witness[v] for v in subset.complement()), witness.palette_size)
-    combined = _glue(subset, Coloring.total(dsatur(g_t)[1]), rest)
+    combined = _glue(subset, dsatur(g_t)[1], rest)
     _certify_dynamic(g, combined, "balanced subset coloring")
     bound = witness.palette_size + balanced_window(g.regular_degree())[1]
     if combined.palette_size > bound:
@@ -533,7 +533,7 @@ def chi_witness(g: Graph, budget: Optional[int] = None) -> tuple[Coloring, str]:
     if g.n <= EXACT_LIMIT:
         res = chromatic_number(g, budget)
         return res.coloring, "greedy" if res.exhausted else "exact"
-    return Coloring.total(dsatur(g)[1]), "greedy"
+    return dsatur(g)[1], "greedy"
 
 
 def _split_witnesses(

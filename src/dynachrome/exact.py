@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Collection, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, SearchBudgetExceeded, _check_count, bipartition, dsatur
-from .graphs import VertexSubset, induced_subgraph, is_connected, neighborhood_hypergraph
-from .verify import Coloring, ListAssignment, Violation, certify, check_dynamic
+from .graphs import Coloring, Graph, Hypergraph, SearchBudgetExceeded, _check_count, bipartition
+from .graphs import VertexSubset, dsatur, induced_subgraph, is_connected, neighborhood_hypergraph
+from .verify import ListAssignment, Violation, certify, check_dynamic
 from .verify import check_hypergraph_2coloring, check_list_respecting, check_proper
 
 __all__ = [
@@ -266,10 +266,10 @@ def chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
     """
     _check_budget(budget)
     order: list[int] = []  # a bipartition's palette (<= 2) leaves no search
-    colors = bipartition(g)
-    if colors is None:
-        order, colors = dsatur(g)
-    return _min_palette(g, order, Coloring.total(colors), budget, [], check_proper)
+    held = bipartition(g)
+    if held is None:
+        order, held = dsatur(g)
+    return _min_palette(g, order, held, budget, [], check_proper)
 
 
 def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveResult:
@@ -288,8 +288,8 @@ def dynamic_chromatic_number(g: Graph, budget: Optional[int] = None) -> SolveRes
     """
     _check_budget(budget)
     groups = neighborhood_hypergraph(g).edges
-    order, colors = dsatur(g, groups)
-    return _min_palette(g, order, Coloring.total(colors), budget, groups, check_dynamic)
+    order, held = dsatur(g, groups)
+    return _min_palette(g, order, held, budget, groups, check_dynamic)
 
 
 def list_dynamic_coloring(

@@ -6,8 +6,7 @@ import hashlib
 from bisect import bisect_right
 from typing import Optional, Sequence
 
-from .graphs import Graph, _is_int
-from .verify import Coloring
+from .graphs import Coloring, Graph, _is_int
 
 __all__ = [
     "FormatError",

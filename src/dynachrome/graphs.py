@@ -1,8 +1,11 @@
-"""Immutable graph and hypergraph containers plus deterministic generators.
+"""Immutable graph, hypergraph and coloring containers plus deterministic
+generators.
 
 Vertices are always the integers ``0 .. n-1``.  All generators are pure
 functions of their parameters (randomized families take an explicit seed),
-so identical calls always rebuild identical objects.
+so identical calls always rebuild identical objects.  The colorers
+:func:`dsatur` and :func:`bipartition` return a :class:`Coloring` on one
+past the largest color they use.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
+    "Coloring",
     "Graph",
     "Hypergraph",
     "KneserSpec",
@@ -209,6 +213,39 @@ class VertexSubset:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+@dataclass(frozen=True)
+class Coloring:
+    """A total assignment of color ids to vertices: ``colors[v]``, the color
+    of vertex v, is an int in ``range(palette_size)``; no bool.  ``colors``
+    must be a tuple, so a checked record is hashable and never changes."""
+
+    colors: tuple[int, ...]
+    palette_size: int
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.palette_size) or self.palette_size < 0:
+            raise ValueError(f"palette size must be a nonnegative int, got {self.palette_size!r}")
+        if not isinstance(self.colors, tuple):
+            raise ValueError(f"colors must be a tuple, got {type(self.colors).__name__}")
+        if _ints_in_range(self.colors, self.palette_size):
+            return
+        for v, c in enumerate(self.colors):  # name the first bad vertex
+            if not _is_int(c) or not 0 <= c < self.palette_size:
+                raise ValueError(
+                    f"color {c!r} of vertex {v} outside palette of size {self.palette_size}"
+                )
+
+    def __getitem__(self, v: int) -> int:
+        return self.colors[v]
+
+    def __len__(self) -> int:
+        return len(self.colors)
+
+    @property
+    def colors_used(self) -> int:
+        return len(set(self.colors))
 
 
 @dataclass(frozen=True)
@@ -497,8 +534,10 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def bipartition(g: Graph) -> Optional[list[int]]:
-    """A proper 2-coloring by BFS per component, or None if an odd cycle exists."""
+def bipartition(g: Graph) -> Optional[Coloring]:
+    """A proper coloring on at most 2 colors by BFS per component, or None
+    if an odd cycle exists.  Its palette is one past the largest color
+    used: 0 on the empty graph, 1 on an edgeless one, 2 otherwise."""
     color = [-1] * g.n
     for s in range(g.n):
         if color[s] >= 0:
@@ -513,14 +552,14 @@ def bipartition(g: Graph) -> Optional[list[int]]:
                     queue.append(u)
                 elif color[u] == color[v]:
                     return None
-    return color
+    return Coloring(tuple(color), max(color, default=-1) + 1)
 
 
 def dsatur(
     g: Graph, groups: Optional[Sequence[Sequence[int]]] = None
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], Coloring]:
     """DSATUR (Brélaz, CACM 1979): the order in which it colors the vertices,
-    and the colors it gives them, by vertex.
+    and the coloring it gives them, on one past the largest color used.
 
     Each step takes the uncolored vertex that may not take the most
     colors, ties by higher degree and then lower id, and gives it the
@@ -582,5 +621,5 @@ def dsatur(
                     if c not in seen[last]:
                         seen[last].add(c)
                         heapq.heappush(heap, (n - len(seen[last])) * bb + low[last])
-    return order, color
+    return order, Coloring(tuple(color), max(color, default=-1) + 1)
 

@@ -40,8 +40,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Hypergraph, VertexSubset, _check_count
-from .verify import Coloring, ListAssignment
+from .graphs import Coloring, Graph, Hypergraph, VertexSubset, _check_count
+from .verify import ListAssignment
 
 __all__ = [
     "ConditionCheck",

@@ -4,6 +4,8 @@ Checkers are pure functions returning the *exhaustive* list of violations
 (never just the first failure) in a stable order, so randomized
 constructions can be debugged from a single run.  An empty list is the
 certificate of validity; ``certify`` makes a nonempty one an error.
+The ``Coloring`` record they check lives in ``graphs``, whose colorers
+return it; ``ListAssignment``, which no colorer returns, lives here.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, Hypergraph, VertexSubset, _ints_in_range, _is_int
+from .graphs import Coloring, Graph, Hypergraph, VertexSubset
 
 __all__ = [
     "CertificationError",
-    "Coloring",
     "ListAssignment",
     "Violation",
     "check_proper",
@@ -34,46 +35,6 @@ VIOLATION_KINDS = (
     "list_violation",
     "monochromatic_hyperedge",
 )
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """A total assignment of color ids to vertices.
-
-    ``colors[v]``, the color of vertex v, is an int in ``range(palette_size)``; no bool.
-    """
-
-    colors: tuple[int, ...]
-    palette_size: int
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.palette_size) or self.palette_size < 0:
-            raise ValueError(f"palette size must be a nonnegative int, got {self.palette_size!r}")
-        if _ints_in_range(self.colors, self.palette_size):
-            return
-        for v, c in enumerate(self.colors):  # name the first bad vertex
-            if not _is_int(c) or not 0 <= c < self.palette_size:
-                raise ValueError(
-                    f"color {c!r} of vertex {v} outside palette of size {self.palette_size}"
-                )
-
-    @classmethod
-    def total(cls, colors: Sequence[int], palette_size: Optional[int] = None) -> "Coloring":
-        """The palette defaults to one above the largest int color; a non-int is refused."""
-        colors = tuple(colors)
-        if palette_size is None:
-            palette_size = max((c for c in colors if isinstance(c, int)), default=-1) + 1
-        return cls(colors, palette_size)
-
-    def __getitem__(self, v: int) -> int:
-        return self.colors[v]
-
-    def __len__(self) -> int:
-        return len(self.colors)
-
-    @property
-    def colors_used(self) -> int:
-        return len(set(self.colors))
 
 
 @dataclass(frozen=True)

@@ -146,7 +146,8 @@ def first_fit_coloring(g: Graph, order: list[int]) -> Coloring:
         while c in used:
             c += 1
         color[v] = c
-    return Coloring.total([color[v] for v in range(g.n)])
+    colors = tuple(color[v] for v in range(g.n))
+    return Coloring(colors, max(colors, default=-1) + 1)
 
 
 def dsatur_order_reference(g: Graph) -> list[int]:

@@ -288,16 +288,16 @@ def test_criterion_09_sublist_selection():
 def test_criterion_10_verifier_soundness_and_round_trip():
     e2 = Graph.from_edges(2, [(0, 1)])
     proper_fixtures = [
-        (cycle(4), Coloring.total([0, 1, 0, 1], 2), True),
-        (complete(3), Coloring.total([0, 0, 1], 2), False),
-        (cycle(5), Coloring.total([0, 1, 0, 1, 0], 2), False),
-        (complete(3), Coloring.total([0, 1, 2], 3), True),
+        (cycle(4), Coloring((0, 1, 0, 1), 2), True),
+        (complete(3), Coloring((0, 0, 1), 2), False),
+        (cycle(5), Coloring((0, 1, 0, 1, 0), 2), False),
+        (complete(3), Coloring((0, 1, 2), 3), True),
     ]
     dynamic_fixtures = [
-        (cycle(6), Coloring.total([0, 1, 2, 0, 1, 2], 3), True),
-        (cycle(5), Coloring.total([0, 1, 2, 0, 1], 3), False),
-        (e2, Coloring.total([0, 1], 2), True),
-        (cycle(4), Coloring.total([0, 1, 0, 1], 2), False),
+        (cycle(6), Coloring((0, 1, 2, 0, 1, 2), 3), True),
+        (cycle(5), Coloring((0, 1, 2, 0, 1), 3), False),
+        (e2, Coloring((0, 1), 2), True),
+        (cycle(4), Coloring((0, 1, 0, 1), 2), False),
     ]
     c8, c6 = cycle(8), cycle(6)
     domination_fixtures = [
@@ -308,19 +308,19 @@ def test_criterion_10_verifier_soundness_and_round_trip():
     ]
     list_fixtures = [
         (cycle(4), ListAssignment.uniform(4, {0, 1}),
-         Coloring.total([0, 1, 0, 1], 2), True),
+         Coloring((0, 1, 0, 1), 2), True),
         (cycle(4), ListAssignment.of([{2, 3}, {0, 1}, {0, 1}, {0, 1}]),
-         Coloring.total([0, 1, 0, 1], 4), False),
+         Coloring((0, 1, 0, 1), 4), False),
         (cycle(4), ListAssignment.uniform(4, {0, 1, 2}),
-         Coloring.total([0, 1, 2, 1], 3), True),
+         Coloring((0, 1, 2, 1), 3), True),
     ]
     h_pair = Hypergraph.from_edges(2, [(0, 1)])
     h_triple = Hypergraph.from_edges(3, [(0, 1, 2)])
     hyper_fixtures = [
-        (h_pair, Coloring.total([0, 1], 2), True),
+        (h_pair, Coloring((0, 1), 2), True),
         (h_triple, Coloring((0, 0, 0), 2), False),
-        (fano_plane(), Coloring.total([0, 1, 0, 1, 0, 1, 0], 2), False),
-        (h_triple, Coloring.total([0, 0, 1], 2), True),
+        (fano_plane(), Coloring((0, 1, 0, 1, 0, 1, 0), 2), False),
+        (h_triple, Coloring((0, 0, 1), 2), True),
     ]
 
     wrong = 0

@@ -171,7 +171,7 @@ _BROKEN_PARTS = [
 ]
 _ALL_ZERO = {
     "chi_witness": lambda g, *_: (Coloring((0,) * g.n, 1), "exact"),
-    "bipartition": lambda g: [0] * g.n,
+    "bipartition": lambda g: Coloring((0,) * g.n, 2),
 }
 
 
@@ -238,7 +238,7 @@ def test_solve_budget_exhausted_exits_2(capsys):
 def test_commands_ignore_budget_env_var(capsys, monkeypatch, tmp_path, value):
     record = tmp_path / "c5.json"
     record.write_text(json.dumps(
-        coloring_to_json_dict(cycle(5), Coloring.total([0, 1, 0, 1, 2], 3))
+        coloring_to_json_dict(cycle(5), Coloring((0, 1, 0, 1, 2), 3))
     ))
     for argv in (
         ["solve", "chi", "--graph", "kneser:6,2", "--format", "json"],
@@ -419,7 +419,7 @@ def test_verify_roundtrip(tmp_path, capsys):
     run(capsys, "gen", "cycle:4", "-o", str(gpath))
     good = tmp_path / "good.json"
     good.write_text(json.dumps(
-        coloring_to_json_dict(cycle(4), Coloring.total([0, 1, 2, 3], 4))
+        coloring_to_json_dict(cycle(4), Coloring((0, 1, 2, 3), 4))
     ))
     code, out, _ = run(capsys, "verify", "--graph", str(gpath),
                        "--coloring", str(good), "--check", "dynamic",
@@ -429,7 +429,7 @@ def test_verify_roundtrip(tmp_path, capsys):
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
-        coloring_to_json_dict(cycle(4), Coloring.total([0, 1, 0, 1], 2))
+        coloring_to_json_dict(cycle(4), Coloring((0, 1, 0, 1), 2))
     ))
     code, out, _ = run(capsys, "verify", "--graph", str(gpath),
                        "--coloring", str(bad), "--check", "dynamic",
@@ -443,7 +443,7 @@ def test_verify_rejects_a_record_for_another_graph(tmp_path, capsys):
     gpath = tmp_path / "c5.col"
     run(capsys, "gen", "cycle:5", "-o", str(gpath))
     record = coloring_to_json_dict(Graph.from_edges(5, [(0, 1)]),
-                                   Coloring.total([0, 1, 2, 3, 4], 5))
+                                   Coloring((0, 1, 2, 3, 4), 5))
     foreign = tmp_path / "foreign.json"
     foreign.write_text(json.dumps(record))
     code, _, err = run(capsys, "verify", "--graph", str(gpath),
@@ -464,7 +464,7 @@ def test_verify_rejects_a_record_for_another_graph(tmp_path, capsys):
     "assignment", [[0, 1.7, 0, 1, 2], [0, True, 0, 1, 2], [0, None, 0, 1, 2], "01012", 5]
 )
 def test_verify_rejects_non_integer_colors(tmp_path, capsys, assignment):
-    record = coloring_to_json_dict(cycle(5), Coloring.total([0, 1, 0, 1, 2], 3))
+    record = coloring_to_json_dict(cycle(5), Coloring((0, 1, 0, 1, 2), 3))
     record["assignment"] = assignment
     path = tmp_path / "record.json"
     path.write_text(json.dumps(record))

@@ -11,8 +11,17 @@ compose|product|balanced`` call on a generator spec of at most 8 vertices
 - on an exhausted chi or chid, report bounds that bracket that value;
 - on double-total, say "none" only when no subset of the vertices is a
   double total dominating set, and otherwise name one that is;
-- write, on exit 0, a coloring that ``verify`` passes through the CLI;
+- write, on exit 0, a coloring that ``verify`` passes through the CLI,
+  that ``verify`` lists an improper edge in once one vertex takes a
+  neighbor's color, and that ``verify`` refuses (exit 1) once one vertex
+  takes a color at or above the palette;
 - print the same bytes, and exit the same, when run again.
+
+Three more properties: ``solve chi|chid`` on a file
+that ``gen`` wrote prints what it prints on the spec; no applicable
+``bounds`` record is below the naive chi_d; and ``construct kneser`` on
+small (m, n), invalid pairs included, exits 0 or 1 with a coloring that
+``verify`` passes on at most its ``max_colors`` colors.
 """
 
 import io
@@ -95,6 +104,21 @@ def _verify(spec, seed, record, check):
     return code, json.loads(out)["violations"] if code == 0 else None
 
 
+def _assert_mutations_caught(g, spec, seed, record):
+    """An exit-0 ``record`` with one vertex recolored: as a neighbor of it,
+    ``verify`` lists that edge; above the palette, ``verify`` exits 1."""
+    colors = record["assignment"]
+    v = next((v for v in range(g.n) if g.adjacency[v]), None)
+    if v is not None:
+        u = g.adjacency[v][0]
+        clash = dict(record, assignment=colors[:v] + [colors[u]] + colors[v + 1:])
+        code, found = _verify(spec, seed, clash, "proper")
+        assert code == 0 and {"kind": "improper_edge", "witness": sorted((u, v))} in found
+    if g.n:
+        over = dict(record, assignment=[record["palette_size"]] + colors[1:])
+        assert _verify(spec, seed, over, "dynamic") == (1, None)
+
+
 @settings(max_examples=500)
 @given(argvs())
 @example(["solve", "chi", "--graph", "kneser:4,2", "--seed", "0", "--format", "json",
@@ -123,6 +147,7 @@ def test_cli_contract(argv):
         record = coloring_to_json_dict(g, Coloring(tuple(data["witness"]), want))
         check = "proper" if kind == "chi" else "dynamic"
         assert _verify(spec, seed, record, check) == (0, [])
+        _assert_mutations_caught(g, spec, seed, record)
     elif code != 0:  # refused or exhausted: nothing printed to judge
         assert out == ""
     elif kind == "double-total":
@@ -132,4 +157,53 @@ def test_cli_contract(argv):
         else:
             assert sets == []
     else:
-        assert _verify(spec, seed, json.loads(out), "dynamic") == (0, [])
+        record = json.loads(out)
+        assert _verify(spec, seed, record, "dynamic") == (0, [])
+        _assert_mutations_caught(g, spec, seed, record)
+
+
+@settings(max_examples=60)
+@given(SPECS, st.integers(0, 5), st.sampled_from(["dimacs", "edgelist"]),
+       st.sampled_from(["chi", "chid"]), st.sampled_from([None, 0, 3, 50]))
+def test_solve_on_a_generated_file_matches_the_spec(spec, seed, fmt, problem, budget):
+    tail = ["--format", "json"] + ([] if budget is None else ["--budget", str(budget)])
+    with tempfile.TemporaryDirectory() as d:
+        path = str(Path(d) / "graph.txt")
+        code = _run(["gen", spec, "--seed", str(seed), "-o", path, "--output-format", fmt])[0]
+        from_file = _run(["solve", problem, "--graph", path] + tail) if code == 0 else None
+    from_spec_run = _run(["solve", problem, "--graph", spec, "--seed", str(seed)] + tail)
+    if code != 0:
+        assert code == from_spec_run[0] == 1
+    else:
+        assert from_file == from_spec_run
+
+
+@settings(max_examples=60)
+@given(SPECS, st.integers(0, 5), st.sampled_from([None, 0, 3]))
+def test_bounds_are_never_below_chid(spec, seed, budget):
+    argv = ["bounds", "--graph", spec, "--seed", str(seed), "--format", "json"]
+    code, out, err = _run(argv + ([] if budget is None else ["--budget", str(budget)]))
+    g = _graph(spec, str(seed))
+    if g is None:
+        assert code == 1 and out == ""
+        return
+    assert code == 0, err
+    want = _oracle("chid", spec, str(seed))
+    for record in json.loads(out)["bounds"]:
+        assert not record["applicable"] or record["value"] >= want, record
+
+
+@settings(max_examples=12)
+@given(st.sampled_from([(5, 2), (7, 3), (8, 3), (9, 4), (6, 2), (4, 2), (3, 2)]),
+       st.integers(0, 5))
+def test_construct_kneser_colors_within_its_promise(pair, seed):
+    m, n = pair
+    code, out, err = _run(["construct", "kneser", "--m", str(m), "--n", str(n),
+                           "--seed", str(seed), "--format", "json"])
+    assert code in (0, 1), err
+    if code == 1:
+        assert out == ""
+        return
+    record = json.loads(out)
+    assert record["colors_used"] <= record["max_colors"]
+    assert _verify(f"kneser:{m},{n}", "0", record, "dynamic") == (0, [])

@@ -65,7 +65,7 @@ from helpers import (
 
 
 def two_coloring(*cs):
-    return Coloring.total(cs, 2)
+    return Coloring(cs, 2)
 
 
 # ----------------------------------------------------------------------
@@ -105,8 +105,8 @@ def test_compose_rejects_cycle6():
             compose_disjoint_palettes(
                 g,
                 t,
-                Coloring.total(list(range(g_in_size)), g_in_size),
-                Coloring.total(list(range(6 - g_in_size)), 6 - g_in_size),
+                Coloring(tuple(range(g_in_size)), g_in_size),
+                Coloring(tuple(range(6 - g_in_size)), 6 - g_in_size),
             )
 
 
@@ -126,7 +126,7 @@ def test_compose_rejects_improper_parts():
 
 def test_product_k4():
     g = complete(4)
-    c = Coloring.total([0, 1, 2, 3], 4)
+    c = Coloring((0, 1, 2, 3), 4)
     f = hypergraph_2color_exact(neighborhood_hypergraph(g))
     assert f is not None
     combined = product_coloring(g, c, f)
@@ -136,7 +136,7 @@ def test_product_k4():
 
 def test_product_cycle8():
     g = cycle(8)
-    c = Coloring.total([v % 2 for v in range(8)], 2)
+    c = Coloring(tuple(v % 2 for v in range(8)), 2)
     f = hypergraph_2color_exact(neighborhood_hypergraph(g))
     assert f is not None
     combined = product_coloring(g, c, f)
@@ -443,9 +443,9 @@ def test_double_total_subset_matches_oracle(g, budget, seed):
 def test_partial_product_k4():
     g = complete(4)
     t = VertexSubset.of(g, {0, 1, 2})
-    c_t = Coloring.total([0, 1, 2], 3)
+    c_t = Coloring((0, 1, 2), 3)
     f = two_coloring(0, 0, 1)  # the only restricted neighborhood is {0,1,2}
-    c_out = Coloring.total([0], 1)
+    c_out = Coloring((0,), 1)
     combined = partial_product_coloring(g, t, c_t, f, c_out)
     assert combined.palette_size <= 2 * 3 + 1
     assert check_dynamic(g, combined) == []
@@ -454,12 +454,12 @@ def test_partial_product_k4():
 # On K4 with T = {0,1,2}, the one restricted neighborhood is N(3) = T; on
 # C8 with T = {0,1,4,5}, G[T] and G[V - T] are two edges each.
 @pytest.mark.parametrize("g, members, c_t, f, c_out, refusal", [
-    (cycle(8), {0}, Coloring.total([0], 1), Coloring((), 2),
-     Coloring.total(list(range(7)), 7), "not total dominating"),
-    (complete(4), {0, 1, 2}, Coloring.total([0, 1, 2], 3), two_coloring(0, 0, 0),
-     Coloring.total([0], 1), "T-restricted neighborhood hypergraph"),
+    (cycle(8), {0}, Coloring((0,), 1), Coloring((), 2),
+     Coloring(tuple(range(7)), 7), "not total dominating"),
+    (complete(4), {0, 1, 2}, Coloring((0, 1, 2), 3), two_coloring(0, 0, 0),
+     Coloring((0,), 1), "T-restricted neighborhood hypergraph"),
     (complete(4), {0, 1, 2}, two_coloring(0, 0, 1), two_coloring(0, 0, 1),
-     Coloring.total([0], 1), "inside coloring is not proper"),
+     Coloring((0,), 1), "inside coloring is not proper"),
     (cycle(8), {0, 1, 4, 5}, two_coloring(0, 1, 0, 1), two_coloring(0, 0, 0, 0),
      two_coloring(0, 0, 1, 0), "outside coloring is not proper"),
 ], ids=["non-dominating", "monochromatic edge", "improper inside", "improper outside"])
@@ -530,12 +530,12 @@ def test_balanced_coloring_16_regular():
     assert result.color_bound == bound
     assert result.coloring.palette_size <= bound
     inside = [result.coloring[v] for v in result.subset]
-    assert inside == dsatur(induced_subgraph(g, result.subset))[1]
+    assert inside == list(dsatur(induced_subgraph(g, result.subset))[1])
 
 
 def test_balanced_coloring_complete_bipartite():
     g = complete_bipartite(16, 16)
-    witness = Coloring.total([0] * 16 + [1] * 16, 2)
+    witness = Coloring((0,) * 16 + (1,) * 16, 2)
     result = balanced_subset_coloring(g, witness, seed=2)
     assert check_dynamic(g, result.coloring) == []
     assert result.coloring.palette_size <= result.color_bound == 2 + 13
@@ -609,13 +609,13 @@ def test_balanced_coloring_rejects_improper_witness():
 
 def test_triangle_certificate_k4():
     g = complete(4)
-    cert = triangle_certificate(g, Coloring.total([0, 1, 2, 3], 4))
+    cert = triangle_certificate(g, Coloring((0, 1, 2, 3), 4))
     assert cert.certified and cert.uncovered == ()
 
 
 def test_triangle_certificate_c5():
     g = cycle(5)
-    cert = triangle_certificate(g, Coloring.total([0, 1, 0, 1, 2], 3))
+    cert = triangle_certificate(g, Coloring((0, 1, 0, 1, 2), 3))
     assert not cert.certified
     assert cert.uncovered == (0, 1, 2, 3, 4)
 

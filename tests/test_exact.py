@@ -4,7 +4,6 @@ import pytest
 
 from dynachrome import (
     CertificationError,
-    Coloring,
     Graph,
     Hypergraph,
     ListAssignment,
@@ -94,7 +93,7 @@ def test_exhausted_chi_returns_the_dsatur_coloring_it_holds():
     # DSATUR colors KG(7,2) on chi = 5 colors, but 20 nodes cannot refute 4.
     g = kneser(7, 2)
     res = chromatic_number(g, 20)
-    assert res.coloring == Coloring.total(dsatur(g)[1])
+    assert res.coloring == dsatur(g)[1]
     assert res.bounds == (4, 5) and res.witness is None
 
 
@@ -235,7 +234,7 @@ def test_chid_exhausted_upper_end_is_a_certified_palette(spec, seed, bounds):
     g = from_spec(spec, seed)
     res = dynamic_chromatic_number(g, budget=1000)
     assert res.exhausted and res.bounds == bounds
-    held = Coloring.total(dsatur(g, neighborhood_hypergraph(g).edges)[1])
+    held = dsatur(g, neighborhood_hypergraph(g).edges)[1]
     assert check_dynamic(g, held) == []
     assert res.coloring == held
 
@@ -419,7 +418,7 @@ def test_double_total_budget_raises():
 
 def test_greedy_coloring_proper():
     for g in (cycle(7), kneser(5, 2), gnp(20, 0.4, seed=8)):
-        c = Coloring.total(dsatur(g)[1])
+        c = dsatur(g)[1]
         assert check_proper(g, c) == []
         assert c.palette_size <= g.max_degree + 1
 
@@ -474,12 +473,12 @@ def test_exhausted_solves_check_their_held_coloring(monkeypatch):
     g = kneser(6, 2)
     res = chromatic_number(g, budget=5)
     assert res.exhausted
-    assert (proper, dynamic) == ([Coloring.total(dsatur(g)[1])], [])
+    assert (proper, dynamic) == ([dsatur(g)[1]], [])
     assert res.coloring == proper[0]
     proper.clear()
     res = dynamic_chromatic_number(g, budget=5)
     assert res.bounds == (3, 4)
-    held = Coloring.total(dsatur(g, neighborhood_hypergraph(g).edges)[1])
+    held = dsatur(g, neighborhood_hypergraph(g).edges)[1]
     assert (proper, dynamic) == ([], [held])
     assert res.coloring == held
     # A chid that finds a smaller coloring checks only that one.
@@ -487,7 +486,7 @@ def test_exhausted_solves_check_their_held_coloring(monkeypatch):
     g = from_spec("random_regular:60,3", 4)
     res = dynamic_chromatic_number(g, budget=20_000)
     assert res.value == 3
-    assert res.coloring != Coloring.total(dsatur(g, neighborhood_hypergraph(g).edges)[1])
+    assert res.coloring != dsatur(g, neighborhood_hypergraph(g).edges)[1]
     assert (proper, dynamic) == ([], [res.coloring])
 
 

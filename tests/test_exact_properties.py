@@ -11,7 +11,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynachrome import (
-    Coloring,
     Graph,
     Hypergraph,
     ListAssignment,
@@ -74,15 +73,16 @@ def hypergraphs(draw):
 
 def _assert_dsatur_with_neighborhoods_is_dynamic(g, naive=True):
     groups = neighborhood_hypergraph(g).edges
-    order, colors = dsatur(g, groups)
-    assert check_dynamic(g, Coloring.total(colors)) == []
+    order, coloring = dsatur(g, groups)
+    assert check_dynamic(g, coloring) == []
     if naive:
-        assert (order, colors) == naive_dsatur(g, groups)
+        assert (order, list(coloring)) == naive_dsatur(g, groups)
 
 
 @given(graphs())
 def test_dsatur_order_matches_naive(g):
-    assert dsatur(g) == naive_dsatur(g)
+    order, coloring = dsatur(g)
+    assert (order, list(coloring)) == naive_dsatur(g)
     _assert_dsatur_with_neighborhoods_is_dynamic(g)
 
 
@@ -98,7 +98,9 @@ def graphs_with_groups(draw):
 @example((cycle(5), [[0, 2], [1], [], [0, 1, 3]]))
 def test_dsatur_with_groups_matches_naive(case):
     g, groups = case
-    assert dsatur(g, groups) == naive_dsatur(g, groups)
+    order, coloring = dsatur(g, groups)
+    assert (order, list(coloring)) == naive_dsatur(g, groups)
+    assert coloring.palette_size == max(coloring, default=-1) + 1
 
 
 def _disjoint_union(parts: list[Graph]) -> Graph:
@@ -118,9 +120,9 @@ def gnp_unions(draw):
 
 
 def _assert_dsatur_matches_reference(g):
-    order, colors = dsatur(g)
+    order, coloring = dsatur(g)
     assert order == dsatur_order_reference(g)
-    assert tuple(colors) == first_fit_coloring(g, order).colors
+    assert coloring == first_fit_coloring(g, order)
 
 
 @given(gnp_unions())

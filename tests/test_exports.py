@@ -39,3 +39,15 @@ def test_package_public_names_are_exactly_the_module_alls():
     for name in MODULES:
         declared.update(importlib.import_module(f"dynachrome.{name}").__all__)
     assert public == declared
+
+
+def test_each_public_name_is_declared_by_the_one_module_that_defines_it():
+    # Two __all__ lists naming one object pass both tests above, so count
+    # the declarations, and match each to the module the object comes from.
+    owners: dict[str, list[str]] = {}
+    for name in MODULES:
+        module = importlib.import_module(f"dynachrome.{name}")
+        for public in module.__all__:
+            owners.setdefault(public, []).append(name)
+            assert getattr(module, public).__module__ == module.__name__, public
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}

@@ -169,7 +169,7 @@ def test_graph_id_pinned(g, expected):
 
 def test_coloring_json_round_trip():
     g = cycle(5)
-    c = Coloring.total([0, 1, 2, 0, 1], 3)
+    c = Coloring((0, 1, 2, 0, 1), 3)
     data = coloring_to_json_dict(g, c, [{"check": "dynamic", "violations": 2}])
     assert data["graph_id"] == graph_id(g)
     assert data["palette_size"] == 3

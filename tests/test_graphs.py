@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynachrome import (
+    Coloring,
     Graph,
     Hypergraph,
     KneserSpec,
@@ -470,3 +471,7 @@ def test_connectivity_and_bipartition():
     two = bipartition(complete_bipartite(3, 4))
     assert two is not None
     assert {two[i] for i in range(3)} != {two[i] for i in range(3, 7)}
+    # A Coloring on one past the largest color used.
+    assert two == Coloring((0, 0, 0, 1, 1, 1, 1), 2)
+    assert bipartition(Graph.from_edges(0, [])) == Coloring((), 0)
+    assert bipartition(Graph.from_edges(3, [])) == Coloring((0, 0, 0), 1)

@@ -118,7 +118,7 @@ def test_solve_value_is_the_witness_palette(solve, spec, seed, budget, want):
 
 
 def test_solve_result_refuses_lower_outside_its_palette():
-    c = Coloring.total([0, 1, 2])
+    c = Coloring((0, 1, 2), 3)
     assert SolveResult(c, 0, 0).exhausted and not SolveResult(c, 3, 0).exhausted
     for lower in (4, -1):
         with pytest.raises(ValueError, match="lower"):

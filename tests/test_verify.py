@@ -29,7 +29,7 @@ from helpers import check_proper_reference, fano_plane
 
 
 def col(*cs, palette=None):
-    return Coloring.total(cs, palette)
+    return Coloring(cs, max(cs, default=-1) + 1 if palette is None else palette)
 
 
 # ----------------------------------------------------------------------
@@ -59,13 +59,13 @@ def colored_graphs(draw):
     palette = draw(st.integers(1, 4))
     colors = draw(st.lists(st.integers(0, palette - 1), min_size=n, max_size=n))
     g = Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
-    return g, Coloring.total(colors, palette)
+    return g, Coloring(tuple(colors), palette)
 
 
 @given(colored_graphs())
-@example((Graph.from_edges(0, []), Coloring.total([], 1)))
-@example((complete(6), Coloring.total([0] * 6, 1)))
-@example((gnp(25, 0.5, seed=3), Coloring.total([v % 2 for v in range(25)], 2)))
+@example((Graph.from_edges(0, []), Coloring((), 1)))
+@example((complete(6), Coloring((0,) * 6, 1)))
+@example((gnp(25, 0.5, seed=3), Coloring(tuple(v % 2 for v in range(25)), 2)))
 def test_proper_matches_reference(case):
     g, coloring = case
     assert check_proper(g, coloring) == check_proper_reference(g, coloring)
@@ -117,8 +117,8 @@ def test_dynamic_empty_implies_proper_empty():
         g = gnp(12, 0.4, seed=seed)
         for palette in (3, 4):
             for trial in range(3):
-                coloring = Coloring.total(
-                    [(v * 7 + trial) % palette for v in range(g.n)], palette
+                coloring = Coloring(
+                    tuple((v * 7 + trial) % palette for v in range(g.n)), palette
                 )
                 if not check_dynamic(g, coloring):
                     assert not check_proper(g, coloring)
@@ -230,7 +230,7 @@ def test_fano_plane_never_two_colorable():
     # Exhaustive: all 2^7 colorings leave some line monochromatic.
     h = fano_plane()
     for bits in itertools.product((0, 1), repeat=7):
-        assert check_hypergraph_2coloring(h, Coloring.total(bits, 2)) != []
+        assert check_hypergraph_2coloring(h, Coloring(bits, 2)) != []
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_coloring_invariants():
         Coloring((0, 3), 2)
     with pytest.raises(ValueError, match="nonnegative"):
         Coloring((), -1)
-    c = Coloring.total([0, 1, 1], 5)
+    c = Coloring((0, 1, 1), 5)
     assert c.colors_used == 2
     assert c.palette_size == 5
     for colors in [(None, 0), (0, 0.0), (0, "0")]:
@@ -272,12 +272,12 @@ class Shade(IntEnum):
     DARK = 1
 
 
-# Coloring.total infers the palette and converts no color, and a bool is no
-# color: a float was rounded down, a string parsed and a bool accepted.  The
-# message names the first bad vertex, also after plain int colors.
+# A Coloring converts no color, and a bool is no color: a float was rounded
+# down, a string parsed and a bool accepted.  The message names the first bad
+# vertex, also after plain int colors.
 @pytest.mark.parametrize("make, vertex", [
-    (lambda: Coloring.total([0.9, 1.7]), 0),
-    (lambda: Coloring.total(["1", "0"]), 0),
+    (lambda: Coloring((0.9, 1.7), 2), 0),
+    (lambda: Coloring(("1", "0"), 2), 0),
     (lambda: Coloring((True, False, True, False), 2), 0),
     (lambda: Coloring((0, 1, True, 0), 2), 2),
     (lambda: Coloring((0, 1, 2, 0), 2), 2),
@@ -288,6 +288,15 @@ class Shade(IntEnum):
 def test_coloring_refuses_colors_that_are_not_ints(make, vertex):
     with pytest.raises(ValueError, match=f"of vertex {vertex} outside palette"):
         make()
+
+
+# The colors are a tuple: a list would leave the record unhashable, unequal
+# to the same colors as a tuple, and open to change after its check.
+@pytest.mark.parametrize("colors", [[0, 1], (c for c in (0, 1)), range(2)],
+                         ids=["list", "generator", "range"])
+def test_coloring_refuses_colors_that_are_not_a_tuple(colors):
+    with pytest.raises(ValueError, match="colors must be a tuple"):
+        Coloring(colors, 2)
 
 
 # An int subclass other than bool is a color, and no vertices need no color.
