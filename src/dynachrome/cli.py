@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import constructions, exact, experiments, formats
-from .graphs import Graph, KneserSpec, SearchBudgetExceeded, from_spec
+from .graphs import Graph, KneserSpec, SearchBudgetExceeded, _check_count, from_spec
 from .verify import CertificationError, check_dynamic, check_proper, violations_to_json
 
 
@@ -333,8 +333,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     """
     try:
         args = _parser().parse_args(argv)
-        if getattr(args, "budget", None) is not None and args.budget < 0:
-            raise ValueError(f"--budget must be >= 0, got {args.budget}")
+        if getattr(args, "budget", None) is not None:
+            _check_count(args.budget, "--budget")
         return args.handler(args)
     except (ValueError, OSError) as exc:
         # Covers malformed files (json.JSONDecodeError is a ValueError), bad

@@ -138,7 +138,7 @@ def _search(
     else; there it prunes only renamed images of colorings tried earlier,
     so the first coloring found is the one an unbroken search finds.
     Every color tried is one node, counted on from ``nodes`` against
-    ``budget``; a negative budget raises ValueError.  Returns the Coloring
+    ``budget``, which the public callers have checked.  Returns the Coloring
     found, on one past the largest color any palette offers (None when no
     branch survives), and the node total, or raises
     SearchBudgetExceeded.  The branch state lives in per-depth arrays, not
@@ -147,7 +147,6 @@ def _search(
     position just past the color taken, where the search picks up again when
     it backtracks into that depth.
     """
-    _check_budget(budget)
     color = [-1] * len(palettes)
     depth = len(order)
     at = [0] * len(palettes)  # at[v]: the depth at which v is colored
@@ -354,6 +353,7 @@ def is_k_critical(g: Graph, budget: Optional[int] = None) -> bool:
     left, and SearchBudgetExceeded carries the total explored, at most
     budget + 1.
     """
+    _check_budget(budget)
     if not is_connected(g):
         raise ValueError("criticality is only defined here for connected graphs")
     spent = 0

@@ -33,18 +33,37 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
+def _pair(words: list[str]) -> Optional[tuple[int, int]]:
+    """Two words as ints, or None unless each is [+-]?[0-9]+ (``int`` reads 1_0 too)."""
+    if len(words) != 2 or not all(w.isascii() and w.lstrip("+-").isdigit() for w in words):
+        return None
+    try:
+        return int(words[0]), int(words[1])
+    except ValueError:  # more than one sign, or more digits than int reads
+        return None
+
+
+def _add_edge(edges: dict, u: int, v: int, base: int, lineno: int) -> None:
+    """Add {u, v}, ids counted from ``base``, to ``edges``, an ordered set of
+    0-based pairs; a self-loop or a repeat is named by the ids as written."""
+    if u == v:
+        raise FormatError(f"self-loop at vertex {u}", lineno)
+    key = (min(u, v) - base, max(u, v) - base)
+    if key in edges:
+        raise FormatError(f"duplicate edge ({u},{v})", lineno)
+    edges[key] = None
+
+
 def read_dimacs(text: str) -> Graph:
-    """Parse DIMACS coloring format: one ``p edge n m`` header, then
-    1-based ``e u v`` lines.  Comment lines start with ``c``.
+    """Parse DIMACS coloring format: one ``p edge n m`` header, then 1-based
+    ``e u v`` lines, all in ASCII integers.  Comment lines start with ``c``.
 
     Self-loops, duplicate edges (in either orientation), out-of-range
     endpoints, and header/edge-count mismatches are all rejected with the
     offending line number.
     """
-    n = None
-    m_declared = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    n = m_declared = None
+    edges: dict[tuple[int, int], None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -53,40 +72,26 @@ def read_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise FormatError("duplicate problem header", lineno)
-            if len(parts) != 4 or parts[1] != "edge":
+            if parts[1:2] != ["edge"] or (counts := _pair(parts[2:])) is None:
                 raise FormatError(f"malformed header {line!r}", lineno)
-            try:
-                n, m_declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(f"malformed header {line!r}", lineno) from None
+            n, m_declared = counts
             if n < 0 or m_declared < 0:
                 raise FormatError("negative counts in header", lineno)
         elif parts[0] == "e":
             if n is None:
                 raise FormatError("edge before problem header", lineno)
-            if len(parts) != 3:
+            if (ids := _pair(parts[1:])) is None:
                 raise FormatError(f"malformed edge line {line!r}", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError(f"malformed edge line {line!r}", lineno) from None
+            u, v = ids
             if not (1 <= u <= n and 1 <= v <= n):
                 raise FormatError(f"vertex out of range in {line!r}", lineno)
-            if u == v:
-                raise FormatError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v) - 1, max(u, v) - 1)
-            if key in seen:
-                raise FormatError(f"duplicate edge ({u},{v})", lineno)
-            seen.add(key)
-            edges.append(key)
+            _add_edge(edges, u, v, 1, lineno)
         else:
             raise FormatError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise FormatError("missing problem header")
     if m_declared != len(edges):
-        raise FormatError(
-            f"header declares {m_declared} edges but {len(edges)} were given"
-        )
+        raise FormatError(f"header declares {m_declared} edges but {len(edges)} were given")
     return Graph.from_edges(n, edges)
 
 
@@ -102,10 +107,10 @@ def read_edge_list(text: str) -> Graph:
     Blank lines and ``#`` comments are skipped.  One ``# vertices N``
     comment, before the first edge, fixes the vertex count (so isolated
     vertices survive) and any id >= N is rejected; without it the vertex
-    count is the largest id seen plus one.
+    count is the largest id seen plus one.  Ids are ASCII integers, and an N
+    of anything but ASCII digits leaves the line a comment.
     """
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: dict[tuple[int, int], None] = {}
     max_id = -1
     declared: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -114,31 +119,22 @@ def read_edge_list(text: str) -> Graph:
             continue
         if line.startswith("#"):
             words = line[1:].split()
-            if len(words) == 2 and words[0] == "vertices" and words[1].isdecimal():
+            count = words[1] if len(words) == 2 and words[0] == "vertices" else ""
+            if count.isascii() and count.isdigit():
                 if edges:
                     raise FormatError("vertex count must precede the edges", lineno)
                 if declared is not None:
                     raise FormatError("duplicate vertex count", lineno)
-                declared = int(words[1])
+                declared = int(count)
             continue
-        parts = line.split()
-        if len(parts) != 2:
+        if (ids := _pair(line.split())) is None:
             raise FormatError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"expected 'u v', got {line!r}", lineno) from None
+        u, v = ids
         if u < 0 or v < 0:
             raise FormatError(f"negative vertex id in {line!r}", lineno)
         if declared is not None and max(u, v) >= declared:
             raise FormatError(f"vertex id out of range in {line!r}", lineno)
-        if u == v:
-            raise FormatError(f"self-loop at vertex {u}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise FormatError(f"duplicate edge ({u},{v})", lineno)
-        seen.add(key)
-        edges.append(key)
+        _add_edge(edges, u, v, 0, lineno)
         max_id = max(max_id, u, v)
     return Graph.from_edges(max_id + 1 if declared is None else declared, edges)
 

@@ -2,7 +2,7 @@
 generators.
 
 Vertices are always the integers ``0 .. n-1``.  All generators are pure
-functions of their parameters (randomized families take an explicit seed),
+functions of their parameters (randomized families take an explicit int seed),
 so identical calls always rebuild identical objects.  The colorers
 :func:`dsatur` and :func:`bipartition` return a :class:`Coloring` on one
 past the largest color they use.
@@ -45,6 +45,13 @@ __all__ = [
 def _is_int(value) -> bool:
     """An int that is not a bool: the one form of a vertex id, count or colour."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _rng(seed: int) -> random.Random:
+    """The generator of every seeded draw; a seed is an int, not a bool."""
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    return random.Random(seed)
 
 
 def _check_count(value, what: str) -> None:
@@ -323,7 +330,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("vertex count must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
@@ -368,9 +375,9 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
     round that gets stuck (every remaining pair is unusable) restarts the
     pairing from scratch, up to ``max_retries`` restarts, and raises
     SearchBudgetExceeded once they are spent; a negative or non-int
-    ``max_retries`` raises ValueError.  The shuffles
-    replay ``random.Random(seed).shuffle`` from bulk draws, so the graph
-    for a given seed is the one ``shuffle`` would give.
+    ``max_retries``, or a seed that is not an int, raises ValueError.  The
+    shuffles replay ``random.Random(seed).shuffle`` from bulk draws, so the
+    graph for a given seed is the one ``shuffle`` would give.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -379,7 +386,7 @@ def random_regular(n: int, k: int, seed: int, max_retries: int = 1000) -> Graph:
     if (n * k) % 2 != 0:
         raise ValueError("n * k must be even")
     _check_count(max_retries, "max_retries")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     for _ in range(max_retries):
         # Edge {u, v} with u < v is recorded as v in higher[u].
         higher: list[set[int]] = [set() for _ in range(n)]
@@ -428,7 +435,7 @@ _SPEC_FAMILIES = {
 def from_spec(text: str, seed: Optional[int] = None) -> Graph:
     """Build a graph from a compact spec string like ``cycle:8`` or ``gnp:50,0.2``.
 
-    Randomized families (gnp, random_regular) require ``seed``.
+    Randomized families (gnp, random_regular) require an int ``seed``.
     """
     name, _, argtext = text.partition(":")
     name = name.strip()
@@ -445,8 +452,6 @@ def from_spec(text: str, seed: Optional[int] = None) -> Graph:
         return complete_bipartite(int(args[0]), int(args[1]))
     if name == "kneser":
         return kneser(int(args[0]), int(args[1]))
-    if seed is None:
-        raise ValueError(f"{name} is randomized and needs a seed")
     if name == "gnp":
         return gnp(int(args[0]), float(args[1]), seed)
     return random_regular(int(args[0]), int(args[1]), seed)

@@ -8,11 +8,11 @@ event until none is violated or a resample cap is hit.  A full scan seeds a
 min-heap of violated events; after a resample only the events that share
 a variable with it are re-tested, and stale heap entries are dropped when
 they surface.  The RNG is drawn in the order that a full rescan after every
-resample would draw it, so outputs and logs are exactly those of that
-simpler loop, deterministic given the seed.  "success" is reported only
-after a final full scan finds no violated event; non-convergence within the
-cap is reported as "exhausted", never as a proof that no solution exists.
-Each sampler is called as ``(input, ..., seed, max_resamples)`` and
+resample would draw it, so outputs and logs are exactly those of that simpler
+loop, deterministic given the int seed that graphs._rng takes.  "success" is
+reported only after a final full scan finds no violated event; non-convergence
+within the cap is reported as "exhausted", never as a proof that no solution
+exists.  Each sampler is called as ``(input, ..., seed, max_resamples)`` and
 returns its result (None unless "success") with the :class:`ResampleLog`.
 
 The condition evaluators check when this scheme is guaranteed to work
@@ -34,13 +34,12 @@ import bisect
 import functools
 import heapq
 import math
-import random
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Coloring, Graph, Hypergraph, VertexSubset, _check_count
+from .graphs import Coloring, Graph, Hypergraph, VertexSubset, _check_count, _rng
 from .verify import ListAssignment
 
 __all__ = [
@@ -237,7 +236,7 @@ def moser_tardos_2color(
     the vertices of the lowest-indexed monochromatic edge, in the edge's
     ascending order.  The default cap is 1000 per edge.
     """
-    rng = random.Random(seed)
+    rng = _rng(seed)
     edges = h.edges
     incident: list[list[int]] = [[] for _ in range(h.n)]
     for i, vs in enumerate(edges):
@@ -282,7 +281,7 @@ def find_balanced_subset(
     if k < 2:
         raise ValueError("need regular degree k >= 2")
     p, top, _ = balanced_window(k)
-    rng = random.Random(seed)
+    rng = _rng(seed)
 
     def unbalanced(in_t: list[bool], v: int) -> bool:
         d = sum(1 for u in g.adjacency[v] if in_t[u])
@@ -328,7 +327,7 @@ def select_sublists(
     if not 1 <= l <= m:
         raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
     pool = [tuple(sorted(lists[v])) for v in range(g.n)]
-    rng = random.Random(seed)
+    rng = _rng(seed)
 
     def shared_color(sub: list[frozenset[int]], v: int) -> bool:
         nbrs = g.adjacency[v]

@@ -31,6 +31,7 @@ from dynachrome import (
     complete,
     complete_bipartite,
     compose_disjoint_palettes,
+    conjecture_scan,
     constructions,
     cycle,
     double_total_coloring,
@@ -287,6 +288,8 @@ _CUBIC40 = random_regular(40, 3, seed=0)  # above the 28-vertex exact limit
     pytest.param(lambda b: balanced_coloring(_CUBIC40, b),
                  id="balanced_coloring"),
     pytest.param(lambda b: double_total_coloring(_CUBIC40, b), id="double_total_coloring"),
+    pytest.param(lambda b: conjecture_scan("all_cubic_connected", 0, b, max_n=6, trials=1),
+                 id="conjecture_scan"),
 ])
 def test_negative_budget_refused_on_every_path(call, monkeypatch):
     # Whichever route the input takes (greedy witness, converged resampling,

@@ -105,6 +105,7 @@ def test_negative_budget_rejected_and_zero_budget_exhausts():
         lambda b: dynamic_chromatic_number(g, b),
         lambda b: list_dynamic_coloring(g, lists, b),
         lambda b: hypergraph_2color_exact(h, b),
+        lambda b: is_k_critical(g, b),
     ]
     # Edgeless and bipartite inputs search no palette, and K3 and K4 are
     # decided at the palette of the coloring held: all refuse a negative
@@ -129,21 +130,26 @@ def test_negative_budget_rejected_and_zero_budget_exhausts():
     exhausted = chromatic_number(kneser(9, 3), 0)
     assert exhausted.exhausted and exhausted.bounds == (3, 7)
     assert dynamic_chromatic_number(g, 0).exhausted
-    for search in searches[2:]:
+    for search in searches[2:4]:
         with pytest.raises(SearchBudgetExceeded):
             search(0)
+    # DSATUR also colors each Petersen graph minus a vertex with 3 colors,
+    # so criticality is decided without a node: it is not 3-critical.
+    assert is_k_critical(g, 0) is False
 
 
 def test_budget_refused_before_any_graph_work(monkeypatch):
-    # A bad budget is refused before the bipartition, DSATUR or the
-    # neighborhood hypergraph runs, as the constructions refuse one at once.
-    for name in ("bipartition", "dsatur", "neighborhood_hypergraph"):
+    # A bad budget is refused before the bipartition, DSATUR, the
+    # neighborhood hypergraph or a connectivity test runs, as the
+    # constructions refuse one at once.
+    for name in ("bipartition", "dsatur", "neighborhood_hypergraph", "is_connected"):
         monkeypatch.setattr(exact, name, lambda *_: pytest.fail("graph work ran"))
     g = cycle(5)
     lists = ListAssignment.uniform(g.n, range(4))
     for search in (lambda b: chromatic_number(g, b),
                    lambda b: dynamic_chromatic_number(g, b),
-                   lambda b: list_dynamic_coloring(g, lists, b)):
+                   lambda b: list_dynamic_coloring(g, lists, b),
+                   lambda b: is_k_critical(g, b)):
         with pytest.raises(ValueError, match="budget must be >= 0"):
             search(-1)
         with pytest.raises(ValueError, match="budget must be an int"):

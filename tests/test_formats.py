@@ -77,6 +77,8 @@ def test_dimacs_malformed_header():
         ("p edge 2 1\ne 1\n", 2),  # wrong arity
         ("p edge 2 1\ne 1 x\n", 2),
         ("p edge 2 0\nx 1 2\n", 2),  # unrecognized line
+        ("p edge 1_1 1\ne 1 2\n", 1),  # int() alone reads 1_1 as 11
+        ("p edge 3 1\ne 1 \u0663\n", 2),  # an Arabic-Indic 3
     ]:
         with pytest.raises(FormatError) as err:
             read_dimacs(text)
@@ -118,6 +120,9 @@ def test_edge_list_header_bounds_ids():
     # Without the header the count is still the largest id plus one.
     assert read_edge_list("0 1\n1 3\n").n == 4
     assert read_edge_list("# vertices of a path\n0 1\n1 3\n").n == 4
+    # A count of anything but ASCII digits leaves the line a comment.
+    for count in ("\u0663", "\uff13", "1_0", "+3"):
+        assert read_edge_list(f"# vertices {count}\n0 1\n").n == 2, count
 
 
 def test_edge_list_rejects():
@@ -133,6 +138,11 @@ def test_edge_list_rejects():
     with pytest.raises(FormatError) as err:
         read_edge_list("0 1\n0 x\n")
     assert err.value.line == 2
+    # Ids are ASCII integers: int() alone reads these as 10 and 3.
+    for text in ("1_0 2\n", "0 \u0663\n", "0 \uff13\n"):
+        with pytest.raises(FormatError, match="expected 'u v'") as err:
+            read_edge_list(text)
+        assert err.value.line == 1
 
 
 def test_edge_list_comments_and_blanks():

@@ -14,19 +14,23 @@ from dynachrome import (
     Graph,
     Hypergraph,
     KneserSpec,
+    ListAssignment,
     SearchBudgetExceeded,
     VertexSubset,
     bipartition,
     complete,
     complete_bipartite,
     cycle,
+    find_balanced_subset,
     from_spec,
     gnp,
     induced_subgraph,
     is_connected,
     kneser,
+    moser_tardos_2color,
     neighborhood_hypergraph,
     random_regular,
+    select_sublists,
     vertices_in_triangles,
 )
 from dynachrome.graphs import _shuffle
@@ -136,6 +140,25 @@ def test_gnp_reproducible():
         gnp(-1, 0.5, seed=0)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, True])
+@pytest.mark.parametrize("draw", [
+    pytest.param(lambda s: gnp(30, 0.3, s), id="gnp"),
+    pytest.param(lambda s: random_regular(30, 3, s), id="random_regular"),
+    pytest.param(lambda s: moser_tardos_2color(neighborhood_hypergraph(cycle(8)), s),
+                 id="moser_tardos_2color"),
+    pytest.param(lambda s: find_balanced_subset(random_regular(40, 16, 0), s),
+                 id="find_balanced_subset"),
+    pytest.param(lambda s: select_sublists(cycle(4), ListAssignment.uniform(4, range(4)), 1, s),
+                 id="select_sublists"),
+])
+def test_seed_must_be_an_int(draw, seed):
+    # random.Random(None) draws fresh entropy, so each call would differ;
+    # it also hashes a float and reads True as 1.  Every seeded draw is
+    # refused such a seed rather than run unreproducibly.
+    with pytest.raises(ValueError, match="seed must be an int"):
+        draw(seed)
+
+
 def test_random_regular_properties():
     for seed in range(5):
         g = random_regular(16, 5, seed=seed)
@@ -237,7 +260,7 @@ def test_from_spec():
     assert from_spec("gnp:20,0.5", seed=9) == gnp(20, 0.5, seed=9)
     with pytest.raises(ValueError):
         from_spec("mystery:3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed must be an int"):
         from_spec("gnp:20,0.5")  # randomized family without a seed
     with pytest.raises(ValueError):
         from_spec("cycle:6,7")
